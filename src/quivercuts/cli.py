@@ -41,6 +41,16 @@ def _parse_cut_option(text: str) -> frozenset[str]:
     return frozenset(part for part in text.split(",") if part)
 
 
+def _coset_budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"coset budget must be positive, got {budget}")
+    return budget
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     value = _read_document(args.file)
     violations = validate(value.qwc)
@@ -63,9 +73,10 @@ def _cmd_cuts(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     value = _read_document(args.file)
     q = value.qwc
+    cuts = enumerate_cuts(q)
     print(f"covered: {'yes' if is_covered(q) else 'no'}")
-    print(f"enough-cuts: {'yes' if has_enough_cuts(q) else 'no'}")
-    print(f"fully-compatible: {'yes' if is_fully_compatible(q) else 'no'}")
+    print(f"enough-cuts: {'yes' if has_enough_cuts(q, cuts) else 'no'}")
+    print(f"fully-compatible: {'yes' if is_fully_compatible(q, cuts) else 'no'}")
     verdict = is_simply_connected(q, budget=args.coset_budget)
     print(f"simply-connected: {verdict.status} ({verdict.evidence})")
     return 0
@@ -135,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default="-")
     p.add_argument(
         "--coset-budget",
-        type=int,
+        type=_coset_budget,
         default=DEFAULT_COSET_BUDGET,
         metavar="N",
         help="coset limit for the simply-connected decision (default %(default)s)",

@@ -23,7 +23,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .model import (
     ArrowId,
-    Cycle,
     Quiver,
     QuiverWithCycles,
     Walk,
@@ -59,10 +58,6 @@ def grading_from_cut(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> Grading:
 def walk_degree(grading: Grading, walk: Walk) -> int:
     """Signed sum of step degrees; reversed steps count negatively."""
     return sum(direction * grading.degree[name] for name, direction in walk.steps)
-
-
-def cycle_degree(grading: Grading, cycle: Cycle) -> int:
-    return sum(grading.degree[name] for name in cycle.arrows)
 
 
 def is_cut(q: QuiverWithCycles, arrows: Iterable[ArrowId]) -> bool:
@@ -170,12 +165,15 @@ def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
     return [frozenset(names) for names in found]
 
 
-def has_enough_cuts(q: QuiverWithCycles) -> bool:
-    """True iff every arrow of ``q`` lies in at least one cut."""
-    union: set[ArrowId] = set()
-    for cut in enumerate_cuts(q):
-        union.update(cut)
-    return union == {a.name for a in q.quiver.arrows}
+def has_enough_cuts(q: QuiverWithCycles, cuts: Sequence[Cut] | None = None) -> bool:
+    """True iff every arrow of ``q`` lies in at least one cut.
+
+    ``cuts``, if given, must be ``enumerate_cuts(q)``; it spares a caller
+    that already holds them a second enumeration.
+    """
+    if cuts is None:
+        cuts = enumerate_cuts(q)
+    return set().union(*cuts) == {a.name for a in q.quiver.arrows}
 
 
 def component_cycle_basis(quiver: Quiver) -> list[Walk]:
@@ -205,9 +203,10 @@ def are_compatible(q: QuiverWithCycles, first: Cut, second: Cut) -> bool:
     )
 
 
-def is_fully_compatible(q: QuiverWithCycles) -> bool:
-    """True iff all cuts of ``q`` are pairwise compatible."""
-    cuts = enumerate_cuts(q)
+def is_fully_compatible(q: QuiverWithCycles, cuts: Sequence[Cut] | None = None) -> bool:
+    """True iff all cuts of ``q`` are pairwise compatible (``cuts`` as in :func:`has_enough_cuts`)."""
+    if cuts is None:
+        cuts = enumerate_cuts(q)
     if len(cuts) <= 1:
         return True
     basis_counts = [signed_arrow_counts(w) for w in component_cycle_basis(q.quiver)]

@@ -22,6 +22,7 @@ graphs as undirected graphs by default, matching mutation-lattice figures.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from typing import Any, Mapping
@@ -266,11 +267,23 @@ def mutation_graph_to_dot(graph: MutationGraph, directed: bool = False, name: st
 
 
 def mutation_graph_to_json(graph: MutationGraph) -> str:
-    doc = {
-        "nodes": [list(node) for node in graph.nodes],
-        "edges": [
-            {"source": e.source, "target": e.target, "vertex": e.vertex, "direction": e.direction}
-            for e in graph.edges
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """``{"nodes": [...], "edges": [...]}``, as ``json.dumps(doc, indent=2)`` writes it.
+
+    ``indent`` forces the pure-Python encoder, so the text is written here
+    and only identifier strings go through ``json.dumps``, once each.
+    """
+    quote = functools.lru_cache(maxsize=None)(json.dumps)
+
+    def array(items: list[str], indent: str) -> str:
+        if not items:
+            return "[]"
+        sep = ",\n" + indent + "  "
+        return f"[\n{indent}  {sep.join(items)}\n{indent}]"
+
+    nodes = [array([quote(name) for name in node], "    ") for node in graph.nodes]
+    edges = [
+        f'{{\n      "source": {e.source},\n      "target": {e.target},\n'
+        f'      "vertex": {quote(e.vertex)},\n      "direction": {quote(e.direction)}\n    }}'
+        for e in graph.edges
+    ]
+    return f'{{\n  "nodes": {array(nodes, "  ")},\n  "edges": {array(edges, "  ")}\n}}\n'

@@ -131,6 +131,23 @@ class Quiver:
 
 
 @dataclass(frozen=True)
+class CutSpace:
+    """Arrow sets as integer bit masks: bit ``i`` stands for ``arrows[i]``.
+
+    Cycle arrows take the low bits (``cycle_mask``) in name order, free arrows
+    the bits above.  ``incidence`` holds each non-isolated vertex's masks.
+    """
+
+    arrows: tuple[ArrowId, ...]
+    bit: Mapping[ArrowId, int]  # name -> 1 << index
+    cycle_mask: int
+    incidence: Mapping[VertexId, tuple[int, int]]  # (incoming, outgoing)
+
+    def mask(self, names: frozenset[ArrowId]) -> int:
+        return sum(map(self.bit.__getitem__, names))  # distinct names have distinct bits
+
+
+@dataclass(frozen=True)
 class QuiverWithCycles:
     """A quiver together with a set ``Q2`` of distinguished cycles.
 
@@ -153,6 +170,19 @@ class QuiverWithCycles:
         """Arrows appearing in at least one distinguished cycle."""
         return frozenset(a for c in self.cycles for a in c.arrows)
 
+    @cached_property
+    def cut_space(self) -> CutSpace:
+        """The bit-mask view of the arrows, built once per quiver with cycles."""
+        cycle_arrows = sorted(self.cycle_arrows)
+        order = cycle_arrows + [a.name for a in self.quiver.arrows if a.name not in self.cycle_arrows]
+        bit = {name: 1 << i for i, name in enumerate(order)}
+        incidence = {v: [0, 0] for v in self.quiver.vertices}
+        for a in self.quiver.arrows:  # an undeclared endpoint updates a throwaway pair
+            incidence.get(a.target, [0, 0])[0] |= bit[a.name]
+            incidence.get(a.source, [0, 0])[1] |= bit[a.name]
+        touched = {v: (inc, out) for v, (inc, out) in incidence.items() if inc | out}
+        return CutSpace(tuple(order), bit, (1 << len(cycle_arrows)) - 1, touched)
+
 
 def step_endpoints(quiver: Quiver, step: Step) -> tuple[VertexId, VertexId]:
     arrow = quiver.arrow(step[0])
@@ -172,13 +202,6 @@ def walk_endpoints(quiver: Quiver, walk: Walk) -> tuple[VertexId, VertexId]:
             raise ValueError(f"walk breaks at step {step[0]!r}: expected start {at!r}, got {frm!r}")
         at = to
     return start, at
-
-
-def is_cyclic_walk(quiver: Quiver, walk: Walk) -> bool:
-    if not walk.steps:
-        return True
-    start, end = walk_endpoints(quiver, walk)
-    return start == end
 
 
 def connected_components(quiver: Quiver) -> list[tuple[VertexId, ...]]:

@@ -9,7 +9,8 @@ The mutation graph has one node per cut and one labelled edge per single
 mutation.  Transitivity of cut-mutation is connectivity of this graph.
 Free arrows (arrows in no distinguished cycle) never belong to enumerated
 cuts, so graph edges are computed in the subquiver spanned by cycle arrows;
-for covered quivers this changes nothing.
+for covered quivers this changes nothing.  Cuts are handled as bit masks
+over the quiver's :class:`~quivercuts.model.CutSpace`.
 """
 
 from __future__ import annotations
@@ -18,64 +19,64 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .cuts import Cut, enumerate_cuts, is_cut
-from .model import ArrowId, Quiver, QuiverWithCycles, VertexId
+from .model import ArrowId, CutSpace, QuiverWithCycles, VertexId
 
 
-def _strict_vertices(quiver: Quiver, cut: Cut) -> tuple[list[VertexId], list[VertexId]]:
-    """Strict sources and strict sinks of ``cut``, each sorted."""
-    sources: list[VertexId] = []
-    sinks: list[VertexId] = []
-    for v in quiver.vertices:
-        incoming = quiver.incoming.get(v, ())
-        outgoing = quiver.outgoing.get(v, ())
-        if not incoming and not outgoing:
-            continue
-        in_cut = [a.name in cut for a in incoming]
-        out_cut = [a.name in cut for a in outgoing]
-        if all(in_cut) and not any(out_cut):
-            sources.append(v)
-        if all(out_cut) and not any(in_cut):
-            sinks.append(v)
-    return sources, sinks
+def _moves(space: CutSpace, keep: int) -> list[tuple[VertexId, int, int, str]]:
+    """``(vertex, drop, add, direction)`` of every mutation, over the arrows in ``keep``.
+
+    A source move ("+") drops a vertex's incoming arrows and adds its outgoing
+    ones, a sink move ("-") the reverse.  A move applies to a cut mask ``m``
+    when ``m & drop == drop and not m & add``, and yields ``(m & ~drop) | add``.
+    """
+    moves = []
+    for v, (incoming, outgoing) in space.incidence.items():
+        incoming &= keep
+        outgoing &= keep
+        if incoming | outgoing:
+            moves += [(v, incoming, outgoing, "+"), (v, outgoing, incoming, "-")]
+    return moves
 
 
-def _require_cut(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> Cut:
+def _strict(q: QuiverWithCycles, cut: Iterable[ArrowId], direction: str) -> dict[VertexId, int]:
+    """Each vertex where ``cut`` mutates in ``direction``, mapped to the resulting mask."""
     members = frozenset(cut)
     if not is_cut(q, members):
         raise ValueError(f"not a cut: {sorted(members)}")
-    return members
+    m = q.cut_space.mask(members)
+    return {
+        v: (m & ~drop) | add
+        for v, drop, add, d in _moves(q.cut_space, -1)
+        if d == direction and m & drop == drop and not m & add
+    }
+
+
+def _mutate(q: QuiverWithCycles, cut: Cut, vertex: VertexId, direction: str) -> Cut:
+    mutated = _strict(q, cut, direction).get(vertex)
+    if mutated is None:
+        kind = "source" if direction == "+" else "sink"
+        raise ValueError(f"vertex {vertex!r} is not a strict {kind} of the cut")
+    return frozenset(name for i, name in enumerate(q.cut_space.arrows) if mutated >> i & 1)
 
 
 def strict_sources(q: QuiverWithCycles, cut: Cut) -> frozenset[VertexId]:
     """Vertices whose incoming arrows all lie in the cut and outgoing all outside."""
-    members = _require_cut(q, cut)
-    return frozenset(_strict_vertices(q.quiver, members)[0])
+    return frozenset(_strict(q, cut, "+"))
 
 
 def strict_sinks(q: QuiverWithCycles, cut: Cut) -> frozenset[VertexId]:
     """Vertices whose outgoing arrows all lie in the cut and incoming all outside."""
-    members = _require_cut(q, cut)
-    return frozenset(_strict_vertices(q.quiver, members)[1])
+    return frozenset(_strict(q, cut, "-"))
 
 
 def mutate_plus(q: QuiverWithCycles, cut: Cut, vertex: VertexId) -> Cut:
     """Mutation at a strict source: drop its incoming arrows, add its outgoing."""
-    members = _require_cut(q, cut)
-    if vertex not in strict_sources(q, members):
-        raise ValueError(f"vertex {vertex!r} is not a strict source of the cut")
-    incoming = {a.name for a in q.quiver.incoming.get(vertex, ())}
-    outgoing = {a.name for a in q.quiver.outgoing.get(vertex, ())}
-    return (members - incoming) | outgoing
+    return _mutate(q, cut, vertex, "+")
 
 
 def mutate_minus(q: QuiverWithCycles, cut: Cut, vertex: VertexId) -> Cut:
     """Mutation at a strict sink: drop its outgoing arrows, add its incoming."""
-    members = _require_cut(q, cut)
-    if vertex not in strict_sinks(q, members):
-        raise ValueError(f"vertex {vertex!r} is not a strict sink of the cut")
-    incoming = {a.name for a in q.quiver.incoming.get(vertex, ())}
-    outgoing = {a.name for a in q.quiver.outgoing.get(vertex, ())}
-    return (members - outgoing) | incoming
+    return _mutate(q, cut, vertex, "-")
 
 
 @dataclass(frozen=True)
@@ -123,41 +124,27 @@ class MutationGraph:
         return len(self.nodes) == 0 or self.component_count() == 1
 
 
-def _cycle_core(q: QuiverWithCycles) -> QuiverWithCycles:
-    """The subquiver spanned by arrows appearing in distinguished cycles."""
-    keep = q.cycle_arrows
-    if len(keep) == len(q.quiver.arrows):
-        return q
-    quiver = Quiver(q.quiver.vertices, tuple(a for a in q.quiver.arrows if a.name in keep))
-    return QuiverWithCycles(quiver, q.cycles)
-
-
 def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
     """The graph of all cuts of ``q`` under single cut-mutations.
 
     All cuts are enumerated up front (discovery by mutation alone would hide
-    non-transitive instances); edges are then computed node by node.
+    non-transitive instances); edges are then computed node by node on the
+    cuts' bit masks, restricted to cycle arrows.
     """
     cuts = enumerate_cuts(q)
-    nodes = tuple(tuple(sorted(cut)) for cut in cuts)
-    index = {cut: i for i, cut in enumerate(cuts)}
-    core = _cycle_core(q)
-    quiver = core.quiver
+    space = q.cut_space
+    moves = _moves(space, space.cycle_mask)
+    masks = [space.mask(cut) for cut in cuts]
+    index = {m: i for i, m in enumerate(masks)}
     edges: list[MutationEdge] = []
-    for i, cut in enumerate(cuts):
-        sources, sinks = _strict_vertices(quiver, cut)
-        for v in sources:
-            incoming = {a.name for a in quiver.incoming.get(v, ())}
-            outgoing = {a.name for a in quiver.outgoing.get(v, ())}
-            mutated = (cut - incoming) | outgoing
-            edges.append(MutationEdge(i, index[mutated], v, "+"))
-        for v in sinks:
-            incoming = {a.name for a in quiver.incoming.get(v, ())}
-            outgoing = {a.name for a in quiver.outgoing.get(v, ())}
-            mutated = (cut - outgoing) | incoming
-            edges.append(MutationEdge(i, index[mutated], v, "-"))
-    unique = sorted(set(edges), key=lambda e: (e.source, e.target, e.vertex, e.direction))
-    return MutationGraph(nodes, tuple(unique))
+    for i, m in enumerate(masks):
+        row = sorted(
+            (index[(m & ~drop) | add], v, direction)
+            for v, drop, add, direction in moves
+            if m & drop == drop and not m & add
+        )
+        edges.extend(MutationEdge(i, j, v, direction) for j, v, direction in row)
+    return MutationGraph(tuple(tuple(sorted(cut)) for cut in cuts), tuple(edges))
 
 
 def is_transitive(q: QuiverWithCycles) -> bool:

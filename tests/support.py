@@ -1,7 +1,9 @@
 """Shared test helpers: independent oracles, generators and an iso checker.
 
 The cut oracle re-implements the cut predicate inline over all subsets, so
-it shares no code path with the enumerator it checks.
+it shares no code path with the enumerator it checks.  The mutation oracle
+works on frozensets of arrow names, apart from the bit masks the library
+uses.
 """
 
 from __future__ import annotations
@@ -24,6 +26,50 @@ def brute_force_cuts(q: QuiverWithCycles) -> list[frozenset[str]]:
             cuts.append(subset)
     cuts.sort(key=lambda cut: tuple(sorted(cut)))
     return cuts
+
+
+def oracle_strict_vertices(quiver: Quiver, cut: frozenset[str]) -> tuple[list[str], list[str]]:
+    """Strict sources and strict sinks of ``cut`` in ``quiver``, each sorted."""
+    sources: list[str] = []
+    sinks: list[str] = []
+    for v in quiver.vertices:
+        incoming = quiver.incoming.get(v, ())
+        outgoing = quiver.outgoing.get(v, ())
+        if not incoming and not outgoing:
+            continue
+        in_cut = [a.name in cut for a in incoming]
+        out_cut = [a.name in cut for a in outgoing]
+        if all(in_cut) and not any(out_cut):
+            sources.append(v)
+        if all(out_cut) and not any(in_cut):
+            sinks.append(v)
+    return sources, sinks
+
+
+def oracle_mutate(quiver: Quiver, cut: frozenset[str], vertex: str, direction: str) -> frozenset[str]:
+    """Swap the incidence of ``vertex``: "+" drops incoming arrows, "-" outgoing."""
+    incoming = {a.name for a in quiver.incoming.get(vertex, ())}
+    outgoing = {a.name for a in quiver.outgoing.get(vertex, ())}
+    if direction == "+":
+        return frozenset((cut - incoming) | outgoing)
+    return frozenset((cut - outgoing) | incoming)
+
+
+def oracle_mutation_edges(q: QuiverWithCycles, cuts: list[frozenset[str]]) -> list[tuple[int, int, str, str]]:
+    """Directed edges ``(source, target, vertex, direction)`` among ``cuts``, sorted.
+
+    Edges are computed in the subquiver spanned by cycle arrows, since free
+    arrows lie in no enumerated cut.
+    """
+    core = Quiver(q.quiver.vertices, tuple(a for a in q.quiver.arrows if a.name in q.cycle_arrows))
+    index = {cut: i for i, cut in enumerate(cuts)}
+    edges = set()
+    for i, cut in enumerate(cuts):
+        sources, sinks = oracle_strict_vertices(core, cut)
+        for direction, vertices in (("+", sources), ("-", sinks)):
+            for v in vertices:
+                edges.add((i, index[oracle_mutate(core, cut, v, direction)], v, direction))
+    return sorted(edges)
 
 
 def random_tree_quiver(rng: random.Random, max_vertices: int = 4, min_vertices: int = 1) -> LabeledQuiver:

@@ -7,7 +7,7 @@ criterion; assertions are exact (no tolerances are loosened here).
 import random
 import time
 
-from support import brute_force_cuts, labeled_isomorphic, random_tree_quiver
+from support import brute_force_cuts, labeled_isomorphic, oracle_mutation_edges, random_tree_quiver
 
 from quivercuts.canvas import euler_characteristic, h1, is_simply_connected
 from quivercuts.cuts import (
@@ -64,6 +64,8 @@ def test_criterion_2_e6f4_structural_suite():
     assert verdict.status == "Yes"
     graph = mutation_graph(q)
     assert len(graph.nodes) == 16599
+    assert len(graph.edges) == 150598
+    assert len(graph.undirected_edges()) == 75299
     assert graph.is_connected
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
@@ -136,6 +138,8 @@ def test_criterion_6_property_suite():
         # (d) mutations produce cuts and the involution pairing is complete
         graph = mutation_graph(q)
         assert all(is_cut(q, frozenset(node)) for node in graph.nodes)
+        edges = [(e.source, e.target, e.vertex, e.direction) for e in graph.edges]
+        assert edges == oracle_mutation_edges(q, cuts)
         plus = {(e.source, e.target, e.vertex) for e in graph.edges if e.direction == "+"}
         minus = {(e.target, e.source, e.vertex) for e in graph.edges if e.direction == "-"}
         assert plus == minus

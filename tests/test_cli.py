@@ -114,6 +114,16 @@ def test_check_budget_flag(capsys):
     assert "simply-connected: Unknown (budget exhausted at 2 cosets)" in out
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_check_rejects_non_positive_budget(capsys, budget):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", B2B2, "--coset-budget", budget])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coset budget must be positive" in captured.err
+
+
 def test_mutate(capsys):
     code, out, _ = run(capsys, "mutate", B2B2, "--cut", "d,e", "--vertex", "3", "--dir", "minus")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import given
@@ -141,6 +142,9 @@ def test_enumerate_warns_on_free_arrows():
     assert cuts == [frozenset({"u"}), frozenset({"v"})]
     with pytest.warns(UncoveredQuiverWarning):
         assert not has_enough_cuts(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # enumerating again would warn again
+        assert not has_enough_cuts(q, cuts)
 
 
 def test_enumerate_sorted_and_duplicate_free(a3b2):
@@ -199,6 +203,7 @@ def test_incompatible_instance(incompatible):
     cuts = enumerate_cuts(incompatible)
     assert len(cuts) == 4
     assert not is_fully_compatible(incompatible)
+    assert not is_fully_compatible(incompatible, cuts)
     assert not are_compatible(incompatible, frozenset({"u", "x"}), frozenset({"u", "w"}))
 
 

@@ -15,7 +15,8 @@ from quivercuts.docio import (
     quiver_to_dot,
     serialize_quiver_document,
 )
-from quivercuts.mutation import mutation_graph
+from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
+from quivercuts.mutation import MutationGraph, mutation_graph
 
 MINIMAL = {
     "format_version": 1,
@@ -143,13 +144,54 @@ def test_empty_mutation_graph_dot():
     assert dot == 'graph "mutations" {\n}\n'
 
 
+def _reference_graph_json(graph):
+    doc = {
+        "nodes": [list(node) for node in graph.nodes],
+        "edges": [
+            {"source": e.source, "target": e.target, "vertex": e.vertex, "direction": e.direction}
+            for e in graph.edges
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def test_mutation_graph_json(b2b2_split):
     graph = mutation_graph(b2b2_split.qwc)
-    data = json.loads(mutation_graph_to_json(graph))
+    text = mutation_graph_to_json(graph)
+    assert text == _reference_graph_json(graph)
+    data = json.loads(text)
     assert len(data["nodes"]) == 7
     assert ["d", "e"] in data["nodes"]
     assert all(e["direction"] in "+-" for e in data["edges"])
     assert len(data["edges"]) == 18
+
+
+def _escaped_ids_quiver():
+    # identifiers needing JSON escapes: a quote, a backslash, non-ASCII text
+    vertices = ('v"1', "v\\2", "w\u00e9")
+    arrows = (
+        Arrow('a"', 'v"1', "v\\2"),
+        Arrow("b\\", "v\\2", "w\u00e9"),
+        Arrow("\u00e7\u2603", "w\u00e9", 'v"1'),
+        Arrow("d", "v\\2", 'v"1'),
+    )
+    return QuiverWithCycles(
+        Quiver(vertices, arrows),
+        (Cycle(('a"', "b\\", "\u00e7\u2603")), Cycle(('a"', "d"))),
+    )
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        MutationGraph((), ()),
+        mutation_graph(QuiverWithCycles(Quiver(("1",), ()), ())),
+        mutation_graph(_escaped_ids_quiver()),
+    ],
+    ids=["empty", "empty-cut", "escaped-ids"],
+)
+def test_mutation_graph_json_matches_json_dumps(graph):
+    assert mutation_graph_to_json(graph) == _reference_graph_json(graph)
 
 
 def test_pair_labels_collapse_on_export(a3b2):

@@ -1,4 +1,5 @@
 import pytest
+from support import oracle_mutate, oracle_mutation_edges, oracle_strict_vertices
 
 from quivercuts.cuts import are_compatible, enumerate_cuts, is_cut
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
@@ -129,24 +130,18 @@ def test_full_compatibility_and_coverage_force_transitivity(b2b2_split, a3b2):
         assert is_transitive(q)
 
 
-def test_non_transitive_instance():
-    # two parallel 2-cycles: {u,x} admits no mutation at all, so the
-    # mutation graph cannot be connected (the instance is not fully compatible)
-    q = QuiverWithCycles(
+def _parallel_two_cycles():
+    return QuiverWithCycles(
         Quiver(
             ("1", "2"),
             (Arrow("u", "1", "2"), Arrow("v", "2", "1"), Arrow("w", "1", "2"), Arrow("x", "2", "1")),
         ),
         (Cycle(("u", "v")), Cycle(("w", "x"))),
     )
-    graph = mutation_graph(q)
-    assert len(graph.nodes) == 4
-    assert not graph.is_connected
-    assert not is_transitive(q)
 
 
-def test_free_arrows_judged_on_enumerated_cuts():
-    # two vertex-disjoint triangles joined by arrows lying in no cycle
+def _joined_triangles():
+    # two vertex-disjoint triangles joined by an arrow lying in no cycle
     arrows = [
         Arrow("p1", "1", "2"),
         Arrow("p2", "2", "3"),
@@ -156,10 +151,24 @@ def test_free_arrows_judged_on_enumerated_cuts():
         Arrow("q3", "6", "4"),
         Arrow("join", "1", "4"),
     ]
-    q = QuiverWithCycles(
+    return QuiverWithCycles(
         Quiver(tuple("123456"), tuple(arrows)),
         (Cycle(("p1", "p2", "p3")), Cycle(("q1", "q2", "q3"))),
     )
+
+
+def test_non_transitive_instance():
+    # two parallel 2-cycles: {u,x} admits no mutation at all, so the
+    # mutation graph cannot be connected (the instance is not fully compatible)
+    q = _parallel_two_cycles()
+    graph = mutation_graph(q)
+    assert len(graph.nodes) == 4
+    assert not graph.is_connected
+    assert not is_transitive(q)
+
+
+def test_free_arrows_judged_on_enumerated_cuts():
+    q = _joined_triangles()
     with pytest.warns(UserWarning):
         graph = mutation_graph(q)
     assert len(graph.nodes) == 9
@@ -171,3 +180,29 @@ def test_free_arrows_judged_on_enumerated_cuts():
 def test_mutation_graph_nodes_sorted(a3b2):
     graph = mutation_graph(a3b2.qwc)
     assert list(graph.nodes) == sorted(graph.nodes)
+
+
+@pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
+@pytest.mark.parametrize("name", ["b2b2_split", "a3b2", "joined_triangles", "parallel_two_cycles"])
+def test_mask_mutation_matches_frozenset_oracle(name, request):
+    if name == "joined_triangles":
+        q = _joined_triangles()
+    elif name == "parallel_two_cycles":
+        q = _parallel_two_cycles()
+    else:
+        q = request.getfixturevalue(name).qwc
+    cuts = enumerate_cuts(q)
+    graph = mutation_graph(q)
+    assert graph.nodes == tuple(tuple(sorted(cut)) for cut in cuts)
+    edges = [(e.source, e.target, e.vertex, e.direction) for e in graph.edges]
+    assert edges == oracle_mutation_edges(q, cuts)
+    # off the enumerated cuts, free arrows count in the strictness test
+    free = frozenset(a.name for a in q.quiver.arrows) - q.cycle_arrows
+    for cut in cuts + [cut | free for cut in cuts]:
+        sources, sinks = oracle_strict_vertices(q.quiver, cut)
+        assert strict_sources(q, cut) == frozenset(sources)
+        assert strict_sinks(q, cut) == frozenset(sinks)
+        for v in sources:
+            assert mutate_plus(q, cut, v) == oracle_mutate(q.quiver, cut, v, "+")
+        for v in sinks:
+            assert mutate_minus(q, cut, v) == oracle_mutate(q.quiver, cut, v, "-")
