@@ -37,7 +37,7 @@ def survey_pair(left_text: str, right_text: str, split: bool) -> dict:
         "cuts": len(cuts),
         "connected": graph.is_connected,
         "covered": is_covered(q),
-        "fully_compatible": is_fully_compatible(q),
+        "fully_compatible": is_fully_compatible(q, cuts),
         "simply_connected": is_simply_connected(q).status,
         "seconds": time.perf_counter() - started,
     }

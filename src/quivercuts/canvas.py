@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .coset import enumerate_trivial_subgroup
-from .model import (
-    ArrowId,
-    Quiver,
-    QuiverWithCycles,
-    VertexId,
-    connected_components,
-    spanning_tree,
-)
+from .model import ArrowId, QuiverWithCycles, VertexId, spanning_tree, split_components
 
 DEFAULT_COSET_BUDGET = 10**6
 
@@ -199,15 +192,11 @@ def is_simply_connected(
     """
     if budget < 1:
         raise ValueError("coset budget must be positive")
-    components = connected_components(q.quiver)
-    if not components:
+    verdicts: list[tuple[VertexId, SimplyConnectedVerdict]] = [
+        (part.quiver.vertices[0], _component_verdict(part, budget)) for part in split_components(q)
+    ]
+    if not verdicts:
         return SimplyConnectedVerdict("Yes", "empty quiver")
-    verdicts: list[tuple[VertexId, SimplyConnectedVerdict]] = []
-    for comp in components:
-        members = set(comp)
-        quiver = Quiver(comp, tuple(a for a in q.quiver.arrows if a.source in members))
-        cycles = tuple(c for c in q.cycles if all(name in quiver.arrow_map for name in c.arrows))
-        verdicts.append((comp[0], _component_verdict(QuiverWithCycles(quiver, cycles), budget)))
     if len(verdicts) == 1:
         return verdicts[0][1]
     for status in ("No", "Unknown"):

@@ -17,19 +17,10 @@ enumerated into cuts; a quiver where such arrows exist triggers
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .model import (
-    ArrowId,
-    Quiver,
-    QuiverWithCycles,
-    Walk,
-    connected_components,
-    cycle_space_basis,
-    signed_arrow_counts,
-)
+from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, Walk, cycle_space_basis, split_components
 
 Cut = frozenset[ArrowId]
 
@@ -45,13 +36,33 @@ class Grading:
     degree: Mapping[ArrowId, int]
 
 
+def _mask(q: QuiverWithCycles, names: Iterable[ArrowId]) -> int:
+    """The bit mask of ``names`` over ``q.cut_space``; raises ``KeyError`` on an unknown arrow."""
+    bit = q.cut_space.bit
+    members = frozenset(names)
+    try:
+        return sum(map(bit.__getitem__, members))  # distinct names have distinct bits
+    except KeyError:
+        raise KeyError(f"unknown arrow {min(members - bit.keys())!r}") from None
+
+
+def _is_cut_mask(space: CutSpace, m: int) -> bool:
+    return not m & space.never and all((m & c).bit_count() == 1 for c in space.members)
+
+
+def _cut_mask(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> int:
+    """The bit mask of ``cut``; raises ``ValueError`` unless it is a cut."""
+    members = frozenset(cut)
+    m = _mask(q, members)
+    if not _is_cut_mask(q.cut_space, m):
+        raise ValueError(f"not a cut: {sorted(members)}")
+    return m
+
+
 def grading_from_cut(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> Grading:
     """The indicator grading of ``cut``: degree 1 on members, 0 elsewhere."""
     members = frozenset(cut)
-    known = q.quiver.arrow_map
-    for name in sorted(members):
-        if name not in known:
-            raise KeyError(f"unknown arrow {name!r}")
+    _mask(q, members)
     return Grading({a.name: int(a.name in members) for a in q.quiver.arrows})
 
 
@@ -66,15 +77,7 @@ def is_cut(q: QuiverWithCycles, arrows: Iterable[ArrowId]) -> bool:
     Occurrences are counted with multiplicity: an arrow repeated inside one
     cycle contributes once per occurrence.
     """
-    members = frozenset(arrows)
-    known = q.quiver.arrow_map
-    for name in sorted(members):
-        if name not in known:
-            raise KeyError(f"unknown arrow {name!r}")
-    for cycle in q.cycles:
-        if sum(1 for name in cycle.arrows if name in members) != 1:
-            return False
-    return True
+    return _is_cut_mask(q.cut_space, _mask(q, arrows))
 
 
 def is_covered(q: QuiverWithCycles) -> bool:
@@ -89,62 +92,33 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
-    """All cuts of ``q``, sorted lexicographically by sorted arrow names.
+def _cut_indices(q: QuiverWithCycles) -> list[tuple[int, ...]]:
+    """Every cut as the sorted tuple of its arrows' bit indices, in ascending order.
 
-    Backtracking with exact-one propagation: repeatedly pick the unsatisfied
-    cycle with the fewest remaining candidate arrows and branch on them in
-    ascending name order.  Selecting an arrow covers every cycle through it
-    and bans the other arrows of those cycles; an arrow occurring twice in
-    one cycle can never be selected at all.
-
-    Arrows lying in no cycle are excluded from every cut; when such arrows
-    exist an :class:`UncoveredQuiverWarning` is emitted.
+    Cycle arrows hold the low bits in name order, so this is the order of the
+    cuts' sorted names.  Warns, as :func:`enumerate_cuts` documents, at the caller's caller.
     """
-    if not q.cycles:
-        if q.quiver.arrows:
-            warnings.warn(
-                "quiver has no distinguished cycles; the empty cut is the only cut",
-                UncoveredQuiverWarning,
-                stacklevel=2,
-            )
-        return [frozenset()]
     if not is_covered(q):
         free = sorted(frozenset(a.name for a in q.quiver.arrows) - q.cycle_arrows)
-        warnings.warn(
-            f"arrows outside every distinguished cycle are excluded from cuts: {free}",
-            UncoveredQuiverWarning,
-            stacklevel=2,
-        )
+        message = f"arrows outside every distinguished cycle are excluded from cuts: {free}"
+        if not q.cycles:
+            message = "quiver has no distinguished cycles; the empty cut is the only cut"
+        warnings.warn(message, UncoveredQuiverWarning, stacklevel=3)
 
-    arrows = sorted(q.cycle_arrows)
-    arrow_index = {name: i for i, name in enumerate(arrows)}
-    n_cycles = len(q.cycles)
+    space = q.cut_space
+    cycle_members = space.members
+    arrow_cycles = space.cycles_of
+    conflicts = [0] * len(arrow_cycles)  # arrows sharing a cycle, per arrow
+    for ai, cycles in enumerate(arrow_cycles):
+        for ci in _iter_bits(cycles):
+            conflicts[ai] |= cycle_members[ci]
 
-    cycle_members = [0] * n_cycles  # bitmask of member arrows per cycle
-    arrow_cycles = [0] * len(arrows)  # bitmask of cycles per arrow
-    never = 0  # arrows repeated within a single cycle: selectable in no cut
-    for ci, cycle in enumerate(q.cycles):
-        for name, count in Counter(cycle.arrows).items():
-            ai = arrow_index[name]
-            cycle_members[ci] |= 1 << ai
-            arrow_cycles[ai] |= 1 << ci
-            if count >= 2:
-                never |= 1 << ai
-
-    conflicts = [0] * len(arrows)  # arrows sharing a cycle, per arrow
-    for ai in range(len(arrows)):
-        acc = 0
-        for ci in _iter_bits(arrow_cycles[ai]):
-            acc |= cycle_members[ci]
-        conflicts[ai] = acc
-
-    all_covered = (1 << n_cycles) - 1
-    found: list[tuple[ArrowId, ...]] = []
+    all_covered = (1 << len(cycle_members)) - 1
+    found: list[tuple[int, ...]] = []
 
     def search(covered: int, banned: int, chosen: tuple[int, ...]) -> None:
         if covered == all_covered:
-            found.append(tuple(arrows[i] for i in chosen))
+            found.append(tuple(sorted(chosen)))
             return
         best_cands = 0
         best_n = -1
@@ -160,9 +134,25 @@ def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
         for ai in _iter_bits(best_cands):
             search(covered | arrow_cycles[ai], banned | conflicts[ai], chosen + (ai,))
 
-    search(0, never, ())
-    found.sort(key=lambda names: tuple(sorted(names)))
-    return [frozenset(names) for names in found]
+    search(0, space.never, ())
+    found.sort()
+    return found
+
+
+def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
+    """All cuts of ``q``, sorted lexicographically by sorted arrow names.
+
+    Backtracking with exact-one propagation: repeatedly pick the unsatisfied
+    cycle with the fewest remaining candidate arrows and branch on them in
+    ascending name order.  Selecting an arrow covers every cycle through it
+    and bans the other arrows of those cycles; an arrow occurring twice in
+    one cycle can never be selected at all.
+
+    Arrows lying in no cycle are excluded from every cut; when such arrows
+    exist an :class:`UncoveredQuiverWarning` is emitted.
+    """
+    arrows = q.cut_space.arrows
+    return [frozenset(map(arrows.__getitem__, cut)) for cut in _cut_indices(q)]
 
 
 def has_enough_cuts(q: QuiverWithCycles, cuts: Sequence[Cut] | None = None) -> bool:
@@ -176,31 +166,26 @@ def has_enough_cuts(q: QuiverWithCycles, cuts: Sequence[Cut] | None = None) -> b
     return set().union(*cuts) == {a.name for a in q.quiver.arrows}
 
 
-def component_cycle_basis(quiver: Quiver) -> list[Walk]:
-    """Cycle-space basis walks gathered over all connected components."""
-    walks: list[Walk] = []
-    for comp in connected_components(quiver):
-        members = set(comp)
-        sub = Quiver(comp, tuple(a for a in quiver.arrows if a.source in members))
-        walks.extend(cycle_space_basis(sub))
-    return walks
+def _basis_masks(q: QuiverWithCycles) -> list[tuple[int, int]]:
+    """``(plus, minus)`` arrow masks of each component's cycle-basis walks.
+
+    A basis walk (a chord plus a simple tree path) crosses each arrow at most
+    once, so the cut ``m`` grades it ``popcount(m & plus) - popcount(m & minus)``;
+    walk degree is linear, so cuts that agree on the basis agree on every cyclic walk.
+    """
+    walks = [walk for part in split_components(q) for walk in cycle_space_basis(part.quiver)]
+    return [(_mask(q, (n for n, d in w.steps if d > 0)), _mask(q, (n for n, d in w.steps if d < 0))) for w in walks]
 
 
-def _basis_signature(basis_counts: Sequence[Mapping[ArrowId, int]], cut: Cut) -> tuple[int, ...]:
-    # walk degree is linear in the signed arrow-count vector, so evaluating on
-    # a cycle basis decides equality on every cyclic walk
-    return tuple(sum(c for name, c in counts.items() if name in cut) for counts in basis_counts)
+def _signature(basis: list[tuple[int, int]], m: int) -> tuple[int, ...]:
+    return tuple((m & plus).bit_count() - (m & minus).bit_count() for plus, minus in basis)
 
 
 def are_compatible(q: QuiverWithCycles, first: Cut, second: Cut) -> bool:
     """True iff both cuts grade every cyclic walk identically."""
-    for cut in (first, second):
-        if not is_cut(q, cut):
-            raise ValueError(f"not a cut: {sorted(cut)}")
-    basis_counts = [signed_arrow_counts(w) for w in component_cycle_basis(q.quiver)]
-    return _basis_signature(basis_counts, frozenset(first)) == _basis_signature(
-        basis_counts, frozenset(second)
-    )
+    m1, m2 = _cut_mask(q, first), _cut_mask(q, second)
+    basis = _basis_masks(q)
+    return _signature(basis, m1) == _signature(basis, m2)
 
 
 def is_fully_compatible(q: QuiverWithCycles, cuts: Sequence[Cut] | None = None) -> bool:
@@ -209,15 +194,14 @@ def is_fully_compatible(q: QuiverWithCycles, cuts: Sequence[Cut] | None = None) 
         cuts = enumerate_cuts(q)
     if len(cuts) <= 1:
         return True
-    basis_counts = [signed_arrow_counts(w) for w in component_cycle_basis(q.quiver)]
-    reference = _basis_signature(basis_counts, cuts[0])
-    return all(_basis_signature(basis_counts, cut) == reference for cut in cuts[1:])
+    basis = _basis_masks(q)
+    reference = _signature(basis, _mask(q, cuts[0]))
+    return all(_signature(basis, _mask(q, cut)) == reference for cut in cuts[1:])
 
 
 def truncated_quiver(q: QuiverWithCycles, cut: Cut) -> Quiver:
     """The quiver with the cut arrows removed."""
-    if not is_cut(q, cut):
-        raise ValueError(f"not a cut: {sorted(cut)}")
+    _cut_mask(q, cut)
     members = frozenset(cut)
     return Quiver(q.quiver.vertices, tuple(a for a in q.quiver.arrows if a.name not in members))
 

@@ -98,6 +98,8 @@ def parse_quiver_document(text: str) -> LabeledQuiverWithCycles:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise DocumentSyntaxError("nesting too deep") from None
     if not isinstance(data, dict):
         raise DocumentSchemaError("document root must be an object")
     _expect_keys(data, "document", {"format_version", "vertices"}, {"arrows", "cycles"})

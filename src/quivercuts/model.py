@@ -135,16 +135,19 @@ class CutSpace:
     """Arrow sets as integer bit masks: bit ``i`` stands for ``arrows[i]``.
 
     Cycle arrows take the low bits (``cycle_mask``) in name order, free arrows
-    the bits above.  ``incidence`` holds each non-isolated vertex's masks.
+    the bits above.  ``incidence`` holds each non-isolated vertex's masks,
+    ``members`` each cycle's arrows, ``cycles_of`` the cycles through each
+    cycle arrow (bit ``c`` for ``cycles[c]``), and ``never`` the arrows
+    repeated inside one cycle, which lie in no cut.
     """
 
     arrows: tuple[ArrowId, ...]
     bit: Mapping[ArrowId, int]  # name -> 1 << index
     cycle_mask: int
     incidence: Mapping[VertexId, tuple[int, int]]  # (incoming, outgoing)
-
-    def mask(self, names: frozenset[ArrowId]) -> int:
-        return sum(map(self.bit.__getitem__, names))  # distinct names have distinct bits
+    members: tuple[int, ...]
+    cycles_of: tuple[int, ...]
+    never: int
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,30 @@ class QuiverWithCycles:
             incidence.get(a.target, [0, 0])[0] |= bit[a.name]
             incidence.get(a.source, [0, 0])[1] |= bit[a.name]
         touched = {v: (inc, out) for v, (inc, out) in incidence.items() if inc | out}
-        return CutSpace(tuple(order), bit, (1 << len(cycle_arrows)) - 1, touched)
+        members, cycles_of, never = [], [0] * len(cycle_arrows), 0
+        for ci, cycle in enumerate(self.cycles):
+            m = 0
+            for b in map(bit.__getitem__, cycle.arrows):
+                never |= m & b  # a repeated arrow
+                m |= b
+                cycles_of[b.bit_length() - 1] |= 1 << ci
+            members.append(m)
+        cycle_mask = (1 << len(cycle_arrows)) - 1
+        return CutSpace(tuple(order), bit, cycle_mask, touched, tuple(members), tuple(cycles_of), never)
+
+
+def split_components(q: QuiverWithCycles) -> list[QuiverWithCycles]:
+    """``q`` restricted to each of its :func:`connected_components`, in their order.
+
+    A cycle goes with the component that holds its arrows.
+    """
+    parts = []
+    for comp in connected_components(q.quiver):
+        members = set(comp)
+        quiver = Quiver(comp, tuple(a for a in q.quiver.arrows if a.source in members))
+        cycles = tuple(c for c in q.cycles if all(name in quiver.arrow_map for name in c.arrows))
+        parts.append(QuiverWithCycles(quiver, cycles))
+    return parts
 
 
 def step_endpoints(quiver: Quiver, step: Step) -> tuple[VertexId, VertexId]:

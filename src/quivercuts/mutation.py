@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cuts import Cut, enumerate_cuts, is_cut
+from .cuts import Cut, _cut_indices, _cut_mask
 from .model import ArrowId, CutSpace, QuiverWithCycles, VertexId
 
 
@@ -40,10 +40,7 @@ def _moves(space: CutSpace, keep: int) -> list[tuple[VertexId, int, int, str]]:
 
 def _strict(q: QuiverWithCycles, cut: Iterable[ArrowId], direction: str) -> dict[VertexId, int]:
     """Each vertex where ``cut`` mutates in ``direction``, mapped to the resulting mask."""
-    members = frozenset(cut)
-    if not is_cut(q, members):
-        raise ValueError(f"not a cut: {sorted(members)}")
-    m = q.cut_space.mask(members)
+    m = _cut_mask(q, cut)
     return {
         v: (m & ~drop) | add
         for v, drop, add, d in _moves(q.cut_space, -1)
@@ -99,10 +96,9 @@ class MutationGraph:
     edges: tuple[MutationEdge, ...]
 
     def undirected_edges(self) -> tuple[tuple[int, int, VertexId], ...]:
-        seen = {
-            (min(e.source, e.target), max(e.source, e.target), e.vertex) for e in self.edges
-        }
-        return tuple(sorted(seen))
+        # each "+" edge has exactly one reversed "-" edge, so the "+" edges name every pair once
+        plus = (e for e in self.edges if e.direction == "+")
+        return tuple(sorted((min(e.source, e.target), max(e.source, e.target), e.vertex) for e in plus))
 
     def component_count(self) -> int:
         parent = list(range(len(self.nodes)))
@@ -131,10 +127,11 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
     non-transitive instances); edges are then computed node by node on the
     cuts' bit masks, restricted to cycle arrows.
     """
-    cuts = enumerate_cuts(q)
+    cuts = _cut_indices(q)
     space = q.cut_space
     moves = _moves(space, space.cycle_mask)
-    masks = [space.mask(cut) for cut in cuts]
+    bits = [1 << i for i in range(len(space.arrows))]
+    masks = [sum(map(bits.__getitem__, cut)) for cut in cuts]
     index = {m: i for i, m in enumerate(masks)}
     edges: list[MutationEdge] = []
     for i, m in enumerate(masks):
@@ -144,7 +141,8 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
             if m & drop == drop and not m & add
         )
         edges.extend(MutationEdge(i, j, v, direction) for j, v, direction in row)
-    return MutationGraph(tuple(tuple(sorted(cut)) for cut in cuts), tuple(edges))
+    names = space.arrows
+    return MutationGraph(tuple(tuple(map(names.__getitem__, cut)) for cut in cuts), tuple(edges))
 
 
 def is_transitive(q: QuiverWithCycles) -> bool:

@@ -1,9 +1,9 @@
 """Shared test helpers: independent oracles, generators and an iso checker.
 
-The cut oracle re-implements the cut predicate inline over all subsets, so
-it shares no code path with the enumerator it checks.  The mutation oracle
-works on frozensets of arrow names, apart from the bit masks the library
-uses.
+The cut oracle applies the cut predicate, written here on frozensets, to
+all subsets, so it shares no code path with the enumerator or ``is_cut``.
+The mutation and compatibility oracles likewise work on frozensets of arrow
+names and walk degrees, apart from the bit masks the library uses.
 """
 
 from __future__ import annotations
@@ -11,8 +11,13 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from quivercuts.model import Arrow, Quiver, QuiverWithCycles, Walk
+from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles, Walk, connected_components, cycle_space_basis
 from quivercuts.tensor import BASE, LabeledQuiver, LabeledQuiverWithCycles
+
+
+def oracle_is_cut(q: QuiverWithCycles, arrows: frozenset[str]) -> bool:
+    """Every distinguished cycle meets ``arrows`` exactly once, counting repeated occurrences."""
+    return all(sum(1 for name in cycle.arrows if name in arrows) == 1 for cycle in q.cycles)
 
 
 def brute_force_cuts(q: QuiverWithCycles) -> list[frozenset[str]]:
@@ -22,10 +27,19 @@ def brute_force_cuts(q: QuiverWithCycles) -> list[frozenset[str]]:
     cuts = []
     for bits in range(1 << len(arrows)):
         subset = frozenset(a for i, a in enumerate(arrows) if bits >> i & 1)
-        if all(sum(1 for name in cycle.arrows if name in subset) == 1 for cycle in q.cycles):
+        if oracle_is_cut(q, subset):
             cuts.append(subset)
     cuts.sort(key=lambda cut: tuple(sorted(cut)))
     return cuts
+
+
+def oracle_basis_walks(q: QuiverWithCycles) -> list[Walk]:
+    """Cycle-space basis walks of each connected component, each restricted here by hand."""
+    walks: list[Walk] = []
+    for comp in connected_components(q.quiver):
+        sub = Quiver(comp, tuple(a for a in q.quiver.arrows if a.source in comp))
+        walks.extend(cycle_space_basis(sub))
+    return walks
 
 
 def oracle_strict_vertices(quiver: Quiver, cut: frozenset[str]) -> tuple[list[str], list[str]]:
@@ -84,6 +98,29 @@ def random_tree_quiver(rng: random.Random, max_vertices: int = 4, min_vertices: 
     return LabeledQuiver(Quiver(vertices, tuple(arrows)), {v: BASE for v in vertices})
 
 
+def random_quiver_with_cycles(rng: random.Random, max_vertices: int = 3, max_arrows: int = 6) -> QuiverWithCycles:
+    """Random arrows (loops, parallels, several components) with up to three cycles.
+
+    Each cycle is read off a random directed walk that returns to its start,
+    so an arrow may repeat inside a cycle, and arrows may lie in no cycle.
+    """
+    vertices = [str(i) for i in range(1, rng.randint(1, max_vertices) + 1)]
+    arrows = [Arrow(f"a{i}", rng.choice(vertices), rng.choice(vertices)) for i in range(rng.randint(0, max_arrows))]
+    quiver = Quiver(tuple(vertices), tuple(arrows))
+    cycles = []
+    for _ in range(rng.randint(0, 3)):
+        start = at = rng.choice(vertices)
+        names: list[str] = []
+        while len(names) < 6 and quiver.outgoing.get(at):
+            arrow = rng.choice(quiver.outgoing[at])
+            names.append(arrow.name)
+            at = arrow.target
+            if at == start:
+                cycles.append(Cycle(tuple(names)))
+                break
+    return QuiverWithCycles(quiver, tuple(cycles))
+
+
 def random_cyclic_walk(rng: random.Random, quiver: Quiver, max_steps: int = 40) -> Walk | None:
     """A random walk in the doubled quiver that happens to close up."""
     if not quiver.arrows:
@@ -138,8 +175,6 @@ def labeled_isomorphic(x: LabeledQuiverWithCycles, y: LabeledQuiverWithCycles) -
                 break
             arrow_map[a.name] = image
         else:
-            from quivercuts.model import Cycle
-
             mapped = {
                 (Cycle(tuple(arrow_map[n] for n in c.arrows)).arrows, c.sign)
                 for c in x.qwc.cycles

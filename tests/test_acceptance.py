@@ -143,6 +143,9 @@ def test_criterion_6_property_suite():
         plus = {(e.source, e.target, e.vertex) for e in graph.edges if e.direction == "+"}
         minus = {(e.target, e.source, e.vertex) for e in graph.edges if e.direction == "-"}
         assert plus == minus
+        # the "+" edges alone give the undirected view of all edges
+        pairs = {(min(e.source, e.target), max(e.source, e.target), e.vertex) for e in graph.edges}
+        assert graph.undirected_edges() == tuple(sorted(pairs))
         # (e) fully compatible + covered + enough cuts forces transitivity
         assert is_fully_compatible(q)
         assert graph.is_connected

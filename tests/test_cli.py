@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import FIXTURES
 
+import quivercuts
 from quivercuts.cli import main
 
 B2B2 = str(FIXTURES / "b2b2_split.json")
@@ -58,6 +61,13 @@ def test_validate_malformed_json(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 1
     assert "error:" in err
+
+
+def test_validate_deeply_nested_json(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, out, err = run(capsys, "validate", str(deep))
+    assert (code, out, err) == (1, "", "error: nesting too deep\n")
 
 
 def test_cuts_listing(capsys):
@@ -139,6 +149,12 @@ def test_mutate_errors(capsys):
     assert code == 1 and "strict sink" in err
 
 
+@pytest.mark.parametrize("command", [["mutate", "--vertex", "3", "--dir", "plus"], ["truncate"]])
+def test_unknown_cut_arrow(capsys, command):
+    code, out, err = run(capsys, command[0], B2B2, "--cut", "zz", *command[1:])
+    assert (code, out, err) == (1, "", "error: unknown arrow 'zz'\n")
+
+
 def test_graph_dot_deterministic(capsys):
     code, first, _ = run(capsys, "graph", B2B2)
     assert code == 0 and first.startswith("graph")
@@ -217,11 +233,15 @@ def test_usage_error_exit_code(capsys):
 
 
 def _pipe_count(left, right):
+    # the child processes import the same quivercuts as this test, installed or not
+    package_root = str(Path(quivercuts.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     tensor = subprocess.run(
         [sys.executable, "-m", "quivercuts", "tensor", "--left", left, "--right", right],
         capture_output=True,
         text=True,
         check=True,
+        env=env,
     )
     counted = subprocess.run(
         [sys.executable, "-m", "quivercuts", "cuts", "--count-only"],
@@ -229,6 +249,7 @@ def _pipe_count(left, right):
         capture_output=True,
         text=True,
         check=True,
+        env=env,
     )
     return counted.stdout
 

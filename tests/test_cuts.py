@@ -4,7 +4,7 @@ import warnings
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from support import brute_force_cuts, random_tree_quiver
+from support import brute_force_cuts, oracle_basis_walks, oracle_is_cut, random_quiver_with_cycles, random_tree_quiver
 
 from quivercuts.cuts import (
     UncoveredQuiverWarning,
@@ -99,17 +99,21 @@ def test_is_cut_examples(b2b2_split):
     assert is_cut(q, {"d", "e"})
     assert not is_cut(q, {"d", "e", "a"})
     assert is_cut(qwc(["1"], []), set())
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown arrow 'nope'"):
         is_cut(q, {"nope"})
 
 
-def test_multiplicity_counting_blocks_repeated_arrows():
+def _repeated_arrow_quiver():
     # the cycle u.v.u.x passes through u twice, so u can never join a cut
-    q = qwc(
+    return qwc(
         ["1", "2"],
         [Arrow("u", "1", "2"), Arrow("v", "2", "1"), Arrow("x", "2", "1")],
         [Cycle(("u", "v", "u", "x"))],
     )
+
+
+def test_multiplicity_counting_blocks_repeated_arrows():
+    q = _repeated_arrow_quiver()
     assert not is_cut(q, {"u"})
     assert is_cut(q, {"v"})
     assert enumerate_cuts(q) == [frozenset({"v"}), frozenset({"x"})]
@@ -161,7 +165,35 @@ def test_enumerate_matches_oracle_on_random_tensors(seed):
     # the oracle must agree there too
     rng = random.Random(seed)
     product = tensor_qwc(random_tree_quiver(rng, 2), random_tree_quiver(rng, 3))
-    assert enumerate_cuts(product.qwc) == brute_force_cuts(product.qwc)
+    # the enumerator and the mask predicates against their frozenset oracles, on the
+    # product, on a random quiver with cycles (free arrows, repeats, components) and
+    # on a cycle that repeats an arrow
+    for q in (product.qwc, random_quiver_with_cycles(rng), _repeated_arrow_quiver()):
+        _check_against_oracles(q, rng)
+
+
+def _check_against_oracles(q, rng):
+    cuts = enumerate_cuts(q)
+    assert cuts == brute_force_cuts(q)
+    names = [a.name for a in q.quiver.arrows]
+    free = [name for name in names if name not in q.cycle_arrows]
+    for _ in range(8):
+        subset = frozenset(name for name in names if rng.random() < 0.5)
+        assert is_cut(q, subset) == oracle_is_cut(q, subset)
+    # compatibility is equal walk degree on each component's basis walks; a cut
+    # with free arrows added is still a cut
+    walks = oracle_basis_walks(q)
+
+    def degrees(cut):
+        grading = grading_from_cut(q, cut)
+        return [walk_degree(grading, w) for w in walks]
+
+    with_free = [cut | frozenset(name for name in free if rng.random() < 0.5) for cut in cuts]
+    for first in with_free:
+        second = rng.choice(with_free)
+        assert is_cut(q, first)
+        assert are_compatible(q, first, second) == (degrees(first) == degrees(second))
+    assert is_fully_compatible(q, cuts) == all(degrees(cut) == degrees(cuts[0]) for cut in cuts)
 
 
 def test_covered(b2b2_split, a3b2):
@@ -205,6 +237,17 @@ def test_incompatible_instance(incompatible):
     assert not is_fully_compatible(incompatible)
     assert not is_fully_compatible(incompatible, cuts)
     assert not are_compatible(incompatible, frozenset({"u", "x"}), frozenset({"u", "w"}))
+
+
+def test_compatibility_judged_on_every_component(incompatible):
+    # a looped vertex "0" forms the first component; the incompatibility lies in the second
+    q = qwc(
+        ["0", *incompatible.quiver.vertices],
+        [Arrow("z", "0", "0"), *incompatible.quiver.arrows],
+        [Cycle(("z",)), *incompatible.cycles],
+    )
+    assert not are_compatible(q, frozenset({"z", "u", "x"}), frozenset({"z", "u", "w"}))
+    assert not is_fully_compatible(q)
 
 
 def test_truncated_quiver(b2b2_split):

@@ -57,6 +57,12 @@ def test_syntax_error_carries_position():
         parse_quiver_document("{nope")
 
 
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"a": ' * 200_000])
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(DocumentSyntaxError, match="nesting too deep"):
+        parse_quiver_document(text)
+
+
 def test_schema_errors_are_named():
     with pytest.raises(DocumentSchemaError, match="unknown field"):
         parse_quiver_document(doc(extra=1))
