@@ -11,7 +11,7 @@ import argparse
 import time
 
 from quivercuts.canvas import euler_characteristic, is_simply_connected
-from quivercuts.cuts import enumerate_cuts, is_covered, is_fully_compatible
+from quivercuts.cuts import is_covered, is_fully_compatible
 from quivercuts.mutation import mutation_graph
 from quivercuts.tensor import dynkin_quiver, morita_split, parse_dynkin_spec, tensor_qwc
 
@@ -26,18 +26,17 @@ def survey_pair(left_text: str, right_text: str, split: bool) -> dict:
         value = morita_split(value)
     q = value.qwc
     started = time.perf_counter()
-    cuts = enumerate_cuts(q)
-    graph = mutation_graph(q)
+    graph = mutation_graph(q)  # its nodes are all the cuts
     return {
         "pair": f"{left_text} x {right_text}" + (" (split)" if split else ""),
         "vertices": len(q.quiver.vertices),
         "arrows": len(q.quiver.arrows),
         "cycles": len(q.cycles),
         "chi": euler_characteristic(q),
-        "cuts": len(cuts),
+        "cuts": len(graph.nodes),
         "connected": graph.is_connected,
         "covered": is_covered(q),
-        "fully_compatible": is_fully_compatible(q, cuts),
+        "fully_compatible": is_fully_compatible(q, graph.nodes),
         "simply_connected": is_simply_connected(q).status,
         "seconds": time.perf_counter() - started,
     }

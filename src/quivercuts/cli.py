@@ -66,7 +66,7 @@ def _cmd_cuts(args: argparse.Namespace) -> int:
         print(len(cuts))
         return 0
     for cut in cuts:
-        print(",".join(sorted(cut)))
+        print(",".join(cut))
     return 0
 
 
@@ -87,7 +87,7 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     cut = _parse_cut_option(args.cut)
     mutate = mutate_plus if args.dir == "plus" else mutate_minus
     result = mutate(value.qwc, cut, args.vertex)
-    print(",".join(sorted(result)))
+    print(",".join(result))
     return 0
 
 

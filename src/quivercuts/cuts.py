@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, Walk, cycle_space_basis, split_components
 
-Cut = frozenset[ArrowId]
+Cut = tuple[ArrowId, ...]  # the cut's arrow names, sorted
 
 
 class UncoveredQuiverWarning(UserWarning):
@@ -92,18 +92,24 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def _cut_indices(q: QuiverWithCycles) -> list[tuple[int, ...]]:
-    """Every cut as the sorted tuple of its arrows' bit indices, in ascending order.
+def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
+    """All cuts of ``q``, each a sorted tuple of arrow names, in ascending order.
 
-    Cycle arrows hold the low bits in name order, so this is the order of the
-    cuts' sorted names.  Warns, as :func:`enumerate_cuts` documents, at the caller's caller.
+    Backtracking with exact-one propagation: repeatedly pick the unsatisfied
+    cycle with the fewest remaining candidate arrows and branch on them in
+    ascending name order.  Selecting an arrow covers every cycle through it
+    and bans the other arrows of those cycles; an arrow occurring twice in
+    one cycle can never be selected at all.
+
+    Arrows lying in no cycle are excluded from every cut; when such arrows
+    exist an :class:`UncoveredQuiverWarning` is emitted.
     """
     if not is_covered(q):
         free = sorted(frozenset(a.name for a in q.quiver.arrows) - q.cycle_arrows)
         message = f"arrows outside every distinguished cycle are excluded from cuts: {free}"
         if not q.cycles:
             message = "quiver has no distinguished cycles; the empty cut is the only cut"
-        warnings.warn(message, UncoveredQuiverWarning, stacklevel=3)
+        warnings.warn(message, UncoveredQuiverWarning, stacklevel=2)
 
     space = q.cut_space
     cycle_members = space.members
@@ -136,23 +142,9 @@ def _cut_indices(q: QuiverWithCycles) -> list[tuple[int, ...]]:
 
     search(0, space.never, ())
     found.sort()
-    return found
-
-
-def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
-    """All cuts of ``q``, sorted lexicographically by sorted arrow names.
-
-    Backtracking with exact-one propagation: repeatedly pick the unsatisfied
-    cycle with the fewest remaining candidate arrows and branch on them in
-    ascending name order.  Selecting an arrow covers every cycle through it
-    and bans the other arrows of those cycles; an arrow occurring twice in
-    one cycle can never be selected at all.
-
-    Arrows lying in no cycle are excluded from every cut; when such arrows
-    exist an :class:`UncoveredQuiverWarning` is emitted.
-    """
-    arrows = q.cut_space.arrows
-    return [frozenset(map(arrows.__getitem__, cut)) for cut in _cut_indices(q)]
+    # cycle arrows hold the low bits in name order, so sorted indices decode to sorted names
+    arrows = space.arrows
+    return [tuple(map(arrows.__getitem__, cut)) for cut in found]
 
 
 def has_enough_cuts(q: QuiverWithCycles, cuts: Sequence[Cut] | None = None) -> bool:
@@ -181,7 +173,7 @@ def _signature(basis: list[tuple[int, int]], m: int) -> tuple[int, ...]:
     return tuple((m & plus).bit_count() - (m & minus).bit_count() for plus, minus in basis)
 
 
-def are_compatible(q: QuiverWithCycles, first: Cut, second: Cut) -> bool:
+def are_compatible(q: QuiverWithCycles, first: Iterable[ArrowId], second: Iterable[ArrowId]) -> bool:
     """True iff both cuts grade every cyclic walk identically."""
     m1, m2 = _cut_mask(q, first), _cut_mask(q, second)
     basis = _basis_masks(q)
@@ -199,10 +191,10 @@ def is_fully_compatible(q: QuiverWithCycles, cuts: Sequence[Cut] | None = None) 
     return all(_signature(basis, _mask(q, cut)) == reference for cut in cuts[1:])
 
 
-def truncated_quiver(q: QuiverWithCycles, cut: Cut) -> Quiver:
+def truncated_quiver(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> Quiver:
     """The quiver with the cut arrows removed."""
-    _cut_mask(q, cut)
     members = frozenset(cut)
+    _cut_mask(q, members)
     return Quiver(q.quiver.vertices, tuple(a for a in q.quiver.arrows if a.name not in members))
 
 
@@ -219,10 +211,10 @@ class TruncatedPresentation:
     relations: Mapping[ArrowId, tuple[tuple[int, tuple[ArrowId, ...]], ...]]
 
 
-def truncated_presentation(q: QuiverWithCycles, cut: Cut) -> TruncatedPresentation:
+def truncated_presentation(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> TruncatedPresentation:
     """Relations obtained by rotating each distinguished cycle through ``cut``."""
-    quiver_c = truncated_quiver(q, cut)  # also validates the cut
     members = frozenset(cut)
+    quiver_c = truncated_quiver(q, members)  # also validates the cut
     relations: dict[ArrowId, tuple[tuple[int, tuple[ArrowId, ...]], ...]] = {}
     for name in sorted(members):
         entries = []

@@ -112,8 +112,9 @@ def parse_quiver_document(text: str) -> LabeledQuiverWithCycles:
             f"format_version {version} is newer than the supported version {FORMAT_VERSION}"
         )
 
-    if not isinstance(data["vertices"], list):
-        raise DocumentSchemaError("vertices must be an array")
+    for field in ("vertices", "arrows", "cycles"):
+        if not isinstance(data.get(field, []), list):
+            raise DocumentSchemaError(f"{field} must be an array")
     vertices: list[str] = []
     labels: dict[str, tuple[DivisionLabel, ...]] = {}
     seen_vertices: set[str] = set()
@@ -157,7 +158,7 @@ def parse_quiver_document(text: str) -> LabeledQuiverWithCycles:
         sign = None
         if "sign" in entry:
             sign = entry["sign"]
-            if sign not in (1, -1):
+            if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
                 raise DocumentSchemaError(f"{where}.sign: expected 1 or -1, got {sign!r}")
         cycles.append(Cycle(tuple(_expect_str(n, f"{where}.arrows") for n in names), sign))
 
@@ -226,15 +227,11 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def quiver_to_dot(
-    value: LabeledQuiverWithCycles | QuiverWithCycles,
-    cut: Cut | None = None,
-    name: str = "quiver",
-) -> str:
+def quiver_to_dot(value: LabeledQuiverWithCycles | QuiverWithCycles, cut: Cut | None = None) -> str:
     """DOT digraph of a quiver; arrows of ``cut`` are rendered dashed."""
     qwc = value if isinstance(value, QuiverWithCycles) else value.qwc
     members = frozenset(cut) if cut is not None else frozenset()
-    lines = [f"digraph {_dot_quote(name)} {{"]
+    lines = ['digraph "quiver" {']
     for v in qwc.quiver.vertices:
         lines.append(f"  {_dot_quote(v)};")
     for a in qwc.quiver.arrows:
@@ -246,7 +243,7 @@ def quiver_to_dot(
     return "\n".join(lines) + "\n"
 
 
-def mutation_graph_to_dot(graph: MutationGraph, directed: bool = False, name: str = "mutations") -> str:
+def mutation_graph_to_dot(graph: MutationGraph, directed: bool = False) -> str:
     """DOT export of a mutation graph.
 
     The default undirected view collapses each mutation and its inverse
@@ -254,7 +251,7 @@ def mutation_graph_to_dot(graph: MutationGraph, directed: bool = False, name: st
     labelled directions.
     """
     kind, joiner = ("digraph", "->") if directed else ("graph", "--")
-    lines = [f"{kind} {_dot_quote(name)} {{"]
+    lines = [f'{kind} "mutations" {{']
     for i, node in enumerate(graph.nodes):
         lines.append(f"  n{i} [label={_dot_quote(','.join(node))}];")
     if directed:

@@ -16,9 +16,9 @@ over the quiver's :class:`~quivercuts.model.CutSpace`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .cuts import Cut, _cut_indices, _cut_mask
+from .cuts import Cut, _cut_mask, enumerate_cuts
 from .model import ArrowId, CutSpace, QuiverWithCycles, VertexId
 
 
@@ -48,36 +48,36 @@ def _strict(q: QuiverWithCycles, cut: Iterable[ArrowId], direction: str) -> dict
     }
 
 
-def _mutate(q: QuiverWithCycles, cut: Cut, vertex: VertexId, direction: str) -> Cut:
+def _mutate(q: QuiverWithCycles, cut: Iterable[ArrowId], vertex: VertexId, direction: str) -> Cut:
     mutated = _strict(q, cut, direction).get(vertex)
     if mutated is None:
         kind = "source" if direction == "+" else "sink"
         raise ValueError(f"vertex {vertex!r} is not a strict {kind} of the cut")
-    return frozenset(name for i, name in enumerate(q.cut_space.arrows) if mutated >> i & 1)
+    # free arrows hold bits above the cycle arrows, so bit order is not name order
+    return tuple(sorted(name for i, name in enumerate(q.cut_space.arrows) if mutated >> i & 1))
 
 
-def strict_sources(q: QuiverWithCycles, cut: Cut) -> frozenset[VertexId]:
+def strict_sources(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> frozenset[VertexId]:
     """Vertices whose incoming arrows all lie in the cut and outgoing all outside."""
     return frozenset(_strict(q, cut, "+"))
 
 
-def strict_sinks(q: QuiverWithCycles, cut: Cut) -> frozenset[VertexId]:
+def strict_sinks(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> frozenset[VertexId]:
     """Vertices whose outgoing arrows all lie in the cut and incoming all outside."""
     return frozenset(_strict(q, cut, "-"))
 
 
-def mutate_plus(q: QuiverWithCycles, cut: Cut, vertex: VertexId) -> Cut:
+def mutate_plus(q: QuiverWithCycles, cut: Iterable[ArrowId], vertex: VertexId) -> Cut:
     """Mutation at a strict source: drop its incoming arrows, add its outgoing."""
     return _mutate(q, cut, vertex, "+")
 
 
-def mutate_minus(q: QuiverWithCycles, cut: Cut, vertex: VertexId) -> Cut:
+def mutate_minus(q: QuiverWithCycles, cut: Iterable[ArrowId], vertex: VertexId) -> Cut:
     """Mutation at a strict sink: drop its outgoing arrows, add its incoming."""
     return _mutate(q, cut, vertex, "-")
 
 
-@dataclass(frozen=True)
-class MutationEdge:
+class MutationEdge(NamedTuple):
     source: int
     target: int
     vertex: VertexId
@@ -86,13 +86,13 @@ class MutationEdge:
 
 @dataclass(frozen=True)
 class MutationGraph:
-    """Nodes are cuts (as sorted arrow tuples); edges are single mutations.
+    """Nodes are the cuts in :func:`~quivercuts.cuts.enumerate_cuts` order; edges are single mutations.
 
     Every "+" edge has a matching "-" edge in reverse, so the undirected
     view collapses each such pair into one edge labelled by its vertex.
     """
 
-    nodes: tuple[tuple[ArrowId, ...], ...]
+    nodes: tuple[Cut, ...]
     edges: tuple[MutationEdge, ...]
 
     def undirected_edges(self) -> tuple[tuple[int, int, VertexId], ...]:
@@ -127,11 +127,10 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
     non-transitive instances); edges are then computed node by node on the
     cuts' bit masks, restricted to cycle arrows.
     """
-    cuts = _cut_indices(q)
+    cuts = enumerate_cuts(q)
     space = q.cut_space
     moves = _moves(space, space.cycle_mask)
-    bits = [1 << i for i in range(len(space.arrows))]
-    masks = [sum(map(bits.__getitem__, cut)) for cut in cuts]
+    masks = [sum(map(space.bit.__getitem__, cut)) for cut in cuts]
     index = {m: i for i, m in enumerate(masks)}
     edges: list[MutationEdge] = []
     for i, m in enumerate(masks):
@@ -141,8 +140,7 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
             if m & drop == drop and not m & add
         )
         edges.extend(MutationEdge(i, j, v, direction) for j, v, direction in row)
-    names = space.arrows
-    return MutationGraph(tuple(tuple(map(names.__getitem__, cut)) for cut in cuts), tuple(edges))
+    return MutationGraph(tuple(cuts), tuple(edges))
 
 
 def is_transitive(q: QuiverWithCycles) -> bool:

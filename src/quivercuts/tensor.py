@@ -223,11 +223,11 @@ def l_homogeneity(spec: LabeledDynkinSpec) -> int | None:
 
 @dataclass(frozen=True)
 class TensorProvenance:
-    """The three arrow classes of a tensor product, tracked through splits."""
+    """The three arrow classes of a tensor product as sorted name tuples, tracked through splits."""
 
-    vertical: frozenset[ArrowId]
-    horizontal: frozenset[ArrowId]
-    diagonal: frozenset[ArrowId]
+    vertical: Cut
+    horizontal: Cut
+    diagonal: Cut
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ def tensor_qwc(left: LabeledQuiver, right: LabeledQuiver) -> LabeledQuiverWithCy
         for j in right.quiver.vertices
     }
     qwc = QuiverWithCycles(Quiver(vertices, tuple(arrows)), tuple(cycles))
-    provenance = TensorProvenance(frozenset(vertical), frozenset(horizontal), frozenset(diagonal))
+    provenance = TensorProvenance(tuple(sorted(vertical)), tuple(sorted(horizontal)), tuple(sorted(diagonal)))
     return LabeledQuiverWithCycles(qwc, labels, provenance)
 
 
@@ -366,8 +366,8 @@ def morita_split(t: LabeledQuiverWithCycles) -> LabeledQuiverWithCycles:
 
     provenance = None
     if t.provenance is not None:
-        def lift(cls: frozenset[ArrowId]) -> frozenset[ArrowId]:
-            return frozenset(name for old in cls for name in replicas.get(old, ()))
+        def lift(cls: Cut) -> Cut:
+            return tuple(sorted(name for old in cls for name in replicas.get(old, ())))
 
         provenance = TensorProvenance(
             lift(t.provenance.vertical),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
+from typing import Iterable
 
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles, Walk, connected_components, cycle_space_basis
 from quivercuts.tensor import BASE, LabeledQuiver, LabeledQuiverWithCycles
@@ -69,16 +70,17 @@ def oracle_mutate(quiver: Quiver, cut: frozenset[str], vertex: str, direction: s
     return frozenset((cut - outgoing) | incoming)
 
 
-def oracle_mutation_edges(q: QuiverWithCycles, cuts: list[frozenset[str]]) -> list[tuple[int, int, str, str]]:
+def oracle_mutation_edges(q: QuiverWithCycles, cuts: Iterable[Iterable[str]]) -> list[tuple[int, int, str, str]]:
     """Directed edges ``(source, target, vertex, direction)`` among ``cuts``, sorted.
 
     Edges are computed in the subquiver spanned by cycle arrows, since free
     arrows lie in no enumerated cut.
     """
     core = Quiver(q.quiver.vertices, tuple(a for a in q.quiver.arrows if a.name in q.cycle_arrows))
-    index = {cut: i for i, cut in enumerate(cuts)}
+    members = [frozenset(cut) for cut in cuts]
+    index = {cut: i for i, cut in enumerate(members)}
     edges = set()
-    for i, cut in enumerate(cuts):
+    for i, cut in enumerate(members):
         sources, sinks = oracle_strict_vertices(core, cut)
         for direction, vertices in (("+", sources), ("-", sinks)):
             for v in vertices:

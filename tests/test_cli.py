@@ -70,6 +70,23 @@ def test_validate_deeply_nested_json(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: nesting too deep\n")
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"arrows": 5}, "arrows must be an array"),
+        ({"cycles": None}, "cycles must be an array"),
+        ({"cycles": [{"arrows": ["a"], "sign": True}]}, "cycles[0].sign: expected 1 or -1, got True"),
+    ],
+    ids=["arrows-number", "cycles-null", "sign-bool"],
+)
+def test_validate_schema_error_is_one_line(tmp_path, capsys, fields, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format_version": 1, "vertices": [{"id": "1"}], **fields}))
+    for command in ("validate", "check"):
+        code, out, err = run(capsys, command, str(bad))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_cuts_listing(capsys):
     code, out, _ = run(capsys, "cuts", B2B2)
     assert code == 0

@@ -43,6 +43,8 @@ def test_roundtrip_fixtures():
         text = fixture_text(name)
         value = parse_quiver_document(text)
         assert serialize_quiver_document(value) == text
+        if not value.labels:  # a bare quiver with cycles serialises the same way
+            assert serialize_quiver_document(value.qwc) == text
 
 
 def test_parse_b2b2(b2b2_split):
@@ -63,31 +65,73 @@ def test_deep_nesting_is_a_syntax_error(text):
         parse_quiver_document(text)
 
 
-def test_schema_errors_are_named():
-    with pytest.raises(DocumentSchemaError, match="unknown field"):
-        parse_quiver_document(doc(extra=1))
-    with pytest.raises(DocumentSchemaError, match="'a'"):
-        parse_quiver_document(
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (doc(extra=1), "unknown field"),
+        (
             doc(
                 vertices=[{"id": "1"}, {"id": "2"}],
                 arrows=[
                     {"id": "a", "source": "1", "target": "2"},
                     {"id": "a", "source": "2", "target": "1"},
                 ],
-            )
-        )
-    with pytest.raises(DocumentSchemaError, match="duplicate vertex"):
-        parse_quiver_document(doc(vertices=[{"id": "1"}, {"id": "1"}]))
-    with pytest.raises(DocumentSchemaError, match="format_version"):
-        parse_quiver_document(doc(format_version=2))
-    with pytest.raises(DocumentSchemaError, match="label kind"):
-        parse_quiver_document(doc(vertices=[{"id": "1", "label": {"kind": "Huge"}}]))
-    with pytest.raises(DocumentSchemaError, match="split_count"):
-        parse_quiver_document(doc(vertices=[{"id": "1", "label": {"kind": "Ext", "split_count": 0}}]))
-    with pytest.raises(DocumentSchemaError, match="sign"):
-        parse_quiver_document(doc(cycles=[{"arrows": ["a"], "sign": 2}]))
-    with pytest.raises(DocumentSchemaError, match="missing field"):
-        parse_quiver_document(json.dumps({"vertices": []}))
+            ),
+            "'a'",
+        ),
+        (doc(vertices=[{"id": "1"}, {"id": "1"}]), "duplicate vertex"),
+        (doc(format_version=2), "format_version"),
+        (doc(format_version="1"), "format_version must be an integer"),
+        (doc(format_version=True), "format_version must be an integer"),
+        (doc(vertices=[{"id": "1", "label": {"kind": "Huge"}}]), "label kind"),
+        (doc(vertices=[{"id": "1", "label": {"kind": "Ext", "split_count": 0}}]), "split_count"),
+        (doc(vertices=[{"id": "1", "label": {"kind": "Base", "split_count": 2}}]), "never splits"),
+        (doc(vertices=[{"id": "1", "label": "Ext"}]), "label must be an object"),
+        (doc(cycles=[{"arrows": ["a"], "sign": 2}]), "sign"),
+        (doc(cycles=[{"arrows": ["a"], "sign": True}]), "sign"),
+        (doc(cycles=[{"arrows": ["a"], "sign": 1.0}]), "sign"),
+        (doc(cycles=[{"arrows": []}]), r"cycles\[0\]\.arrows: expected a non-empty array"),
+        (json.dumps({"vertices": []}), "missing field"),
+        (json.dumps([MINIMAL]), "root must be an object"),
+        (doc(vertices={"id": "1"}), "vertices must be an array"),
+        (doc(arrows=5), "arrows must be an array"),
+        (doc(cycles=None), "cycles must be an array"),
+        (doc(vertices=["1"]), r"vertices\[0\]: expected an object"),
+        (doc(arrows=[["a", "1", "1"]]), r"arrows\[0\]: expected an object"),
+        (doc(cycles=[["a"]]), r"cycles\[0\]: expected an object"),
+        (doc(vertices=[{"id": ""}]), r"vertices\[0\]\.id: expected a non-empty string"),
+        (doc(arrows=[{"id": 5, "source": "1", "target": "1"}]), r"arrows\[0\]\.id: expected a non-empty string"),
+    ],
+    ids=[
+        "unknown-field",
+        "duplicate-arrow",
+        "duplicate-vertex",
+        "newer-version",
+        "string-version",
+        "bool-version",
+        "label-kind",
+        "split-count-zero",
+        "base-split",
+        "label-not-object",
+        "sign-2",
+        "sign-bool",
+        "sign-float",
+        "empty-cycle",
+        "missing-field",
+        "root-not-object",
+        "vertices-not-array",
+        "arrows-not-array",
+        "cycles-null",
+        "vertex-not-object",
+        "arrow-not-object",
+        "cycle-not-object",
+        "empty-id",
+        "non-string-id",
+    ],
+)
+def test_schema_errors_are_named(text, match):
+    with pytest.raises(DocumentSchemaError, match=match):
+        parse_quiver_document(text)
 
 
 def test_invariant_errors():

@@ -161,6 +161,7 @@ def test_tensor_e6f4_counts():
 def test_standard_cuts_are_cuts(a3b2):
     for cut in standard_cuts(a3b2):
         assert is_cut(a3b2.qwc, cut)
+        assert cut == tuple(sorted(cut))
     assert len(standard_cuts(a3b2)[2]) == 2  # two diagonals
 
 
@@ -271,6 +272,7 @@ def test_morita_split_arrow_multiplicities():
     assert len(q.cycles) == 6
     for cut in standard_cuts(split):
         assert is_cut(q, cut)
+        assert cut == tuple(sorted(cut))
 
 
 def test_all_ext_split_is_a_disjoint_union_of_simply_connected_copies():
