@@ -15,6 +15,7 @@ from .cuts import (
     TruncatedPresentation,
     UncoveredQuiverWarning,
     are_compatible,
+    count_cuts,
     enumerate_cuts,
     grading_from_cut,
     has_enough_cuts,

@@ -76,6 +76,8 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
                 v = m[i][j]
                 if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
                     best = (i, j)
+            if best is not None and abs(m[best[0]][best[1]]) == 1:
+                break  # no pivot is smaller than a unit
         if best is None:
             break
         bi, bj = best
@@ -101,7 +103,7 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
         if dirty:
             continue
         offender = None
-        for i in range(t + 1, n_rows):
+        for i in range(t + 1, n_rows if abs(pivot) != 1 else 0):  # a unit divides everything
             for j in range(t + 1, n_cols):
                 if m[i][j] % pivot != 0:
                     offender = i

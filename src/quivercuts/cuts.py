@@ -7,17 +7,23 @@ has total degree exactly 1.  Removing a cut yields the truncated quiver
 ``Q_C``, and rotating each distinguished cycle through a cut arrow yields
 the relation paths of the truncated presentation.
 
-Enumeration treats cuts as an exact-one hitting problem over the cycles:
-choosing an arrow satisfies every cycle through it and forbids all other
-arrows of those cycles.  Arrows lying in no distinguished cycle are never
-enumerated into cuts; a quiver where such arrows exist triggers
-:class:`UncoveredQuiverWarning`.
+Cuts form an exact-one hitting problem over the cycles: choosing an arrow
+satisfies every cycle through it and forbids all other arrows of those
+cycles.  What remains allowed depends only on which cycles are covered, so
+the search for all cuts folds into a small DAG of covered-cycle states, in
+effect a ZDD of the cut family, whose root-to-sink paths are the cuts.
+Counting, listing, :func:`has_enough_cuts` and :func:`is_fully_compatible`
+all read this DAG; only listing visits every cut.  Arrows lying in no
+distinguished cycle lie in no cut; counting or listing the cuts of a quiver
+with such arrows triggers :class:`UncoveredQuiverWarning`.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, Walk, cycle_space_basis, split_components
@@ -92,70 +98,128 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+# modules whose public functions list cuts on behalf of their caller
+_LISTING_MODULES = frozenset({__name__, f"{__package__}.mutation"})
+
+
+def _warn_if_uncovered(q: QuiverWithCycles) -> None:
+    """Warn, at the first caller outside the listing modules, that free arrows lie in no cut."""
+    if is_covered(q):
+        return
+    free = sorted(frozenset(a.name for a in q.quiver.arrows) - q.cycle_arrows)
+    message = f"arrows outside every distinguished cycle are excluded from cuts: {free}"
+    if not q.cycles:
+        message = "quiver has no distinguished cycles; the empty cut is the only cut"
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__") in _LISTING_MODULES:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, UncoveredQuiverWarning, stacklevel=level)
+
+
+_Dag = dict[int, tuple[int, tuple[tuple[int, int], ...]]]
+
+
+def _cut_dag(space: CutSpace) -> _Dag:
+    """The cut-state DAG: covered-cycle mask -> (cut count, live edges ``(arrow index, child)``).
+
+    A state is the set of cycles covered so far.  Its arrows banned by the
+    exact-one condition are ``never`` and every arrow of a covered cycle, so
+    the state alone fixes what lies below it.  Each state branches on the
+    candidates of the uncovered cycle with the fewest of them; an arrow joins
+    the cut and covers every cycle through it.  The root is ``0`` and the
+    sink, the all-covered mask, counts 1.  Edges into states with no cut are
+    dropped, so the root-to-sink paths are exactly the cuts, each once, and a
+    state with no cut below has no edge.  Every state follows its children in
+    the mapping's order.
+    """
+    members, cycles_of = space.members, space.cycles_of
+    conflicts = [0] * len(cycles_of)  # arrows sharing a cycle, per arrow
+    for ai, cycles in enumerate(cycles_of):
+        for ci in _iter_bits(cycles):
+            conflicts[ai] |= members[ci]
+    sink = (1 << len(members)) - 1
+    branches: dict[int, list[tuple[int, int]]] = {sink: []}
+    stack = [(0, space.never)]  # (covered, banned), depth first without recursion
+    while stack:
+        covered, banned = stack.pop()
+        if covered in branches:
+            continue
+        best_cands, best_n = 0, len(cycles_of) + 1
+        for ci in _iter_bits(sink & ~covered):
+            cands = members[ci] & ~banned
+            n = cands.bit_count()
+            if n < best_n:
+                best_cands, best_n = cands, n
+                if n <= 1:
+                    break
+        branches[covered] = [(ai, covered | cycles_of[ai]) for ai in _iter_bits(best_cands)]
+        stack += [(child, banned | conflicts[ai]) for ai, child in branches[covered]]
+    # a child covers more cycles than its parent; the sink, covering all, comes first
+    dag: _Dag = {sink: (1, ())}
+    for covered in sorted(branches, key=int.bit_count, reverse=True)[1:]:
+        edges = tuple((ai, child) for ai, child in branches[covered] if dag[child][0])
+        dag[covered] = (sum(dag[child][0] for _, child in edges), edges)
+    return dag
+
+
+def count_cuts(q: QuiverWithCycles) -> int:
+    """The number of cuts of ``q``: the root's path count in the cut-state DAG, no cut listed.
+
+    Warns like :func:`enumerate_cuts` when arrows lie in no distinguished cycle.
+    """
+    _warn_if_uncovered(q)
+    return _cut_dag(q.cut_space)[0][0]
+
+
 def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
     """All cuts of ``q``, each a sorted tuple of arrow names, in ascending order.
 
-    Backtracking with exact-one propagation: repeatedly pick the unsatisfied
-    cycle with the fewest remaining candidate arrows and branch on them in
-    ascending name order.  Selecting an arrow covers every cycle through it
-    and bans the other arrows of those cycles; an arrow occurring twice in
-    one cycle can never be selected at all.
+    The cuts are the root-to-sink paths of the cut-state DAG (see
+    :func:`count_cuts`), walked along live edges only, so no branch ends
+    without a cut.  A chain of states with a single live edge is folded into
+    one step.  An arrow occurring twice in one cycle lies in no cut.
 
     Arrows lying in no cycle are excluded from every cut; when such arrows
     exist an :class:`UncoveredQuiverWarning` is emitted.
     """
-    if not is_covered(q):
-        free = sorted(frozenset(a.name for a in q.quiver.arrows) - q.cycle_arrows)
-        message = f"arrows outside every distinguished cycle are excluded from cuts: {free}"
-        if not q.cycles:
-            message = "quiver has no distinguished cycles; the empty cut is the only cut"
-        warnings.warn(message, UncoveredQuiverWarning, stacklevel=2)
-
+    _warn_if_uncovered(q)
     space = q.cut_space
-    cycle_members = space.members
-    arrow_cycles = space.cycles_of
-    conflicts = [0] * len(arrow_cycles)  # arrows sharing a cycle, per arrow
-    for ai, cycles in enumerate(arrow_cycles):
-        for ci in _iter_bits(cycles):
-            conflicts[ai] |= cycle_members[ci]
-
-    all_covered = (1 << len(cycle_members)) - 1
-    found: list[tuple[int, ...]] = []
-
-    def search(covered: int, banned: int, chosen: tuple[int, ...]) -> None:
-        if covered == all_covered:
+    dag = _cut_dag(space)
+    sink = (1 << len(space.members)) - 1
+    steps: dict[int, list[tuple[Cut, int]]] = {}  # state -> folded live edges, arrows by name
+    found: list[Cut] = []
+    stack: list[tuple[Cut, int]] = [((), 0)] if dag[0][0] else []
+    while stack:
+        chosen, covered = stack.pop()
+        if covered == sink:
             found.append(tuple(sorted(chosen)))
-            return
-        best_cands = 0
-        best_n = -1
-        for ci in _iter_bits(all_covered & ~covered):
-            cands = cycle_members[ci] & ~banned
-            n = cands.bit_count()
-            if n == 0:
-                return
-            if best_n < 0 or n < best_n:
-                best_cands, best_n = cands, n
-                if n == 1:
-                    break
-        for ai in _iter_bits(best_cands):
-            search(covered | arrow_cycles[ai], banned | conflicts[ai], chosen + (ai,))
-
-    search(0, space.never, ())
+            continue
+        if covered not in steps:
+            steps[covered] = _folded_edges(dag, sink, space.arrows, covered)
+        stack += [(chosen + path, child) for path, child in steps[covered]]
     found.sort()
-    # cycle arrows hold the low bits in name order, so sorted indices decode to sorted names
-    arrows = space.arrows
-    return [tuple(map(arrows.__getitem__, cut)) for cut in found]
+    return found
 
 
-def has_enough_cuts(q: QuiverWithCycles, cuts: Sequence[Cut] | None = None) -> bool:
-    """True iff every arrow of ``q`` lies in at least one cut.
+def _folded_edges(dag: _Dag, sink: int, names: Sequence[ArrowId], covered: int) -> list[tuple[Cut, int]]:
+    """The live edges of ``covered``, each followed through states that have one live edge."""
+    folded = []
+    for ai, child in dag[covered][1]:
+        path = [names[ai]]
+        while child != sink and len(dag[child][1]) == 1:
+            ai, child = dag[child][1][0]
+            path.append(names[ai])
+        folded.append((tuple(path), child))
+    return folded
 
-    ``cuts``, if given, must be ``enumerate_cuts(q)``; it spares a caller
-    that already holds them a second enumeration.
-    """
-    if cuts is None:
-        cuts = enumerate_cuts(q)
-    return set().union(*cuts) == {a.name for a in q.quiver.arrows}
+
+def has_enough_cuts(q: QuiverWithCycles) -> bool:
+    """True iff every arrow of ``q`` lies in at least one cut: the arrows of the live DAG edges."""
+    used = 0
+    for _, edges in _cut_dag(q.cut_space).values():
+        for ai, _ in edges:
+            used |= 1 << ai
+    return used == (1 << len(q.cut_space.arrows)) - 1
 
 
 def _basis_masks(q: QuiverWithCycles) -> list[tuple[int, int]]:
@@ -180,15 +244,23 @@ def are_compatible(q: QuiverWithCycles, first: Iterable[ArrowId], second: Iterab
     return _signature(basis, m1) == _signature(basis, m2)
 
 
-def is_fully_compatible(q: QuiverWithCycles, cuts: Sequence[Cut] | None = None) -> bool:
-    """True iff all cuts of ``q`` are pairwise compatible (``cuts`` as in :func:`has_enough_cuts`)."""
-    if cuts is None:
-        cuts = enumerate_cuts(q)
-    if len(cuts) <= 1:
-        return True
+def is_fully_compatible(q: QuiverWithCycles) -> bool:
+    """True iff all cuts of ``q`` are pairwise compatible.
+
+    Signatures add up along a DAG path, so each state has the set of
+    signatures of the paths below it, the sink the empty path's zeros; all
+    cuts agree iff no state has two, which is decided children first.  Every
+    state with an edge lies on a root-to-sink path, since its child has a cut
+    below it and so does every state above it.
+    """
     basis = _basis_masks(q)
-    reference = _signature(basis, _mask(q, cuts[0]))
-    return all(_signature(basis, _mask(q, cut)) == reference for cut in cuts[1:])
+    below: dict[int, tuple[int, ...]] = {}
+    for covered, (_, edges) in _cut_dag(q.cut_space).items():
+        signatures = {tuple(map(add, _signature(basis, 1 << ai), below[child])) for ai, child in edges}
+        if len(signatures) > 1:
+            return False
+        below[covered] = signatures.pop() if edges else (0,) * len(basis)
+    return True
 
 
 def truncated_quiver(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> Quiver:

@@ -3,7 +3,9 @@
 The cut oracle applies the cut predicate, written here on frozensets, to
 all subsets, so it shares no code path with the enumerator or ``is_cut``.
 The mutation and compatibility oracles likewise work on frozensets of arrow
-names and walk degrees, apart from the bit masks the library uses.
+names and walk degrees, apart from the bit masks the library uses; the
+enough-cuts and full-compatibility oracles judge a list of all the cuts,
+apart from the cut-state DAG the library reads.
 """
 
 from __future__ import annotations
@@ -41,6 +43,22 @@ def oracle_basis_walks(q: QuiverWithCycles) -> list[Walk]:
         sub = Quiver(comp, tuple(a for a in q.quiver.arrows if a.source in comp))
         walks.extend(cycle_space_basis(sub))
     return walks
+
+
+def oracle_has_enough_cuts(q: QuiverWithCycles, cuts: list[Iterable[str]]) -> bool:
+    """Every arrow of ``q`` lies in one of ``cuts``, which must be all its cuts."""
+    return set().union(*cuts) == {a.name for a in q.quiver.arrows}
+
+
+def oracle_is_fully_compatible(q: QuiverWithCycles, cuts: list[Iterable[str]]) -> bool:
+    """All of ``cuts`` grade every basis walk of :func:`oracle_basis_walks` alike."""
+    walks = oracle_basis_walks(q)
+
+    def degrees(cut: Iterable[str]) -> list[int]:
+        members = frozenset(cut)
+        return [sum(direction for name, direction in walk.steps if name in members) for walk in walks]
+
+    return all(degrees(cut) == degrees(cuts[0]) for cut in cuts)
 
 
 def oracle_strict_vertices(quiver: Quiver, cut: frozenset[str]) -> tuple[list[str], list[str]]:

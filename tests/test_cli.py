@@ -10,6 +10,7 @@ from conftest import FIXTURES
 
 import quivercuts
 from quivercuts.cli import main
+from quivercuts.cuts import UncoveredQuiverWarning
 
 B2B2 = str(FIXTURES / "b2b2_split.json")
 CIRCLE = str(FIXTURES / "circle.json")
@@ -112,6 +113,44 @@ def test_cuts_from_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "cuts", "--count-only")
     assert code == 0
     assert out == "7\n"
+
+
+def test_cuts_count_only_warns_like_listing(capsys):
+    # the circle has no distinguished cycles, so its one cut is the empty cut
+    with pytest.warns(UncoveredQuiverWarning, match="no distinguished cycles"):
+        code, out, _ = run(capsys, "cuts", CIRCLE, "--count-only")
+    assert (code, out) == (0, "1\n")
+    with pytest.warns(UncoveredQuiverWarning, match="no distinguished cycles"):
+        assert run(capsys, "cuts", CIRCLE) == (0, "\n", "")
+
+
+def test_count_e6e6_in_process(capsys, monkeypatch):
+    code, document, _ = run(capsys, "tensor", "--left", "E6", "--right", "E6")
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(document))
+    assert run(capsys, "cuts", "--count-only") == (0, "1505721\n", "")
+
+
+def test_deep_cut_document(tmp_path, capsys):
+    # one vertex with 1500 loops, each its own cycle: one cut of 1500 arrows, deeper than the recursion limit
+    names = [f"a{i:04d}" for i in range(1500)]
+    document = tmp_path / "loops.json"
+    document.write_text(
+        json.dumps(
+            {
+                "format_version": 1,
+                "vertices": [{"id": "v"}],
+                "arrows": [{"id": name, "source": "v", "target": "v"} for name in names],
+                "cycles": [{"arrows": [name]} for name in names],
+            }
+        )
+    )
+    assert run(capsys, "cuts", str(document), "--count-only") == (0, "1\n", "")
+    assert run(capsys, "cuts", str(document)) == (0, ",".join(names) + "\n", "")
+    code, out, err = run(capsys, "check", str(document))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == ["covered: yes", "enough-cuts: yes", "fully-compatible: yes"]
+    assert out.splitlines()[3].startswith("simply-connected: Yes")
 
 
 def test_check_b2b2(capsys):

@@ -4,11 +4,20 @@ import warnings
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from support import brute_force_cuts, oracle_basis_walks, oracle_is_cut, random_quiver_with_cycles, random_tree_quiver
+from support import (
+    brute_force_cuts,
+    oracle_basis_walks,
+    oracle_has_enough_cuts,
+    oracle_is_cut,
+    oracle_is_fully_compatible,
+    random_quiver_with_cycles,
+    random_tree_quiver,
+)
 
 from quivercuts.cuts import (
     UncoveredQuiverWarning,
     are_compatible,
+    count_cuts,
     enumerate_cuts,
     grading_from_cut,
     has_enough_cuts,
@@ -20,7 +29,7 @@ from quivercuts.cuts import (
     walk_degree,
 )
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles, Walk, is_acyclic
-from quivercuts.tensor import standard_cuts, tensor_qwc
+from quivercuts.tensor import dynkin_quiver, parse_dynkin_spec, standard_cuts, tensor_qwc
 
 B2B2_CUTS = [
     {"a", "b", "e"},
@@ -144,11 +153,11 @@ def test_enumerate_warns_on_free_arrows():
     with pytest.warns(UncoveredQuiverWarning, match="free"):
         cuts = enumerate_cuts(q)
     assert cuts == [("u",), ("v",)]
-    with pytest.warns(UncoveredQuiverWarning):
-        assert not has_enough_cuts(q)
+    with pytest.warns(UncoveredQuiverWarning, match="free"):
+        assert count_cuts(q) == 2
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # enumerating again would warn again
-        assert not has_enough_cuts(q, cuts)
+        warnings.simplefilter("error")  # the predicates list no cuts, so they do not warn
+        assert not has_enough_cuts(q)
 
 
 def test_enumerate_sorted_and_duplicate_free(a3b2):
@@ -174,7 +183,10 @@ def test_enumerate_matches_oracle_on_random_tensors(seed):
 
 def _check_against_oracles(q, rng):
     cuts = enumerate_cuts(q)
-    assert cuts == [tuple(sorted(cut)) for cut in brute_force_cuts(q)]
+    oracle = brute_force_cuts(q)
+    assert cuts == [tuple(sorted(cut)) for cut in oracle]
+    assert count_cuts(q) == len(cuts) == len(oracle)
+    assert has_enough_cuts(q) == oracle_has_enough_cuts(q, oracle)
     names = [a.name for a in q.quiver.arrows]
     free = [name for name in names if name not in q.cycle_arrows]
     for _ in range(8):
@@ -193,7 +205,43 @@ def _check_against_oracles(q, rng):
         second = rng.choice(with_free)
         assert is_cut(q, first)
         assert are_compatible(q, first, second) == (degrees(first) == degrees(second))
-    assert is_fully_compatible(q, cuts) == all(degrees(cut) == degrees(cuts[0]) for cut in cuts)
+    assert is_fully_compatible(q) == oracle_is_fully_compatible(q, oracle)
+
+
+def test_deep_cut_needs_no_recursion():
+    # one vertex with 1500 loops, each its own cycle: the one cut is a DAG path of
+    # 1500 states, deeper than the recursion limit
+    names = [f"a{i:04d}" for i in range(1500)]
+    q = qwc(["v"], [Arrow(name, "v", "v") for name in names], [Cycle((name,)) for name in names])
+    assert enumerate_cuts(q) == [tuple(names)]
+    assert count_cuts(q) == 1
+    assert has_enough_cuts(q)
+    assert is_fully_compatible(q)
+
+
+def test_uncovered_warning_points_at_the_caller():
+    from quivercuts.mutation import is_transitive, mutation_graph
+
+    q = qwc(
+        ["1", "2"],
+        [Arrow("u", "1", "2"), Arrow("v", "2", "1"), Arrow("free", "1", "2")],
+        [Cycle(("u", "v"))],
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        enumerate_cuts(q)
+        count_cuts(q)
+        mutation_graph(q)
+        is_transitive(q)
+    assert [w.category for w in caught] == [UncoveredQuiverWarning] * 4
+    assert len({str(w.message) for w in caught}) == 1
+    assert [w.filename for w in caught] == [__file__] * 4
+
+
+def test_count_e6e6_without_listing():
+    # 1,505,721 was found by listing every cut; the DAG counts them without a list
+    left = dynkin_quiver(parse_dynkin_spec("E6"))
+    assert count_cuts(tensor_qwc(left, left).qwc) == 1505721
 
 
 def test_covered(b2b2_split, a3b2):
@@ -225,6 +273,16 @@ def test_compatibility_is_an_equivalence(b2b2_split):
             assert are_compatible(q, c1, c1)
 
 
+def test_enough_cuts_ignores_dead_branches():
+    # loops a, b, c, d: choosing a covers (a, b) and (a, c, d), leaving (c, d) no
+    # candidate, so a lies in no cut although the search tries it
+    cycles = [Cycle(("a", "b")), Cycle(("c", "d")), Cycle(("a", "c", "d"))]
+    q = qwc(["v"], [Arrow(name, "v", "v") for name in "abcd"], cycles)
+    assert enumerate_cuts(q) == [("b", "c"), ("b", "d")]
+    assert is_covered(q)
+    assert not has_enough_cuts(q)
+
+
 def test_fully_compatible(b2b2_split, a3b2):
     assert is_fully_compatible(b2b2_split.qwc)
     assert is_fully_compatible(a3b2.qwc)
@@ -235,7 +293,7 @@ def test_incompatible_instance(incompatible):
     cuts = enumerate_cuts(incompatible)
     assert len(cuts) == 4
     assert not is_fully_compatible(incompatible)
-    assert not is_fully_compatible(incompatible, cuts)
+    assert not oracle_is_fully_compatible(incompatible, cuts)
     assert not are_compatible(incompatible, frozenset({"u", "x"}), frozenset({"u", "w"}))
 
 
