@@ -11,20 +11,17 @@ from .canvas import (
 )
 from .cuts import (
     Cut,
-    Grading,
     TruncatedPresentation,
     UncoveredQuiverWarning,
     are_compatible,
     count_cuts,
     enumerate_cuts,
-    grading_from_cut,
     has_enough_cuts,
     is_covered,
     is_cut,
     is_fully_compatible,
     truncated_presentation,
     truncated_quiver,
-    walk_degree,
 )
 from .docio import (
     DocumentError,
@@ -44,11 +41,7 @@ from .model import (
     Quiver,
     QuiverWithCycles,
     VertexId,
-    Walk,
-    canonicalize_cycle,
     connected_components,
-    cycle_space_basis,
-    is_acyclic,
     validate,
 )
 from .mutation import (
@@ -68,7 +61,6 @@ from .tensor import (
     LabeledQuiverWithCycles,
     dynkin_quiver,
     dynkin_spec,
-    l_homogeneity,
     morita_split,
     parse_dynkin_spec,
     standard_cuts,

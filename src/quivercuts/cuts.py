@@ -1,11 +1,13 @@
 """Cuts of a quiver with cycles and the structure they induce.
 
-A subset ``C`` of the arrows grades every arrow by membership (1 on ``C``,
-0 elsewhere); the grading extends additively to paths and with sign -1 to
-reversed arrows in walks.  ``C`` is a *cut* when every distinguished cycle
-has total degree exactly 1.  Removing a cut yields the truncated quiver
-``Q_C``, and rotating each distinguished cycle through a cut arrow yields
-the relation paths of the truncated presentation.
+A subset ``C`` of the arrows is a *cut* when every distinguished cycle
+meets it exactly once.  Removing a cut yields the truncated quiver ``Q_C``,
+and rotating each distinguished cycle through a cut arrow yields the
+relation paths of the truncated presentation.  Two cuts are *compatible*
+when they give every cyclic walk the same degree (arrows of the cut count
+1 forwards and -1 backwards); it suffices to compare them on a cycle-space
+basis, one closed walk per spanning-tree chord, each held as a pair of
+arrow masks.
 
 Cuts form an exact-one hitting problem over the cycles: choosing an arrow
 satisfies every cycle through it and forbids all other arrows of those
@@ -26,20 +28,13 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, Walk, cycle_space_basis, split_components
+from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, spanning_tree, split_components
 
 Cut = tuple[ArrowId, ...]  # the cut's arrow names, sorted
 
 
 class UncoveredQuiverWarning(UserWarning):
     """Raised-as-warning when arrows outside every distinguished cycle exist."""
-
-
-@dataclass(frozen=True)
-class Grading:
-    """Integer degrees on arrows, extended to walks by signed summation."""
-
-    degree: Mapping[ArrowId, int]
 
 
 def _mask(q: QuiverWithCycles, names: Iterable[ArrowId]) -> int:
@@ -63,18 +58,6 @@ def _cut_mask(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> int:
     if not _is_cut_mask(q.cut_space, m):
         raise ValueError(f"not a cut: {sorted(members)}")
     return m
-
-
-def grading_from_cut(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> Grading:
-    """The indicator grading of ``cut``: degree 1 on members, 0 elsewhere."""
-    members = frozenset(cut)
-    _mask(q, members)
-    return Grading({a.name: int(a.name in members) for a in q.quiver.arrows})
-
-
-def walk_degree(grading: Grading, walk: Walk) -> int:
-    """Signed sum of step degrees; reversed steps count negatively."""
-    return sum(direction * grading.degree[name] for name, direction in walk.steps)
 
 
 def is_cut(q: QuiverWithCycles, arrows: Iterable[ArrowId]) -> bool:
@@ -223,14 +206,29 @@ def has_enough_cuts(q: QuiverWithCycles) -> bool:
 
 
 def _basis_masks(q: QuiverWithCycles) -> list[tuple[int, int]]:
-    """``(plus, minus)`` arrow masks of each component's cycle-basis walks.
+    """``(plus, minus)`` arrow masks of a cycle-space basis: one closed walk per chord of each component.
 
-    A basis walk (a chord plus a simple tree path) crosses each arrow at most
-    once, so the cut ``m`` grades it ``popcount(m & plus) - popcount(m & minus)``;
-    walk degree is linear, so cuts that agree on the basis agree on every cyclic walk.
+    Each component's spanning tree gives every vertex the masks ``(P, M)`` of the
+    arrows its tree path from the root follows forwards and backwards.  The walk
+    of a chord ``c`` from ``s`` to ``t`` follows ``c`` and returns through the
+    tree; the stretch the paths to ``s`` and ``t`` share cancels, so it crosses
+    each arrow at most once and the cut ``m`` grades it
+    ``popcount(m & plus) - popcount(m & minus)``.  Degree is linear on walks, so cuts
+    that agree on the basis agree on every cyclic walk.
     """
-    walks = [walk for part in split_components(q) for walk in cycle_space_basis(part.quiver)]
-    return [(_mask(q, (n for n, d in w.steps if d > 0)), _mask(q, (n for n, d in w.steps if d < 0))) for w in walks]
+    bit = q.cut_space.bit
+    basis = []
+    for part in split_components(q):
+        tree = spanning_tree(part.quiver)
+        paths = {tree.root: (0, 0)}
+        for v, (parent, arrow, direction) in tree.parents.items():  # parents first
+            p, m = paths[parent]
+            paths[v] = (p | bit[arrow.name], m) if direction == 1 else (p, m | bit[arrow.name])
+        for a in part.quiver.arrows:
+            if a.name not in tree.tree_arrows:
+                (ps, ms), (pt, mt) = paths[a.source], paths[a.target]
+                basis.append((bit[a.name] | (ps & ~pt) | (mt & ~ms), (pt & ~ps) | (ms & ~mt)))
+    return basis
 
 
 def _signature(basis: list[tuple[int, int]], m: int) -> tuple[int, ...]:
@@ -254,9 +252,11 @@ def is_fully_compatible(q: QuiverWithCycles) -> bool:
     below it and so does every state above it.
     """
     basis = _basis_masks(q)
+    space = q.cut_space
+    of_arrow = [_signature(basis, 1 << ai) for ai in range(len(space.cycles_of))]  # DAG edges carry cycle arrows
     below: dict[int, tuple[int, ...]] = {}
-    for covered, (_, edges) in _cut_dag(q.cut_space).items():
-        signatures = {tuple(map(add, _signature(basis, 1 << ai), below[child])) for ai, child in edges}
+    for covered, (_, edges) in _cut_dag(space).items():
+        signatures = {tuple(map(add, of_arrow[ai], below[child])) for ai, child in edges}
         if len(signatures) > 1:
             return False
         below[covered] = signatures.pop() if edges else (0,) * len(basis)

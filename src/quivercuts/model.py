@@ -3,9 +3,10 @@
 A quiver is a finite directed graph (vertices ``Q0``, arrows ``Q1``).  A
 quiver with cycles carries in addition a set ``Q2`` of directed cycles,
 recording the support of a potential.  Cycles are kept in a canonical
-rotation so that two choices of starting vertex compare equal.  Walks are
-paths in the doubled quiver: each step traverses an arrow forwards (+1) or
-backwards (-1).
+rotation so that two choices of starting vertex compare equal.
+``CutSpace`` is a quiver's arrow sets as integer bit masks, and a BFS
+``SpanningTree`` per component underlies the cycle-space basis of
+compatibility and the fundamental-group presentation of the canvas.
 
 All values are immutable after construction and every operation here is a
 pure function, so they are safe to share across threads.  Collections are
@@ -21,35 +22,12 @@ from typing import Mapping, Sequence
 VertexId = str
 ArrowId = str
 
-# A walk step: (arrow name, direction).  +1 follows the arrow, -1 reverses it.
-Step = tuple[ArrowId, int]
-
-
 @dataclass(frozen=True)
 class Arrow:
     name: ArrowId
     source: VertexId
     target: VertexId
     label: str | None = None
-
-
-@dataclass(frozen=True)
-class Walk:
-    """A path in the doubled quiver, as a sequence of signed arrow steps."""
-
-    steps: tuple[Step, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        for name, direction in self.steps:
-            if direction not in (1, -1):
-                raise ValueError(f"walk step on {name!r} has direction {direction}, expected +1 or -1")
-
-    def inverse(self) -> "Walk":
-        return Walk(tuple((name, -direction) for name, direction in reversed(self.steps)))
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 def _least_rotation(items: Sequence[ArrowId]) -> tuple[ArrowId, ...]:
@@ -98,20 +76,6 @@ class Quiver:
     @cached_property
     def arrow_map(self) -> Mapping[ArrowId, Arrow]:
         return {a.name: a for a in self.arrows}
-
-    @cached_property
-    def outgoing(self) -> Mapping[VertexId, tuple[Arrow, ...]]:
-        out: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            out.setdefault(a.source, []).append(a)
-        return {v: tuple(arrows) for v, arrows in out.items()}
-
-    @cached_property
-    def incoming(self) -> Mapping[VertexId, tuple[Arrow, ...]]:
-        inc: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            inc.setdefault(a.target, []).append(a)
-        return {v: tuple(arrows) for v, arrows in inc.items()}
 
     @cached_property
     def incident(self) -> Mapping[VertexId, tuple[Arrow, ...]]:
@@ -210,26 +174,6 @@ def split_components(q: QuiverWithCycles) -> list[QuiverWithCycles]:
     return parts
 
 
-def step_endpoints(quiver: Quiver, step: Step) -> tuple[VertexId, VertexId]:
-    arrow = quiver.arrow(step[0])
-    if step[1] == 1:
-        return arrow.source, arrow.target
-    return arrow.target, arrow.source
-
-
-def walk_endpoints(quiver: Quiver, walk: Walk) -> tuple[VertexId, VertexId]:
-    """Start and end vertex of a walk; raises if consecutive steps do not chain."""
-    if not walk.steps:
-        raise ValueError("empty walk has no endpoints")
-    start, at = step_endpoints(quiver, walk.steps[0])
-    for step in walk.steps[1:]:
-        frm, to = step_endpoints(quiver, step)
-        if frm != at:
-            raise ValueError(f"walk breaks at step {step[0]!r}: expected start {at!r}, got {frm!r}")
-        at = to
-    return start, at
-
-
 def connected_components(quiver: Quiver) -> list[tuple[VertexId, ...]]:
     """Components of the underlying undirected graph, each sorted, smallest first."""
     seen: set[VertexId] = set()
@@ -303,77 +247,19 @@ def validate(q: QuiverWithCycles) -> list[str]:
     return violations
 
 
-def is_acyclic(quiver: Quiver) -> bool:
-    """True iff the directed graph has no directed cycle (Kahn's criterion)."""
-    indeg = {v: 0 for v in quiver.vertices}
-    for a in quiver.arrows:
-        indeg[a.target] += 1
-    ready = [v for v, d in indeg.items() if d == 0]
-    removed = 0
-    while ready:
-        v = ready.pop()
-        removed += 1
-        for a in quiver.outgoing.get(v, ()):
-            indeg[a.target] -= 1
-            if indeg[a.target] == 0:
-                ready.append(a.target)
-    return removed == len(quiver.vertices)
-
-
-def canonicalize_cycle(quiver: Quiver, arrows: Sequence[ArrowId], sign: int | None = None) -> Cycle:
-    """The canonical-rotation cycle through ``arrows``.
-
-    Rejects sequences that are not directed closed paths in ``quiver``.
-    """
-    names = tuple(arrows)
-    if not names:
-        raise ValueError("a cycle needs at least one arrow")
-    n = len(names)
-    for i in range(n):
-        here = quiver.arrow(names[i])
-        nxt = quiver.arrow(names[(i + 1) % n])
-        if here.target != nxt.source:
-            raise ValueError(
-                f"arrow sequence does not close: {here.name!r} ends at {here.target!r} "
-                f"but {nxt.name!r} starts at {nxt.source!r}"
-            )
-    return Cycle(names, sign)
-
-
 @dataclass(frozen=True)
 class SpanningTree:
     """A BFS spanning tree of one connected component.
 
     ``parents`` maps every non-root vertex to ``(parent, arrow, direction)``
-    where ``direction`` is +1 if the arrow points parent -> child.
+    where ``direction`` is +1 if the arrow points parent -> child.  Both
+    mappings list the vertices in BFS order, so a parent precedes its children.
     """
 
     root: VertexId
     parents: Mapping[VertexId, tuple[VertexId, Arrow, int]]
     depth: Mapping[VertexId, int]
     tree_arrows: frozenset[ArrowId]
-
-    def walk_between(self, frm: VertexId, to: VertexId) -> tuple[Step, ...]:
-        """Steps of the unique tree walk from ``frm`` to ``to``."""
-        left: list[Step] = []
-        right: list[Step] = []
-        a, b = frm, to
-        while self.depth[a] > self.depth[b]:
-            p, arrow, d = self.parents[a]
-            left.append((arrow.name, -d))
-            a = p
-        while self.depth[b] > self.depth[a]:
-            p, arrow, d = self.parents[b]
-            right.append((arrow.name, d))
-            b = p
-        while a != b:
-            p, arrow, d = self.parents[a]
-            left.append((arrow.name, -d))
-            a = p
-            p, arrow, d = self.parents[b]
-            right.append((arrow.name, d))
-            b = p
-        return tuple(left) + tuple(reversed(right))
 
 
 def spanning_tree(quiver: Quiver, root: VertexId | None = None) -> SpanningTree:
@@ -405,33 +291,3 @@ def spanning_tree(quiver: Quiver, root: VertexId | None = None) -> SpanningTree:
             tree_arrows.add(a.name)
             queue.append(other)
     return SpanningTree(root, parents, depth, frozenset(tree_arrows))
-
-
-def cycle_space_basis(quiver: Quiver) -> list[Walk]:
-    """A basis of the integer cycle space, one cyclic walk per chord.
-
-    A spanning tree is fixed; every non-tree arrow ("chord") yields the walk
-    that follows the chord and returns through the tree.  There are exactly
-    ``|Q1| - |Q0| + 1`` of them, and the signed arrow-count vector of any
-    cyclic walk is an integer combination of theirs.
-    """
-    if not quiver.vertices:
-        return []
-    tree = spanning_tree(quiver)
-    if len(tree.depth) != len(quiver.vertices):
-        raise ValueError("cycle space basis requires a connected quiver")
-    walks = []
-    for a in quiver.arrows:
-        if a.name in tree.tree_arrows:
-            continue
-        steps: tuple[Step, ...] = ((a.name, 1),) + tree.walk_between(a.target, a.source)
-        walks.append(Walk(steps))
-    return walks
-
-
-def signed_arrow_counts(walk: Walk) -> dict[ArrowId, int]:
-    """Net traversal count per arrow; the coordinates of a walk in the cycle space."""
-    counts: dict[ArrowId, int] = {}
-    for name, direction in walk.steps:
-        counts[name] = counts.get(name, 0) + direction
-    return {name: c for name, c in counts.items() if c != 0}

@@ -178,49 +178,6 @@ def dynkin_quiver(spec: LabeledDynkinSpec, split_count: int = 2) -> LabeledQuive
     return LabeledQuiver(Quiver(vertices, arrows), labels)
 
 
-_L_VALUES = {
-    "B": lambda r: r,
-    "C": lambda r: r,
-    "D": lambda r: r - 1,
-    "E": lambda r: {6: 6, 7: 9, 8: 15}[r],
-    "F": lambda r: 6,
-    "G": lambda r: 3,
-}
-
-
-def _nakayama_permutation(family: str, rank: int) -> dict[VertexId, VertexId]:
-    identity = {str(i): str(i) for i in range(1, rank + 1)}
-    if family == "A":
-        return {str(i): str(rank + 1 - i) for i in range(1, rank + 1)}
-    if family == "D" and rank % 2 == 1:
-        identity.update({"1": "2", "2": "1"})
-        return identity
-    if family == "E" and rank == 6:
-        identity.update({"1": "5", "5": "1", "2": "4", "4": "2"})
-        return identity
-    # non-simply-laced families, D of even rank, E7 and E8 act trivially
-    return identity
-
-
-def l_homogeneity(spec: LabeledDynkinSpec) -> int | None:
-    """The homogeneity degree, when defined for this orientation.
-
-    Defined when the orientation is stable under the diagram's Nakayama
-    permutation and the tabulated value is an integer; absent otherwise.
-    """
-    if spec.family == "A":
-        if (spec.rank + 1) % 2 != 0:
-            return None
-        value = (spec.rank + 1) // 2
-    else:
-        value = _L_VALUES[spec.family](spec.rank)
-    sigma = _nakayama_permutation(spec.family, spec.rank)
-    mapped = {(sigma[u], sigma[v]) for u, v in spec.orientation}
-    if mapped != set(spec.orientation):
-        return None
-    return value
-
-
 @dataclass(frozen=True)
 class TensorProvenance:
     """The three arrow classes of a tensor product as sorted name tuples, tracked through splits."""

@@ -2,10 +2,12 @@
 
 The cut oracle applies the cut predicate, written here on frozensets, to
 all subsets, so it shares no code path with the enumerator or ``is_cut``.
-The mutation and compatibility oracles likewise work on frozensets of arrow
-names and walk degrees, apart from the bit masks the library uses; the
-enough-cuts and full-compatibility oracles judge a list of all the cuts,
-apart from the cut-state DAG the library reads.
+The mutation oracles likewise work on frozensets of arrow names, apart from
+the bit masks the library uses.  The compatibility oracle looks for a height
+function whose differences are the two cuts' difference, apart from the
+spanning-tree basis the library compares on.  The enough-cuts and
+full-compatibility oracles judge a list of all the cuts, apart from the
+cut-state DAG the library reads.
 """
 
 from __future__ import annotations
@@ -14,8 +16,33 @@ import random
 from itertools import permutations
 from typing import Iterable
 
-from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles, Walk, connected_components, cycle_space_basis
-from quivercuts.tensor import BASE, LabeledQuiver, LabeledQuiverWithCycles
+from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
+from quivercuts.tensor import BASE, LabeledDynkinSpec, LabeledQuiver, LabeledQuiverWithCycles
+
+Step = tuple[str, int]  # (arrow name, +1 along the arrow or -1 against it)
+
+
+def outgoing(quiver: Quiver, v: str) -> list[Arrow]:
+    return [a for a in quiver.arrows if a.source == v]
+
+
+def incoming(quiver: Quiver, v: str) -> list[Arrow]:
+    return [a for a in quiver.arrows if a.target == v]
+
+
+def is_acyclic(quiver: Quiver) -> bool:
+    """True iff the directed graph has no directed cycle (Kahn's criterion)."""
+    indeg = {v: len(incoming(quiver, v)) for v in quiver.vertices}
+    ready = [v for v, d in indeg.items() if d == 0]
+    removed = 0
+    while ready:
+        v = ready.pop()
+        removed += 1
+        for a in outgoing(quiver, v):
+            indeg[a.target] -= 1
+            if indeg[a.target] == 0:
+                ready.append(a.target)
+    return removed == len(quiver.vertices)
 
 
 def oracle_is_cut(q: QuiverWithCycles, arrows: frozenset[str]) -> bool:
@@ -36,13 +63,34 @@ def brute_force_cuts(q: QuiverWithCycles) -> list[frozenset[str]]:
     return cuts
 
 
-def oracle_basis_walks(q: QuiverWithCycles) -> list[Walk]:
-    """Cycle-space basis walks of each connected component, each restricted here by hand."""
-    walks: list[Walk] = []
-    for comp in connected_components(q.quiver):
-        sub = Quiver(comp, tuple(a for a in q.quiver.arrows if a.source in comp))
-        walks.extend(cycle_space_basis(sub))
-    return walks
+def oracle_are_compatible(q: QuiverWithCycles, first: Iterable[str], second: Iterable[str]) -> bool:
+    """The cuts differ by a coboundary: some heights ``h`` on the vertices have
+    ``h(target) - h(source) = [a in first] - [a in second]`` on every arrow ``a``.
+
+    That is equal degree on every cyclic walk.  Heights spread from a root of
+    each component in turn, and a second path to a vertex must agree.
+    """
+    x, y = frozenset(first), frozenset(second)
+    steps: dict[str, list[tuple[str, int]]] = {}
+    for a in q.quiver.arrows:
+        d = (a.name in x) - (a.name in y)
+        steps.setdefault(a.source, []).append((a.target, d))
+        steps.setdefault(a.target, []).append((a.source, -d))
+    height: dict[str, int] = {}
+    for root in steps:
+        if root in height:
+            continue
+        height[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, d in steps[v]:
+                if w not in height:
+                    height[w] = height[v] + d
+                    stack.append(w)
+                elif height[w] != height[v] + d:
+                    return False
+    return True
 
 
 def oracle_has_enough_cuts(q: QuiverWithCycles, cuts: list[Iterable[str]]) -> bool:
@@ -51,14 +99,8 @@ def oracle_has_enough_cuts(q: QuiverWithCycles, cuts: list[Iterable[str]]) -> bo
 
 
 def oracle_is_fully_compatible(q: QuiverWithCycles, cuts: list[Iterable[str]]) -> bool:
-    """All of ``cuts`` grade every basis walk of :func:`oracle_basis_walks` alike."""
-    walks = oracle_basis_walks(q)
-
-    def degrees(cut: Iterable[str]) -> list[int]:
-        members = frozenset(cut)
-        return [sum(direction for name, direction in walk.steps if name in members) for walk in walks]
-
-    return all(degrees(cut) == degrees(cuts[0]) for cut in cuts)
+    """Every one of ``cuts`` is compatible with the first, by :func:`oracle_are_compatible`."""
+    return all(oracle_are_compatible(q, cut, cuts[0]) for cut in cuts)
 
 
 def oracle_strict_vertices(quiver: Quiver, cut: frozenset[str]) -> tuple[list[str], list[str]]:
@@ -66,12 +108,11 @@ def oracle_strict_vertices(quiver: Quiver, cut: frozenset[str]) -> tuple[list[st
     sources: list[str] = []
     sinks: list[str] = []
     for v in quiver.vertices:
-        incoming = quiver.incoming.get(v, ())
-        outgoing = quiver.outgoing.get(v, ())
-        if not incoming and not outgoing:
+        arrows_in, arrows_out = incoming(quiver, v), outgoing(quiver, v)
+        if not arrows_in and not arrows_out:
             continue
-        in_cut = [a.name in cut for a in incoming]
-        out_cut = [a.name in cut for a in outgoing]
+        in_cut = [a.name in cut for a in arrows_in]
+        out_cut = [a.name in cut for a in arrows_out]
         if all(in_cut) and not any(out_cut):
             sources.append(v)
         if all(out_cut) and not any(in_cut):
@@ -81,11 +122,11 @@ def oracle_strict_vertices(quiver: Quiver, cut: frozenset[str]) -> tuple[list[st
 
 def oracle_mutate(quiver: Quiver, cut: frozenset[str], vertex: str, direction: str) -> frozenset[str]:
     """Swap the incidence of ``vertex``: "+" drops incoming arrows, "-" outgoing."""
-    incoming = {a.name for a in quiver.incoming.get(vertex, ())}
-    outgoing = {a.name for a in quiver.outgoing.get(vertex, ())}
+    arrows_in = {a.name for a in incoming(quiver, vertex)}
+    arrows_out = {a.name for a in outgoing(quiver, vertex)}
     if direction == "+":
-        return frozenset((cut - incoming) | outgoing)
-    return frozenset((cut - outgoing) | incoming)
+        return frozenset((cut - arrows_in) | arrows_out)
+    return frozenset((cut - arrows_out) | arrows_in)
 
 
 def oracle_mutation_edges(q: QuiverWithCycles, cuts: Iterable[Iterable[str]]) -> list[tuple[int, int, str, str]]:
@@ -104,6 +145,49 @@ def oracle_mutation_edges(q: QuiverWithCycles, cuts: Iterable[Iterable[str]]) ->
             for v in vertices:
                 edges.add((i, index[oracle_mutate(core, cut, v, direction)], v, direction))
     return sorted(edges)
+
+
+_L_VALUES = {
+    "B": lambda r: r,
+    "C": lambda r: r,
+    "D": lambda r: r - 1,
+    "E": lambda r: {6: 6, 7: 9, 8: 15}[r],
+    "F": lambda r: 6,
+    "G": lambda r: 3,
+}
+
+
+def _nakayama_permutation(family: str, rank: int) -> dict[str, str]:
+    identity = {str(i): str(i) for i in range(1, rank + 1)}
+    if family == "A":
+        return {str(i): str(rank + 1 - i) for i in range(1, rank + 1)}
+    if family == "D" and rank % 2 == 1:
+        identity.update({"1": "2", "2": "1"})
+        return identity
+    if family == "E" and rank == 6:
+        identity.update({"1": "5", "5": "1", "2": "4", "4": "2"})
+        return identity
+    # non-simply-laced families, D of even rank, E7 and E8 act trivially
+    return identity
+
+
+def l_homogeneity(spec: LabeledDynkinSpec) -> int | None:
+    """The homogeneity degree (half the Coxeter number), when defined for this orientation.
+
+    Defined when the orientation is stable under the diagram's Nakayama
+    permutation and the tabulated value is an integer; absent otherwise.
+    """
+    if spec.family == "A":
+        if (spec.rank + 1) % 2 != 0:
+            return None
+        value = (spec.rank + 1) // 2
+    else:
+        value = _L_VALUES[spec.family](spec.rank)
+    sigma = _nakayama_permutation(spec.family, spec.rank)
+    mapped = {(sigma[u], sigma[v]) for u, v in spec.orientation}
+    if mapped != set(spec.orientation):
+        return None
+    return value
 
 
 def random_tree_quiver(rng: random.Random, max_vertices: int = 4, min_vertices: int = 1) -> LabeledQuiver:
@@ -131,8 +215,8 @@ def random_quiver_with_cycles(rng: random.Random, max_vertices: int = 3, max_arr
     for _ in range(rng.randint(0, 3)):
         start = at = rng.choice(vertices)
         names: list[str] = []
-        while len(names) < 6 and quiver.outgoing.get(at):
-            arrow = rng.choice(quiver.outgoing[at])
+        while len(names) < 6 and outgoing(quiver, at):
+            arrow = rng.choice(outgoing(quiver, at))
             names.append(arrow.name)
             at = arrow.target
             if at == start:
@@ -141,7 +225,7 @@ def random_quiver_with_cycles(rng: random.Random, max_vertices: int = 3, max_arr
     return QuiverWithCycles(quiver, tuple(cycles))
 
 
-def random_cyclic_walk(rng: random.Random, quiver: Quiver, max_steps: int = 40) -> Walk | None:
+def random_cyclic_walk(rng: random.Random, quiver: Quiver, max_steps: int = 40) -> list[Step] | None:
     """A random walk in the doubled quiver that happens to close up."""
     if not quiver.arrows:
         return None
@@ -160,7 +244,7 @@ def random_cyclic_walk(rng: random.Random, quiver: Quiver, max_steps: int = 40) 
         name, direction, at = rng.choice(options)
         steps.append((name, direction))
         if at == start and steps:
-            return Walk(tuple(steps))
+            return steps
     return None
 
 
@@ -168,8 +252,8 @@ def _vertex_signature(value: LabeledQuiverWithCycles, v: str):
     q = value.qwc.quiver
     return (
         value.labels.get(v),
-        len(q.incoming.get(v, ())),
-        len(q.outgoing.get(v, ())),
+        len(incoming(q, v)),
+        len(outgoing(q, v)),
     )
 
 

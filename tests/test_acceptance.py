@@ -7,7 +7,7 @@ criterion; assertions are exact (no tolerances are loosened here).
 import random
 import time
 
-from support import brute_force_cuts, labeled_isomorphic, oracle_mutation_edges, random_tree_quiver
+from support import brute_force_cuts, is_acyclic, labeled_isomorphic, oracle_mutation_edges, random_tree_quiver
 
 from quivercuts.canvas import euler_characteristic, h1, is_simply_connected
 from quivercuts.cuts import (
@@ -18,7 +18,7 @@ from quivercuts.cuts import (
     truncated_presentation,
     truncated_quiver,
 )
-from quivercuts.model import Quiver, is_acyclic
+from quivercuts.model import Quiver
 from quivercuts.mutation import mutate_minus, mutation_graph
 from quivercuts.tensor import (
     DivisionLabel,

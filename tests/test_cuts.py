@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from support import (
     brute_force_cuts,
-    oracle_basis_walks,
+    is_acyclic,
+    oracle_are_compatible,
     oracle_has_enough_cuts,
     oracle_is_cut,
     oracle_is_fully_compatible,
@@ -19,16 +20,14 @@ from quivercuts.cuts import (
     are_compatible,
     count_cuts,
     enumerate_cuts,
-    grading_from_cut,
     has_enough_cuts,
     is_covered,
     is_cut,
     is_fully_compatible,
     truncated_presentation,
     truncated_quiver,
-    walk_degree,
 )
-from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles, Walk, is_acyclic
+from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
 from quivercuts.tensor import dynkin_quiver, parse_dynkin_spec, standard_cuts, tensor_qwc
 
 B2B2_CUTS = [
@@ -56,51 +55,12 @@ def incompatible():
     )
 
 
-def test_grading_empty_and_full(b2b2_split):
-    q = b2b2_split.qwc
-    empty = grading_from_cut(q, set())
-    assert set(empty.degree.values()) == {0}
-    full = grading_from_cut(q, {a.name for a in q.quiver.arrows})
-    assert walk_degree(full, Walk((("a", 1), ("c", 1)))) == 2
-
-
-def test_grading_indicator(b2b2_split):
-    g = grading_from_cut(b2b2_split.qwc, {"d", "e"})
-    assert g.degree["d"] == g.degree["e"] == 1
-    assert sum(g.degree.values()) == 2
-
-
-def test_grading_unknown_arrow(b2b2_split):
-    with pytest.raises(KeyError, match="zz"):
-        grading_from_cut(b2b2_split.qwc, {"zz"})
-
-
-def test_walk_degree_examples(b2b2_split):
-    g = grading_from_cut(b2b2_split.qwc, {"d", "e"})
-    assert walk_degree(g, Walk(())) == 0
-    assert walk_degree(g, Walk((("d", -1),))) == -1
-
-
 def test_every_cut_grades_cycles_to_one(b2b2_split):
+    # each distinguished cycle has exactly one member in each cut
     q = b2b2_split.qwc
     for cut in enumerate_cuts(q):
-        g = grading_from_cut(q, cut)
         for cycle in q.cycles:
-            forward = Walk(tuple((name, 1) for name in cycle.arrows))
-            assert walk_degree(g, forward) == 1
-
-
-@given(
-    st.lists(st.tuples(st.sampled_from("abcdefgh"), st.sampled_from((1, -1)))),
-    st.lists(st.tuples(st.sampled_from("abcdefgh"), st.sampled_from((1, -1)))),
-)
-def test_walk_degree_is_additive_and_odd(steps1, steps2):
-    q = _B2B2
-    g = grading_from_cut(q, {"d", "e"})
-    w1, w2 = Walk(tuple(steps1)), Walk(tuple(steps2))
-    joined = Walk(tuple(steps1) + tuple(steps2))
-    assert walk_degree(g, joined) == walk_degree(g, w1) + walk_degree(g, w2)
-    assert walk_degree(g, w1.inverse()) == -walk_degree(g, w1)
+            assert sum(name in cut for name in cycle.arrows) == 1
 
 
 def test_is_cut_examples(b2b2_split):
@@ -192,19 +152,13 @@ def _check_against_oracles(q, rng):
     for _ in range(8):
         subset = frozenset(name for name in names if rng.random() < 0.5)
         assert is_cut(q, subset) == oracle_is_cut(q, subset)
-    # compatibility is equal walk degree on each component's basis walks; a cut
-    # with free arrows added is still a cut
-    walks = oracle_basis_walks(q)
-
-    def degrees(cut):
-        grading = grading_from_cut(q, cut)
-        return [walk_degree(grading, w) for w in walks]
-
+    # compatibility is equal degree on every cyclic walk, that is, a height
+    # function on each component; a cut with free arrows added is still a cut
     with_free = [cut + tuple(name for name in free if rng.random() < 0.5) for cut in cuts]
     for first in with_free:
         second = rng.choice(with_free)
         assert is_cut(q, first)
-        assert are_compatible(q, first, second) == (degrees(first) == degrees(second))
+        assert are_compatible(q, first, second) == oracle_are_compatible(q, first, second)
     assert is_fully_compatible(q) == oracle_is_fully_compatible(q, oracle)
 
 
@@ -373,18 +327,3 @@ def test_empty_presentation():
     pres = truncated_presentation(qwc(["1"], []), frozenset())
     assert pres.relations == {}
 
-
-_B2B2 = qwc(
-    ["1", "2", "3", "4", "5"],
-    [
-        Arrow("a", "1", "2"),
-        Arrow("b", "1", "4"),
-        Arrow("c", "2", "3"),
-        Arrow("d", "3", "1"),
-        Arrow("e", "3", "5"),
-        Arrow("f", "4", "3"),
-        Arrow("g", "5", "4"),
-        Arrow("h", "5", "2"),
-    ],
-    [Cycle(("a", "c", "d"), 1), Cycle(("b", "f", "d"), -1), Cycle(("c", "e", "h"), 1), Cycle(("e", "g", "f"), -1)],
-)

@@ -1,26 +1,31 @@
 import random
 
 import pytest
-from support import random_cyclic_walk
+from support import is_acyclic, random_cyclic_walk
 
+from quivercuts.cuts import _basis_masks
 from quivercuts.model import (
     Arrow,
     Cycle,
     Quiver,
     QuiverWithCycles,
-    Walk,
-    canonicalize_cycle,
     connected_components,
-    cycle_space_basis,
-    is_acyclic,
-    signed_arrow_counts,
+    spanning_tree,
     validate,
-    walk_endpoints,
 )
 
 
 def qwc(vertices, arrows, cycles=()):
     return QuiverWithCycles(Quiver(tuple(vertices), tuple(arrows)), tuple(cycles))
+
+
+def basis_vectors(q):
+    """Each cycle-space basis element of ``q`` as signed arrow counts."""
+    names = q.cut_space.bit.items()
+    return [
+        {name: 1 if b & plus else -1 for name, b in names if b & (plus | minus)}
+        for plus, minus in _basis_masks(q)
+    ]
 
 
 def test_validate_minimal_quiver():
@@ -66,36 +71,14 @@ def test_b2b2_split_is_not_acyclic(b2b2_split):
     assert not is_acyclic(b2b2_split.qwc.quiver)
 
 
-def test_canonicalize_cycle(b2b2_split):
-    quiver = b2b2_split.qwc.quiver
-    assert canonicalize_cycle(quiver, ["c", "d", "a"]).arrows == ("a", "c", "d")
-    assert canonicalize_cycle(quiver, ["a", "c", "d"]).arrows == ("a", "c", "d")
-
-
-def test_canonicalize_loop():
-    quiver = Quiver(("1",), (Arrow("x", "1", "1"),))
-    assert canonicalize_cycle(quiver, ["x"]).arrows == ("x",)
-
-
-def test_canonicalize_rejects_non_closed():
-    quiver = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
-    with pytest.raises(ValueError, match="does not close"):
-        canonicalize_cycle(quiver, ["a", "b"])
-    with pytest.raises(KeyError):
-        canonicalize_cycle(quiver, ["a", "zz"])
-
-
 def test_rotation_invariance_exhaustive():
-    # every rotation of a directed n-cycle canonicalises identically, n <= 6
+    # every rotation of a directed n-cycle gives the same cycle, n <= 6
     for n in range(1, 7):
-        vertices = tuple(str(i) for i in range(n))
-        arrows = tuple(Arrow(f"x{i}", str(i), str((i + 1) % n)) for i in range(n))
-        quiver = Quiver(vertices, arrows)
-        seq = [a.name for a in sorted(arrows, key=lambda a: int(a.source))]
-        expected = canonicalize_cycle(quiver, seq)
+        seq = [f"x{i}" for i in range(n)]
+        expected = Cycle(tuple(seq))
+        assert expected.arrows == tuple(seq)
         for r in range(n):
-            rotated = seq[r:] + seq[:r]
-            assert canonicalize_cycle(quiver, rotated) == expected
+            assert Cycle(tuple(seq[r:] + seq[:r])) == expected
 
 
 def test_cycle_value_rotates_itself():
@@ -103,37 +86,33 @@ def test_cycle_value_rotates_itself():
     assert Cycle(("b",)).arrows == ("b",)
 
 
-def test_walk_endpoints_and_inverse(b2b2_split):
-    quiver = b2b2_split.qwc.quiver
-    walk = Walk((("a", 1), ("c", 1), ("d", 1)))
-    assert walk_endpoints(quiver, walk) == ("1", "1")
-    assert walk_endpoints(quiver, walk.inverse()) == ("1", "1")
-    with pytest.raises(ValueError, match="breaks"):
-        walk_endpoints(quiver, Walk((("a", 1), ("d", 1))))
-
-
 def test_cycle_space_basis_tree_is_empty():
-    path = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")))
-    assert cycle_space_basis(path) == []
+    path = qwc(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3")])
+    assert _basis_masks(path) == []
 
 
 def test_cycle_space_basis_sizes(b2b2_split, circle, a3b2):
-    assert len(cycle_space_basis(circle.qwc.quiver)) == 1
-    assert len(cycle_space_basis(b2b2_split.qwc.quiver)) == 4
-    assert len(cycle_space_basis(a3b2.qwc.quiver)) == 4
+    assert len(_basis_masks(circle.qwc)) == 1
+    assert len(_basis_masks(b2b2_split.qwc)) == 4
+    assert len(_basis_masks(a3b2.qwc)) == 4
 
 
-def test_cycle_space_basis_rejects_disconnected():
-    two = Quiver(("1", "2"), ())
-    with pytest.raises(ValueError, match="connected"):
-        cycle_space_basis(two)
+def test_cycle_space_basis_spans_every_component():
+    # one element per chord of each component: |Q1| - |Q0| + (number of components)
+    two = qwc(["1", "2", "3"], [Arrow("l", "1", "1"), Arrow("u", "2", "3"), Arrow("v", "3", "2")])
+    assert basis_vectors(two) == [{"l": 1}, {"u": 1, "v": 1}]
 
 
-def test_basis_walks_are_cyclic(b2b2_split):
-    quiver = b2b2_split.qwc.quiver
-    for walk in cycle_space_basis(quiver):
-        start, end = walk_endpoints(quiver, walk)
-        assert start == end
+def test_basis_walks_are_cyclic(b2b2_split, a3b2, circle):
+    # a closed walk enters every vertex as often as it leaves
+    for value in (b2b2_split, a3b2, circle):
+        quiver = value.qwc.quiver
+        for vector in basis_vectors(value.qwc):
+            balance = dict.fromkeys(quiver.vertices, 0)
+            for name, count in vector.items():
+                balance[quiver.arrow(name).source] -= count
+                balance[quiver.arrow(name).target] += count
+            assert set(balance.values()) == {0}
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -143,17 +122,18 @@ def test_random_cyclic_walks_lie_in_basis_span(seed, b2b2_split, a3b2, circle):
     rng = random.Random(seed)
     for value in (b2b2_split, a3b2, circle):
         quiver = value.qwc.quiver
-        basis = cycle_space_basis(quiver)
-        chords = [walk.steps[0][0] for walk in basis]
+        tree_arrows = spanning_tree(quiver).tree_arrows
         walk = random_cyclic_walk(rng, quiver)
         if walk is None:
             continue
-        residue = dict(signed_arrow_counts(walk))
-        for chord, basis_walk in zip(chords, basis):
+        residue: dict[str, int] = {}
+        for name, direction in walk:
+            residue[name] = residue.get(name, 0) + direction
+        for vector in basis_vectors(value.qwc):
+            (chord,) = set(vector) - tree_arrows
             coefficient = residue.get(chord, 0)
-            if coefficient:
-                for name, count in signed_arrow_counts(basis_walk).items():
-                    residue[name] = residue.get(name, 0) - coefficient * count
+            for name, count in vector.items():
+                residue[name] = residue.get(name, 0) - coefficient * count
         assert all(v == 0 for v in residue.values())
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import labeled_isomorphic, random_tree_quiver
+from support import l_homogeneity, labeled_isomorphic, random_tree_quiver
 
 from quivercuts.canvas import euler_characteristic, is_simply_connected
 from quivercuts.cuts import (
@@ -23,7 +23,6 @@ from quivercuts.tensor import (
     default_orientation,
     dynkin_quiver,
     dynkin_spec,
-    l_homogeneity,
     morita_split,
     parse_dynkin_spec,
     standard_cuts,
