@@ -41,7 +41,6 @@ from .model import (
     Quiver,
     QuiverWithCycles,
     VertexId,
-    connected_components,
     validate,
 )
 from .mutation import (

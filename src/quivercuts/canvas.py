@@ -4,7 +4,9 @@ The canvas has one 0-cell per vertex, one 1-cell per arrow and one 2-cell
 per distinguished cycle, attached along the cycle's boundary word.  Its
 fundamental group has the usual edge-path presentation: contract a spanning
 tree, keep one generator per chord, and read each 2-cell boundary with tree
-arrows erased.
+arrows erased.  One BFS spanning forest of the quiver yields this
+presentation for every component at once, filed under the component's
+least vertex.
 
 Simple connectivity is decided in tiers.  First homology (abelianisation,
 by integer Smith normal form) refutes cheaply; a budgeted coset enumeration
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .coset import enumerate_trivial_subgroup
-from .model import ArrowId, QuiverWithCycles, VertexId, spanning_tree, split_components
+from .model import ArrowId, QuiverWithCycles, VertexId, spanning_tree
 
 DEFAULT_COSET_BUDGET = 10**6
 
@@ -37,26 +39,40 @@ class GroupPresentation:
     relators: tuple[tuple[tuple[ArrowId, int], ...], ...]
 
 
-def pi1_presentation(q: QuiverWithCycles, basepoint: VertexId | None = None) -> GroupPresentation:
+def _presentations(q: QuiverWithCycles) -> dict[VertexId, GroupPresentation]:
+    """The edge-path presentation of each component's canvas group, by component root.
+
+    A component's generators are its chords of the spanning forest, and its
+    relators are the cycles whose arrows all lie in it, read with forest
+    arrows erased.
+    """
+    tree = spanning_tree(q.quiver)
+    arrows = q.quiver.arrow_map
+    chords = {r: [] for r in tree.root.values()}
+    for a in tree.chords:
+        chords[tree.root[a.source]].append(a.name)
+    chord_set = frozenset(a.name for a in tree.chords)
+    relators = {r: [] for r in chords}
+    for cycle in q.cycles:
+        roots = {tree.root.get(arrows[name].source) if name in arrows else None for name in cycle.arrows}
+        if len(roots) == 1 and None not in roots:
+            relators[roots.pop()].append(tuple((name, 1) for name in cycle.arrows if name in chord_set))
+    return {r: GroupPresentation(tuple(chords[r]), tuple(relators[r])) for r in chords}
+
+
+def pi1_presentation(q: QuiverWithCycles) -> GroupPresentation:
     """Edge-path presentation of the canvas fundamental group.
 
-    The spanning tree is the BFS tree rooted at ``basepoint`` (smallest
-    vertex by default) with arrow-name tie-breaking, so the presentation is
-    reproducible.  Rejects disconnected quivers.
+    The spanning tree is the BFS tree from the least vertex with arrow-name
+    tie-breaking, so the presentation is reproducible.  Rejects empty and
+    disconnected quivers.
     """
-    quiver = q.quiver
-    if not quiver.vertices:
+    if not q.quiver.vertices:
         raise ValueError("empty quiver has no canvas")
-    tree = spanning_tree(quiver, basepoint)
-    if len(tree.depth) != len(quiver.vertices):
+    presentations = _presentations(q)
+    if len(presentations) != 1:
         raise ValueError("fundamental group presentation requires a connected quiver")
-    chords = tuple(a.name for a in quiver.arrows if a.name not in tree.tree_arrows)
-    chord_set = frozenset(chords)
-    relators = []
-    for cycle in q.cycles:
-        word = tuple((name, 1) for name in cycle.arrows if name in chord_set)
-        relators.append(word)
-    return GroupPresentation(chords, tuple(relators))
+    return presentations[q.quiver.vertices[0]]
 
 
 def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
@@ -167,8 +183,7 @@ def _describe_h1(group: AbelianGroup) -> str:
     return text
 
 
-def _component_verdict(q: QuiverWithCycles, budget: int) -> SimplyConnectedVerdict:
-    presentation = pi1_presentation(q)
+def _component_verdict(presentation: GroupPresentation, budget: int) -> SimplyConnectedVerdict:
     group = _abelianised(presentation)
     if not group.is_trivial:
         return SimplyConnectedVerdict("No", _describe_h1(group))
@@ -195,7 +210,7 @@ def is_simply_connected(
     if budget < 1:
         raise ValueError("coset budget must be positive")
     verdicts: list[tuple[VertexId, SimplyConnectedVerdict]] = [
-        (part.quiver.vertices[0], _component_verdict(part, budget)) for part in split_components(q)
+        (root, _component_verdict(presentation, budget)) for root, presentation in _presentations(q).items()
     ]
     if not verdicts:
         return SimplyConnectedVerdict("Yes", "empty quiver")

@@ -42,14 +42,19 @@ def _parse_cut_option(text: str) -> frozenset[str]:
     return frozenset(part for part in text.split(",") if part)
 
 
-def _coset_budget(text: str) -> int:
-    try:
-        budget = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if budget < 1:
-        raise argparse.ArgumentTypeError(f"coset budget must be positive, got {budget}")
-    return budget
+def _positive_int(what: str):
+    """An argparse type that reads a positive integer, naming ``what`` when it is not."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be positive, got {value}")
+        return value
+
+    return parse
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -145,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default="-")
     p.add_argument(
         "--coset-budget",
-        type=_coset_budget,
+        type=_positive_int("coset budget"),
         default=DEFAULT_COSET_BUDGET,
         metavar="N",
         help="coset limit for the simply-connected decision (default %(default)s)",
@@ -174,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--split",
         nargs="?",
         const=2,
-        type=int,
+        type=_positive_int("split count"),
         metavar="N",
         help="Morita-split doubled-extension vertices into N copies (default 2)",
     )

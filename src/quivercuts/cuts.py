@@ -6,7 +6,7 @@ and rotating each distinguished cycle through a cut arrow yields the
 relation paths of the truncated presentation.  Two cuts are *compatible*
 when they give every cyclic walk the same degree (arrows of the cut count
 1 forwards and -1 backwards); it suffices to compare them on a cycle-space
-basis, one closed walk per spanning-tree chord, each held as a pair of
+basis, one closed walk per spanning-forest chord, each held as a pair of
 arrow masks.
 
 Cuts form an exact-one hitting problem over the cycles: choosing an arrow
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, spanning_tree, split_components
+from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, spanning_tree
 
 Cut = tuple[ArrowId, ...]  # the cut's arrow names, sorted
 
@@ -206,10 +206,10 @@ def has_enough_cuts(q: QuiverWithCycles) -> bool:
 
 
 def _basis_masks(q: QuiverWithCycles) -> list[tuple[int, int]]:
-    """``(plus, minus)`` arrow masks of a cycle-space basis: one closed walk per chord of each component.
+    """``(plus, minus)`` arrow masks of a cycle-space basis: one closed walk per chord of the spanning forest.
 
-    Each component's spanning tree gives every vertex the masks ``(P, M)`` of the
-    arrows its tree path from the root follows forwards and backwards.  The walk
+    The forest gives every vertex the masks ``(P, M)`` of the arrows its tree
+    path from its component's root follows forwards and backwards.  The walk
     of a chord ``c`` from ``s`` to ``t`` follows ``c`` and returns through the
     tree; the stretch the paths to ``s`` and ``t`` share cancels, so it crosses
     each arrow at most once and the cut ``m`` grades it
@@ -217,17 +217,15 @@ def _basis_masks(q: QuiverWithCycles) -> list[tuple[int, int]]:
     that agree on the basis agree on every cyclic walk.
     """
     bit = q.cut_space.bit
+    tree = spanning_tree(q.quiver)
+    paths = dict.fromkeys(tree.root.values(), (0, 0))
+    for v, (parent, arrow, direction) in tree.parents.items():  # parents first
+        p, m = paths[parent]
+        paths[v] = (p | bit[arrow.name], m) if direction == 1 else (p, m | bit[arrow.name])
     basis = []
-    for part in split_components(q):
-        tree = spanning_tree(part.quiver)
-        paths = {tree.root: (0, 0)}
-        for v, (parent, arrow, direction) in tree.parents.items():  # parents first
-            p, m = paths[parent]
-            paths[v] = (p | bit[arrow.name], m) if direction == 1 else (p, m | bit[arrow.name])
-        for a in part.quiver.arrows:
-            if a.name not in tree.tree_arrows:
-                (ps, ms), (pt, mt) = paths[a.source], paths[a.target]
-                basis.append((bit[a.name] | (ps & ~pt) | (mt & ~ms), (pt & ~ps) | (ms & ~mt)))
+    for a in tree.chords:
+        (ps, ms), (pt, mt) = paths[a.source], paths[a.target]
+        basis.append((bit[a.name] | (ps & ~pt) | (mt & ~ms), (pt & ~ps) | (ms & ~mt)))
     return basis
 
 

@@ -4,9 +4,11 @@ A quiver is a finite directed graph (vertices ``Q0``, arrows ``Q1``).  A
 quiver with cycles carries in addition a set ``Q2`` of directed cycles,
 recording the support of a potential.  Cycles are kept in a canonical
 rotation so that two choices of starting vertex compare equal.
-``CutSpace`` is a quiver's arrow sets as integer bit masks, and a BFS
-``SpanningTree`` per component underlies the cycle-space basis of
-compatibility and the fundamental-group presentation of the canvas.
+``CutSpace`` is a quiver's arrow sets as integer bit masks.  One BFS
+spanning forest, a ``SpanningTree`` rooted at each component's least
+vertex, gives the components that :func:`validate` counts, the chords of
+the cycle-space basis of compatibility and the fundamental-group
+presentation of each component of the canvas.
 
 All values are immutable after construction and every operation here is a
 pure function, so they are safe to share across threads.  Collections are
@@ -160,47 +162,12 @@ class QuiverWithCycles:
         return CutSpace(tuple(order), bit, cycle_mask, touched, tuple(members), tuple(cycles_of), never)
 
 
-def split_components(q: QuiverWithCycles) -> list[QuiverWithCycles]:
-    """``q`` restricted to each of its :func:`connected_components`, in their order.
-
-    A cycle goes with the component that holds its arrows.
-    """
-    parts = []
-    for comp in connected_components(q.quiver):
-        members = set(comp)
-        quiver = Quiver(comp, tuple(a for a in q.quiver.arrows if a.source in members))
-        cycles = tuple(c for c in q.cycles if all(name in quiver.arrow_map for name in c.arrows))
-        parts.append(QuiverWithCycles(quiver, cycles))
-    return parts
-
-
-def connected_components(quiver: Quiver) -> list[tuple[VertexId, ...]]:
-    """Components of the underlying undirected graph, each sorted, smallest first."""
-    seen: set[VertexId] = set()
-    components = []
-    for root in quiver.vertices:
-        if root in seen:
-            continue
-        comp = [root]
-        seen.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for a in quiver.incident.get(v, ()):
-                for w in (a.source, a.target):
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        queue.append(w)
-        components.append(tuple(sorted(comp)))
-    return components
-
-
 def validate(q: QuiverWithCycles) -> list[str]:
     """All invariant violations of ``q``, or an empty list when sound.
 
     Checks identifier uniqueness, arrow endpoints, cycle membership and
-    chaining, and connectivity of the underlying undirected graph.  Each
+    chaining, and connectivity of the underlying undirected graph, whose
+    components are named by the roots of the spanning forest.  Each
     violation names the offending identifier.
     """
     violations: list[str] = []
@@ -239,55 +206,51 @@ def validate(q: QuiverWithCycles) -> list[str]:
                     f"(target {here.target!r} != next source {nxt.source!r})"
                 )
 
-    components = connected_components(quiver)
-    if len(components) > 1:
-        reps = ", ".join(repr(comp[0]) for comp in components)
-        violations.append(f"quiver is not connected ({len(components)} components, containing {reps})")
+    roots = sorted(set(spanning_tree(quiver).root.values()))
+    if len(roots) > 1:
+        reps = ", ".join(map(repr, roots))
+        violations.append(f"quiver is not connected ({len(roots)} components, containing {reps})")
 
     return violations
 
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """A BFS spanning tree of one connected component.
+    """A BFS spanning forest: one tree per connected component, rooted at its least vertex.
 
-    ``parents`` maps every non-root vertex to ``(parent, arrow, direction)``
-    where ``direction`` is +1 if the arrow points parent -> child.  Both
-    mappings list the vertices in BFS order, so a parent precedes its children.
+    ``root`` maps every vertex the forest reached to its component's root,
+    in BFS order, so a parent precedes its children.  ``parents`` maps every
+    non-root vertex to ``(parent, arrow, direction)`` in the same order,
+    where ``direction`` is +1 if the arrow points parent -> child.
+    ``chords`` are the arrows outside the forest whose source it reached,
+    sorted by name.
     """
 
-    root: VertexId
+    root: Mapping[VertexId, VertexId]
     parents: Mapping[VertexId, tuple[VertexId, Arrow, int]]
-    depth: Mapping[VertexId, int]
-    tree_arrows: frozenset[ArrowId]
+    chords: tuple[Arrow, ...]
 
 
-def spanning_tree(quiver: Quiver, root: VertexId | None = None) -> SpanningTree:
-    """BFS spanning tree of the component containing ``root``.
+def spanning_tree(quiver: Quiver) -> SpanningTree:
+    """BFS spanning forest of ``quiver``, a component at a time from its least vertex.
 
-    Defaults to the smallest vertex; neighbours are explored in arrow-name
-    order, which pins the tree (and everything derived from it) uniquely.
+    Neighbours are explored in arrow-name order, which pins the forest (and
+    everything derived from it) uniquely.
     """
-    if not quiver.vertices:
-        raise ValueError("cannot build a spanning tree of an empty quiver")
-    if root is None:
-        root = quiver.vertices[0]
-    if root not in set(quiver.vertices):
-        raise ValueError(f"unknown vertex {root!r}")
+    root: dict[VertexId, VertexId] = {}
     parents: dict[VertexId, tuple[VertexId, Arrow, int]] = {}
-    depth = {root: 0}
-    tree_arrows: set[ArrowId] = set()
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for a in quiver.incident.get(v, ()):
-            other = a.target if a.source == v else a.source
-            if other in depth:
-                continue
-            depth[other] = depth[v] + 1
-            parents[other] = (v, a, 1 if a.source == v else -1)
-            tree_arrows.add(a.name)
-            queue.append(other)
-    return SpanningTree(root, parents, depth, frozenset(tree_arrows))
+    for r in quiver.vertices:
+        if r in root:
+            continue
+        root[r] = r
+        queue = [r]
+        for v in queue:  # grows as the search reaches new vertices
+            for a in quiver.incident.get(v, ()):
+                other = a.target if a.source == v else a.source
+                if other not in root:
+                    root[other] = r
+                    parents[other] = (v, a, 1 if a.source == v else -1)
+                    queue.append(other)
+    tree = {arrow.name for _, arrow, _ in parents.values()}
+    chords = tuple(a for a in quiver.arrows if a.source in root and a.name not in tree)
+    return SpanningTree(root, parents, chords)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping
 
 from .cuts import Cut
@@ -260,7 +259,9 @@ def morita_split(t: LabeledQuiverWithCycles) -> LabeledQuiverWithCycles:
     Each such vertex becomes ``split_count`` copies; arrows replicate over
     all copy pairs of their endpoints except between two split vertices,
     where only the diagonal copies survive.  Distinguished cycles lift to
-    every copy-consistent assignment, keeping their signs.  Without Ext-Ext
+    every closed chain of arrow copies, keeping their signs; the lifts grow
+    an arrow at a time along the copies that exist, so the work follows the
+    number of lifts rather than of copy assignments.  Without Ext-Ext
     vertices the value is returned unchanged.
     """
     split = {
@@ -292,34 +293,30 @@ def morita_split(t: LabeledQuiverWithCycles) -> LabeledQuiverWithCycles:
     }
 
     arrows: list[Arrow] = []
-    copies: dict[tuple[ArrowId, int, int], ArrowId] = {}
+    lifts: dict[tuple[ArrowId, int], list[tuple[int, ArrowId]]] = {}  # (arrow, source copy) -> its copies
     replicas: dict[ArrowId, list[ArrowId]] = {}
     for a in quiver.arrows:
         ms, mt = multiplicity[a.source], multiplicity[a.target]
         both_split = a.source in split and a.target in split
         for k in range(1, ms + 1):
-            for k2 in range(1, mt + 1):
-                if both_split and k != k2:
-                    continue  # the off-diagonal blocks vanish
+            for k2 in (k,) if both_split else range(1, mt + 1):  # the off-diagonal blocks vanish
                 name = a.name if ms == 1 and mt == 1 else f"{a.name}.{k}.{k2}"
                 arrows.append(Arrow(name, copy_vertex(a.source, k), copy_vertex(a.target, k2), a.label))
-                copies[(a.name, k, k2)] = name
+                lifts.setdefault((a.name, k), []).append((k2, name))
                 replicas.setdefault(a.name, []).append(name)
 
     cycles: list[Cycle] = []
     for cycle in t.qwc.cycles:
-        stations = [quiver.arrow(name).source for name in cycle.arrows]
-        for assignment in product(*(range(1, multiplicity[v] + 1) for v in stations)):
-            names = []
-            for idx, name in enumerate(cycle.arrows):
-                k = assignment[idx]
-                k2 = assignment[(idx + 1) % len(stations)]
-                lifted = copies.get((name, k, k2))
-                if lifted is None:
-                    break
-                names.append(lifted)
-            else:
-                cycles.append(Cycle(tuple(names), cycle.sign))
+        # (starting copy, copy reached, arrows so far), extended along the arrow copies that exist;
+        # starting at a station of fewest copies, every partial lift closes up
+        stations = [multiplicity[quiver.arrow(name).source] for name in cycle.arrows]
+        start = stations.index(min(stations))
+        partial = [(k, k, ()) for k in range(1, stations[start] + 1)]
+        for name in cycle.arrows[start:] + cycle.arrows[:start]:
+            partial = [
+                (k0, k2, names + (lifted,)) for k0, k, names in partial for k2, lifted in lifts.get((name, k), ())
+            ]
+        cycles += [Cycle(names, cycle.sign) for k0, k, names in partial if k == k0]
 
     provenance = None
     if t.provenance is not None:

@@ -7,13 +7,17 @@ the bit masks the library uses.  The compatibility oracle looks for a height
 function whose differences are the two cuts' difference, apart from the
 spanning-tree basis the library compares on.  The enough-cuts and
 full-compatibility oracles judge a list of all the cuts, apart from the
-cut-state DAG the library reads.
+cut-state DAG the library reads.  The component oracle rebuilds a quiver
+with cycles per component by depth-first search, apart from the one
+spanning forest the library reads components off.  The Morita lift oracle
+tries every copy assignment of a cycle's stations, apart from the
+arrow-by-arrow extension the library makes.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterable
 
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
@@ -48,6 +52,62 @@ def is_acyclic(quiver: Quiver) -> bool:
 def oracle_is_cut(q: QuiverWithCycles, arrows: frozenset[str]) -> bool:
     """Every distinguished cycle meets ``arrows`` exactly once, counting repeated occurrences."""
     return all(sum(1 for name in cycle.arrows if name in arrows) == 1 for cycle in q.cycles)
+
+
+def oracle_split_components(q: QuiverWithCycles) -> list[QuiverWithCycles]:
+    """``q`` restricted to each component of the underlying undirected graph.
+
+    Components come in the order of their least declared vertex, each holding
+    the arrows whose source it holds and the cycles all of whose arrows it holds.
+    """
+    seen: set[str] = set()
+    parts = []
+    for root in q.quiver.vertices:
+        if root in seen:
+            continue
+        seen.add(root)
+        comp, stack = [root], [root]
+        while stack:
+            v = stack.pop()
+            for a in q.quiver.incident.get(v, ()):
+                for w in (a.source, a.target):
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+        members = set(comp)
+        quiver = Quiver(tuple(comp), tuple(a for a in q.quiver.arrows if a.source in members))
+        cycles = tuple(c for c in q.cycles if all(name in quiver.arrow_map for name in c.arrows))
+        parts.append(QuiverWithCycles(quiver, cycles))
+    return parts
+
+
+def oracle_morita_cycles(t: LabeledQuiverWithCycles) -> tuple[Cycle, ...]:
+    """The distinguished cycles of the Morita split of ``t``, canonicalised.
+
+    Every assignment of copies to a cycle's stations is tried, and those
+    whose arrow copies all exist lift; between two split vertices only the
+    diagonal copies exist.
+    """
+    quiver = t.qwc.quiver
+    split = {v for v, pair in t.labels.items() if len(pair) == 2 and {lab.kind for lab in pair} == {"Ext"}}
+    n = max((lab.split_count for v in split for lab in t.labels[v]), default=1)
+    multiplicity = {v: n if v in split else 1 for v in quiver.vertices}
+    copies = {}
+    for a in quiver.arrows:
+        ms, mt = multiplicity[a.source], multiplicity[a.target]
+        for k, k2 in product(range(1, ms + 1), range(1, mt + 1)):
+            if not (a.source in split and a.target in split and k != k2):
+                copies[(a.name, k, k2)] = a.name if ms == mt == 1 else f"{a.name}.{k}.{k2}"
+    cycles = []
+    for cycle in t.qwc.cycles:
+        stations = [quiver.arrow(name).source for name in cycle.arrows]
+        for assignment in product(*(range(1, multiplicity[v] + 1) for v in stations)):
+            closed = assignment[1:] + assignment[:1]
+            names = tuple(copies.get(key) for key in zip(cycle.arrows, assignment, closed))
+            if None not in names:
+                cycles.append(Cycle(names, cycle.sign))
+    return QuiverWithCycles(Quiver((), ()), tuple(cycles)).cycles
 
 
 def brute_force_cuts(q: QuiverWithCycles) -> list[frozenset[str]]:

@@ -52,14 +52,8 @@ def test_pi1_counts(b2b2_split, circle):
 def test_pi1_rejects_disconnected():
     with pytest.raises(ValueError, match="connected"):
         pi1_presentation(qwc(["1", "2"], []))
-
-
-def test_pi1_basepoint_choice(circle):
-    for basepoint in circle.qwc.quiver.vertices:
-        pres = pi1_presentation(circle.qwc, basepoint)
-        assert len(pres.generators) == 1
-    with pytest.raises(ValueError, match="unknown vertex"):
-        pi1_presentation(circle.qwc, "nowhere")
+    with pytest.raises(ValueError, match="empty quiver"):
+        pi1_presentation(qwc([], []))
 
 
 def test_pi1_deterministic(b2b2_split):

@@ -257,6 +257,17 @@ def test_tensor_split_count(capsys):
     assert len(data["arrows"]) == 11
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("family", ["A2", "B2:2>1", "C3", "F4"])
+def test_tensor_rejects_non_positive_split(capsys, family, count):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["tensor", "--left", family, "--right", family, "--split", count])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "split count must be positive" in captured.err
+
+
 def test_tensor_bad_spec(capsys):
     code, _, err = run(capsys, "tensor", "--left", "H9", "--right", "A2")
     assert code == 1

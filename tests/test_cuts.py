@@ -11,10 +11,12 @@ from support import (
     oracle_has_enough_cuts,
     oracle_is_cut,
     oracle_is_fully_compatible,
+    oracle_split_components,
     random_quiver_with_cycles,
     random_tree_quiver,
 )
 
+from quivercuts.canvas import _presentations, pi1_presentation
 from quivercuts.cuts import (
     UncoveredQuiverWarning,
     are_compatible,
@@ -160,6 +162,12 @@ def _check_against_oracles(q, rng):
         assert is_cut(q, first)
         assert are_compatible(q, first, second) == oracle_are_compatible(q, first, second)
     assert is_fully_compatible(q) == oracle_is_fully_compatible(q, oracle)
+    # each component's presentation, read off the one forest, is that of the component alone
+    parts = oracle_split_components(q)
+    presentations = _presentations(q)
+    assert list(presentations) == [part.quiver.vertices[0] for part in parts]
+    for part in parts:
+        assert presentations[part.quiver.vertices[0]] == pi1_presentation(part)
 
 
 def test_deep_cut_needs_no_recursion():

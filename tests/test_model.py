@@ -9,7 +9,6 @@ from quivercuts.model import (
     Cycle,
     Quiver,
     QuiverWithCycles,
-    connected_components,
     spanning_tree,
     validate,
 )
@@ -122,7 +121,7 @@ def test_random_cyclic_walks_lie_in_basis_span(seed, b2b2_split, a3b2, circle):
     rng = random.Random(seed)
     for value in (b2b2_split, a3b2, circle):
         quiver = value.qwc.quiver
-        tree_arrows = spanning_tree(quiver).tree_arrows
+        chords = {a.name for a in spanning_tree(quiver).chords}
         walk = random_cyclic_walk(rng, quiver)
         if walk is None:
             continue
@@ -130,7 +129,7 @@ def test_random_cyclic_walks_lie_in_basis_span(seed, b2b2_split, a3b2, circle):
         for name, direction in walk:
             residue[name] = residue.get(name, 0) + direction
         for vector in basis_vectors(value.qwc):
-            (chord,) = set(vector) - tree_arrows
+            (chord,) = set(vector) & chords
             coefficient = residue.get(chord, 0)
             for name, count in vector.items():
                 residue[name] = residue.get(name, 0) - coefficient * count
@@ -138,8 +137,11 @@ def test_random_cyclic_walks_lie_in_basis_span(seed, b2b2_split, a3b2, circle):
 
 
 def test_connected_components():
-    quiver = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"),))
-    assert connected_components(quiver) == [("1", "2"), ("3",)]
+    # the forest roots each component at its least vertex and keeps BFS order
+    quiver = Quiver(("1", "2", "3", "4"), (Arrow("a", "1", "4"), Arrow("b", "4", "2"), Arrow("c", "2", "1")))
+    tree = spanning_tree(quiver)
+    assert list(tree.root.items()) == [("1", "1"), ("4", "1"), ("2", "1"), ("3", "3")]
+    assert [a.name for a in tree.chords] == ["b"]
 
 
 def test_quiver_with_cycles_deduplicates_rotations():

@@ -1,6 +1,12 @@
-"""The public surface of the package, pinned: adding or dropping an export edits this list."""
+"""The public surface of the package, pinned: adding or dropping an export edits this list.
 
+The runtime imports nothing outside the standard library.
+"""
+
+import ast
+import sys
 import types
+from pathlib import Path
 
 import quivercuts
 
@@ -43,7 +49,6 @@ EXPORTS = {
     "Quiver",
     "QuiverWithCycles",
     "VertexId",
-    "connected_components",
     "validate",
     # mutation
     "MutationEdge",
@@ -76,3 +81,18 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == EXPORTS
+
+
+def test_runtime_is_stdlib_only():
+    sources = sorted(Path(quivercuts.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in sys.stdlib_module_names, f"{path.name} imports {module}"

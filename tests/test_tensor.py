@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import l_homogeneity, labeled_isomorphic, random_tree_quiver
+from support import l_homogeneity, labeled_isomorphic, oracle_morita_cycles, random_tree_quiver
 
 from quivercuts.canvas import euler_characteristic, is_simply_connected
 from quivercuts.cuts import (
@@ -13,7 +13,7 @@ from quivercuts.cuts import (
     is_cut,
     is_fully_compatible,
 )
-from quivercuts.model import Arrow, Quiver, connected_components, validate
+from quivercuts.model import Arrow, Quiver, spanning_tree, validate
 from quivercuts.mutation import is_transitive
 from quivercuts.tensor import (
     BASE,
@@ -285,7 +285,7 @@ def test_all_ext_split_is_a_disjoint_union_of_simply_connected_copies():
     assert len(q.quiver.vertices) == 8
     assert len(q.quiver.arrows) == 10
     assert len(q.cycles) == 4
-    assert len(connected_components(q.quiver)) == 2
+    assert len(set(spanning_tree(q.quiver).root.values())) == 2
     assert is_simply_connected(q).status == "Yes"
     assert is_covered(q)
     cuts = enumerate_cuts(q)
@@ -293,6 +293,20 @@ def test_all_ext_split_is_a_disjoint_union_of_simply_connected_copies():
     assert has_enough_cuts(q)
     assert is_transitive(q)
     assert is_fully_compatible(q)
+
+
+@pytest.mark.parametrize(
+    ("left", "right", "count"),
+    [("B2", "B2", 2), ("B3", "B3", 3), ("C3", "F4", 4), ("F4", "F4", 2), ("B3", "G2", 5)],
+)
+def test_morita_split_cycles_match_every_copy_assignment(left, right, count):
+    t = tensor_qwc(
+        dynkin_quiver(parse_dynkin_spec(left), split_count=count),
+        dynkin_quiver(parse_dynkin_spec(right), split_count=count),
+    )
+    cycles = morita_split(t).qwc.cycles
+    assert cycles == oracle_morita_cycles(t)
+    assert len(cycles) > len(t.qwc.cycles)
 
 
 def test_morita_split_inconsistent_counts():
