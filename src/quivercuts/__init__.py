@@ -44,7 +44,6 @@ from .model import (
     validate,
 )
 from .mutation import (
-    MutationEdge,
     MutationGraph,
     is_transitive,
     mutate_minus,

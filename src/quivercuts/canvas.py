@@ -33,10 +33,11 @@ def euler_characteristic(q: QuiverWithCycles) -> int:
 
 @dataclass(frozen=True)
 class GroupPresentation:
-    """Generators are spanning-tree chords; relators are erased cycle words."""
+    """Generators are spanning-tree chords; each relator is a cycle's chord names
+    in order, its forest arrows erased (every letter has exponent 1)."""
 
     generators: tuple[ArrowId, ...]
-    relators: tuple[tuple[tuple[ArrowId, int], ...], ...]
+    relators: tuple[tuple[ArrowId, ...], ...]
 
 
 def _presentations(q: QuiverWithCycles) -> dict[VertexId, GroupPresentation]:
@@ -56,7 +57,7 @@ def _presentations(q: QuiverWithCycles) -> dict[VertexId, GroupPresentation]:
     for cycle in q.cycles:
         roots = {tree.root.get(arrows[name].source) if name in arrows else None for name in cycle.arrows}
         if len(roots) == 1 and None not in roots:
-            relators[roots.pop()].append(tuple((name, 1) for name in cycle.arrows if name in chord_set))
+            relators[roots.pop()].append(tuple(name for name in cycle.arrows if name in chord_set))
     return {r: GroupPresentation(tuple(chords[r]), tuple(relators[r])) for r in chords}
 
 
@@ -147,27 +148,23 @@ class AbelianGroup:
         return self.free_rank == 0 and not self.torsion
 
 
-def _abelianised(presentation: GroupPresentation) -> AbelianGroup:
-    generators = presentation.generators
-    if not generators:
-        return AbelianGroup(0, ())
-    index = {name: i for i, name in enumerate(generators)}
-    rows = []
-    for word in presentation.relators:
-        row = [0] * len(generators)
-        for name, exponent in word:
-            row[index[name]] += exponent
-        rows.append(row)
-    if not rows:
-        return AbelianGroup(len(generators), ())
-    diagonal = smith_diagonal(rows)
-    torsion = tuple(d for d in diagonal if d > 1)
-    return AbelianGroup(len(generators) - len(diagonal), torsion)
+def _words(presentation: GroupPresentation) -> list[list[int]]:
+    """The relators as 1-based generator positions, the coset enumerator's letters."""
+    position = {name: i for i, name in enumerate(presentation.generators, 1)}
+    return [[position[name] for name in word] for word in presentation.relators]
+
+
+def _abelianised(n_generators: int, words: list[list[int]]) -> AbelianGroup:
+    if not n_generators or not words:
+        return AbelianGroup(n_generators, ())
+    diagonal = smith_diagonal([[word.count(g) for g in range(1, n_generators + 1)] for word in words])
+    return AbelianGroup(n_generators - len(diagonal), tuple(d for d in diagonal if d > 1))
 
 
 def h1(q: QuiverWithCycles) -> AbelianGroup:
     """First homology of the canvas (abelianised fundamental group)."""
-    return _abelianised(pi1_presentation(q))
+    presentation = pi1_presentation(q)
+    return _abelianised(len(presentation.generators), _words(presentation))
 
 
 @dataclass(frozen=True)
@@ -184,13 +181,10 @@ def _describe_h1(group: AbelianGroup) -> str:
 
 
 def _component_verdict(presentation: GroupPresentation, budget: int) -> SimplyConnectedVerdict:
-    group = _abelianised(presentation)
+    words = _words(presentation)
+    group = _abelianised(len(presentation.generators), words)
     if not group.is_trivial:
         return SimplyConnectedVerdict("No", _describe_h1(group))
-    words = [
-        [presentation.generators.index(name) + 1 for name, _ in word]
-        for word in presentation.relators
-    ]
     result = enumerate_trivial_subgroup(len(presentation.generators), words, budget)
     if not result.closed:
         return SimplyConnectedVerdict("Unknown", f"budget exhausted at {result.defined_cosets} cosets")

@@ -255,9 +255,8 @@ def mutation_graph_to_dot(graph: MutationGraph, directed: bool = False) -> str:
     for i, node in enumerate(graph.nodes):
         lines.append(f"  n{i} [label={_dot_quote(','.join(node))}];")
     if directed:
-        for e in graph.edges:
-            label = f"mu{e.direction} {e.vertex}"
-            lines.append(f"  n{e.source} {joiner} n{e.target} [label={_dot_quote(label)}];")
+        for i, j, vertex, direction in graph.edges:
+            lines.append(f"  n{i} {joiner} n{j} [label={_dot_quote(f'mu{direction} {vertex}')}];")
     else:
         for i, j, vertex in graph.undirected_edges():
             lines.append(f"  n{i} {joiner} n{j} [label={_dot_quote(vertex)}];")
@@ -281,8 +280,8 @@ def mutation_graph_to_json(graph: MutationGraph) -> str:
 
     nodes = [array([quote(name) for name in node], "    ") for node in graph.nodes]
     edges = [
-        f'{{\n      "source": {e.source},\n      "target": {e.target},\n'
-        f'      "vertex": {quote(e.vertex)},\n      "direction": {quote(e.direction)}\n    }}'
-        for e in graph.edges
+        f'{{\n      "source": {i},\n      "target": {j},\n'
+        f'      "vertex": {quote(vertex)},\n      "direction": {quote(direction)}\n    }}'
+        for i, j, vertex, direction in graph.edges
     ]
     return f'{{\n  "nodes": {array(nodes, "  ")},\n  "edges": {array(edges, "  ")}\n}}\n'

@@ -5,8 +5,9 @@ in ``C`` and none of its outgoing arrows do; mutation at a strict source
 swaps that incidence (remove incoming, add outgoing), and dually at strict
 sinks.  Both operations send cuts to cuts and are mutually inverse.
 
-The mutation graph has one node per cut and one labelled edge per single
-mutation.  Transitivity of cut-mutation is connectivity of this graph.
+The mutation graph has one node per cut and one edge per single mutation,
+a plain ``(source, target, vertex, direction)`` tuple.  Transitivity of
+cut-mutation is connectivity of this graph.
 Free arrows (arrows in no distinguished cycle) never belong to enumerated
 cuts, so graph edges are computed in the subquiver spanned by cycle arrows;
 for covered quivers this changes nothing.  Cuts are handled as bit masks
@@ -16,7 +17,7 @@ over the quiver's :class:`~quivercuts.model.CutSpace`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .cuts import Cut, _cut_mask, enumerate_cuts
 from .model import ArrowId, CutSpace, QuiverWithCycles, VertexId
@@ -77,28 +78,25 @@ def mutate_minus(q: QuiverWithCycles, cut: Iterable[ArrowId], vertex: VertexId) 
     return _mutate(q, cut, vertex, "-")
 
 
-class MutationEdge(NamedTuple):
-    source: int
-    target: int
-    vertex: VertexId
-    direction: str  # "+" for source mutation, "-" for sink mutation
-
-
 @dataclass(frozen=True)
 class MutationGraph:
     """Nodes are the cuts in :func:`~quivercuts.cuts.enumerate_cuts` order; edges are single mutations.
 
-    Every "+" edge has a matching "-" edge in reverse, so the undirected
-    view collapses each such pair into one edge labelled by its vertex.
+    Each edge is a plain tuple ``(source, target, vertex, direction)``:
+    node indices, the mutation vertex, and "+" for a source mutation or "-"
+    for a sink mutation.  ``edges`` is sorted.  Each labelled pair of cuts
+    is joined by exactly two edges, one leaving each end, because mutation
+    at a vertex is an involution that swaps "+" and "-", it never fixes a
+    cut, and no vertex with cycle arrows is both a strict source and a
+    strict sink of one cut.  So the edges with ``source < target`` name
+    every labelled pair once, in sorted order.
     """
 
     nodes: tuple[Cut, ...]
-    edges: tuple[MutationEdge, ...]
+    edges: tuple[tuple[int, int, VertexId, str], ...]
 
     def undirected_edges(self) -> tuple[tuple[int, int, VertexId], ...]:
-        # each "+" edge has exactly one reversed "-" edge, so the "+" edges name every pair once
-        plus = (e for e in self.edges if e.direction == "+")
-        return tuple(sorted((min(e.source, e.target), max(e.source, e.target), e.vertex) for e in plus))
+        return tuple((i, j, v) for i, j, v, _ in self.edges if i < j)
 
     def component_count(self) -> int:
         parent = list(range(len(self.nodes)))
@@ -109,8 +107,8 @@ class MutationGraph:
                 i = parent[i]
             return i
 
-        for e in self.edges:
-            a, b = find(e.source), find(e.target)
+        for i, j, _ in self.undirected_edges():
+            a, b = find(i), find(j)
             if a != b:
                 parent[max(a, b)] = min(a, b)
         return len({find(i) for i in range(len(self.nodes))})
@@ -132,14 +130,13 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
     moves = _moves(space, space.cycle_mask)
     masks = [sum(map(space.bit.__getitem__, cut)) for cut in cuts]
     index = {m: i for i, m in enumerate(masks)}
-    edges: list[MutationEdge] = []
+    edges: list[tuple[int, int, VertexId, str]] = []
     for i, m in enumerate(masks):
-        row = sorted(
-            (index[(m & ~drop) | add], v, direction)
+        edges += sorted(
+            (i, index[(m & ~drop) | add], v, direction)
             for v, drop, add, direction in moves
             if m & drop == drop and not m & add
         )
-        edges.extend(MutationEdge(i, j, v, direction) for j, v, direction in row)
     return MutationGraph(tuple(cuts), tuple(edges))
 
 

@@ -7,11 +7,13 @@ the bit masks the library uses.  The compatibility oracle looks for a height
 function whose differences are the two cuts' difference, apart from the
 spanning-tree basis the library compares on.  The enough-cuts and
 full-compatibility oracles judge a list of all the cuts, apart from the
-cut-state DAG the library reads.  The component oracle rebuilds a quiver
-with cycles per component by depth-first search, apart from the one
-spanning forest the library reads components off.  The Morita lift oracle
-tries every copy assignment of a cycle's stations, apart from the
-arrow-by-arrow extension the library makes.
+cut-state DAG the library reads.  The mutation-graph component count is a
+breadth-first search over the oracle's directed edges, apart from the
+union-find over the undirected view the library runs.  The component
+oracle rebuilds a quiver with cycles per component by depth-first search,
+apart from the one spanning forest the library reads components off.  The
+Morita lift oracle tries every copy assignment of a cycle's stations, apart
+from the arrow-by-arrow extension the library makes.
 """
 
 from __future__ import annotations
@@ -205,6 +207,28 @@ def oracle_mutation_edges(q: QuiverWithCycles, cuts: Iterable[Iterable[str]]) ->
             for v in vertices:
                 edges.add((i, index[oracle_mutate(core, cut, v, direction)], v, direction))
     return sorted(edges)
+
+
+def oracle_component_count(n_nodes: int, edges: Iterable[tuple[int, int, str, str]]) -> int:
+    """Connected components of the graph on ``range(n_nodes)``, by breadth-first search."""
+    neighbours: list[list[int]] = [[] for _ in range(n_nodes)]
+    for i, j, _, _ in edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    seen = [False] * n_nodes
+    count = 0
+    for start in range(n_nodes):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = [start]
+        for v in queue:
+            for w in neighbours[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    return count
 
 
 _L_VALUES = {

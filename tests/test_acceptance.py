@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion; assertions are exact (no tolerances are loosened here).
 """
 
+import hashlib
 import random
 import time
 
@@ -18,6 +19,7 @@ from quivercuts.cuts import (
     truncated_presentation,
     truncated_quiver,
 )
+from quivercuts.docio import mutation_graph_to_dot, mutation_graph_to_json
 from quivercuts.model import Quiver
 from quivercuts.mutation import mutate_minus, mutation_graph
 from quivercuts.tensor import (
@@ -67,6 +69,17 @@ def test_criterion_2_e6f4_structural_suite():
     assert len(graph.edges) == 150598
     assert len(graph.undirected_edges()) == 75299
     assert graph.is_connected
+    # the exports' bytes, pinned
+    exports = {
+        "json": mutation_graph_to_json(graph),
+        "dot": mutation_graph_to_dot(graph),
+        "directed dot": mutation_graph_to_dot(graph, directed=True),
+    }
+    assert {kind: hashlib.sha256(text.encode()).hexdigest() for kind, text in exports.items()} == {
+        "json": "6127fcf8e6ae3a569bc45c136cdd753d8ad160ec900c02886e3574ee1aec331e",
+        "dot": "e6821ef7b18898d825ec8d445d8fac870f5351c4095d0a0d6e2fef20d826a696",
+        "directed dot": "560af9fdfc30e6ef285b5a2700a7298cc89b7ccfb7038c56ee277b8da38d8e46",
+    }
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _passed(2, f"E6xF4 covered, enough cuts, fully compatible, simply connected, connected graph ({elapsed:.2f}s)")
@@ -139,13 +152,12 @@ def test_criterion_6_property_suite():
         graph = mutation_graph(q)
         assert graph.nodes == tuple(cuts)
         assert all(is_cut(q, node) for node in graph.nodes)
-        edges = [(e.source, e.target, e.vertex, e.direction) for e in graph.edges]
-        assert edges == oracle_mutation_edges(q, cuts)
-        plus = {(e.source, e.target, e.vertex) for e in graph.edges if e.direction == "+"}
-        minus = {(e.target, e.source, e.vertex) for e in graph.edges if e.direction == "-"}
+        assert graph.edges == tuple(oracle_mutation_edges(q, cuts))
+        plus = {(i, j, v) for i, j, v, d in graph.edges if d == "+"}
+        minus = {(j, i, v) for i, j, v, d in graph.edges if d == "-"}
         assert plus == minus
-        # the "+" edges alone give the undirected view of all edges
-        pairs = {(min(e.source, e.target), max(e.source, e.target), e.vertex) for e in graph.edges}
+        # the edges leaving their lower end give the undirected view of all edges
+        pairs = {(min(i, j), max(i, j), v) for i, j, v, _ in graph.edges}
         assert graph.undirected_edges() == tuple(sorted(pairs))
         # (e) fully compatible + covered + enough cuts forces transitivity
         assert is_fully_compatible(q)

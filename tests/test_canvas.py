@@ -47,6 +47,8 @@ def test_pi1_counts(b2b2_split, circle):
     assert len(split_pres.generators) == 4
     assert len(split_pres.relators) == 4
     assert all(word for word in split_pres.relators)
+    # relators are words of chord names: every letter is a generator
+    assert all(letter in split_pres.generators for word in split_pres.relators for letter in word)
 
 
 def test_pi1_rejects_disconnected():

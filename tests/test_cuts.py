@@ -10,7 +10,9 @@ from support import (
     oracle_are_compatible,
     oracle_has_enough_cuts,
     oracle_is_cut,
+    oracle_component_count,
     oracle_is_fully_compatible,
+    oracle_mutation_edges,
     oracle_split_components,
     random_quiver_with_cycles,
     random_tree_quiver,
@@ -30,6 +32,7 @@ from quivercuts.cuts import (
     truncated_quiver,
 )
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
+from quivercuts.mutation import is_transitive, mutation_graph
 from quivercuts.tensor import dynkin_quiver, parse_dynkin_spec, standard_cuts, tensor_qwc
 
 B2B2_CUTS = [
@@ -168,6 +171,14 @@ def _check_against_oracles(q, rng):
     assert list(presentations) == [part.quiver.vertices[0] for part in parts]
     for part in parts:
         assert presentations[part.quiver.vertices[0]] == pi1_presentation(part)
+    # the mutation graph, its undirected view and its components, against the frozenset oracle
+    graph = mutation_graph(q)
+    edges = oracle_mutation_edges(q, cuts)
+    assert graph.edges == tuple(edges)
+    assert graph.undirected_edges() == tuple(sorted({(min(i, j), max(i, j), v) for i, j, v, _ in edges}))
+    components = oracle_component_count(len(cuts), edges)
+    assert graph.component_count() == components
+    assert graph.is_connected == (components <= 1)
 
 
 def test_deep_cut_needs_no_recursion():
@@ -182,8 +193,6 @@ def test_deep_cut_needs_no_recursion():
 
 
 def test_uncovered_warning_points_at_the_caller():
-    from quivercuts.mutation import is_transitive, mutation_graph
-
     q = qwc(
         ["1", "2"],
         [Arrow("u", "1", "2"), Arrow("v", "2", "1"), Arrow("free", "1", "2")],

@@ -198,8 +198,8 @@ def _reference_graph_json(graph):
     doc = {
         "nodes": [list(node) for node in graph.nodes],
         "edges": [
-            {"source": e.source, "target": e.target, "vertex": e.vertex, "direction": e.direction}
-            for e in graph.edges
+            {"source": i, "target": j, "vertex": vertex, "direction": direction}
+            for i, j, vertex, direction in graph.edges
         ],
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -86,8 +86,8 @@ def test_mutation_graph_a3b2(a3b2):
 def test_mutation_graph_edge_involution(b2b2_split, a3b2):
     for q in (b2b2_split.qwc, a3b2.qwc):
         graph = mutation_graph(q)
-        plus = {(e.source, e.target, e.vertex) for e in graph.edges if e.direction == "+"}
-        minus = {(e.target, e.source, e.vertex) for e in graph.edges if e.direction == "-"}
+        plus = {(i, j, v) for i, j, v, d in graph.edges if d == "+"}
+        minus = {(j, i, v) for i, j, v, d in graph.edges if d == "-"}
         assert plus == minus
 
 
@@ -104,8 +104,8 @@ def test_mutation_graph_degree_matches_strict_counts(b2b2_split):
 def test_edges_join_compatible_cuts(b2b2_split):
     q = b2b2_split.qwc
     graph = mutation_graph(q)
-    for e in graph.edges:
-        assert are_compatible(q, graph.nodes[e.source], graph.nodes[e.target])
+    for i, j, _, _ in graph.edges:
+        assert are_compatible(q, graph.nodes[i], graph.nodes[j])
 
 
 def test_single_node_graph():
@@ -195,8 +195,7 @@ def test_mask_mutation_matches_frozenset_oracle(name, request):
     cuts = enumerate_cuts(q)
     graph = mutation_graph(q)
     assert graph.nodes == tuple(cuts)
-    edges = [(e.source, e.target, e.vertex, e.direction) for e in graph.edges]
-    assert edges == oracle_mutation_edges(q, cuts)
+    assert graph.edges == tuple(oracle_mutation_edges(q, cuts))
     # off the enumerated cuts, free arrows count in the strictness test
     free = frozenset(a.name for a in q.quiver.arrows) - q.cycle_arrows
     for members in [frozenset(cut) for cut in cuts] + [frozenset(cut) | free for cut in cuts]:

@@ -51,7 +51,6 @@ EXPORTS = {
     "VertexId",
     "validate",
     # mutation
-    "MutationEdge",
     "MutationGraph",
     "is_transitive",
     "mutate_minus",
