@@ -157,7 +157,11 @@ def _words(presentation: GroupPresentation) -> list[list[int]]:
 def _abelianised(n_generators: int, words: list[list[int]]) -> AbelianGroup:
     if not n_generators or not words:
         return AbelianGroup(n_generators, ())
-    diagonal = smith_diagonal([[word.count(g) for g in range(1, n_generators + 1)] for word in words])
+    matrix = [[0] * n_generators for _ in words]
+    for row, word in zip(matrix, words):
+        for g in word:
+            row[g - 1] += 1
+    diagonal = smith_diagonal(matrix)
     return AbelianGroup(n_generators - len(diagonal), tuple(d for d in diagonal if d > 1))
 
 

@@ -13,7 +13,9 @@ union-find over the undirected view the library runs.  The component
 oracle rebuilds a quiver with cycles per component by depth-first search,
 apart from the one spanning forest the library reads components off.  The
 Morita lift oracle tries every copy assignment of a cycle's stations, apart
-from the arrow-by-arrow extension the library makes.
+from the arrow-by-arrow extension the library makes.  The coset oracle keeps a
+Python list per row and scans every column on a coincidence, apart from the
+flat table and defined-column masks of the library.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import random
 from itertools import permutations, product
 from typing import Iterable
 
+from quivercuts.coset import EnumerationResult
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
 from quivercuts.tensor import BASE, LabeledDynkinSpec, LabeledQuiver, LabeledQuiverWithCycles
 
@@ -370,3 +373,96 @@ def labeled_isomorphic(x: LabeledQuiverWithCycles, y: LabeledQuiverWithCycles) -
             if mapped == y_cycles:
                 return True
     return False
+
+
+class _OracleBudget(Exception):
+    pass
+
+
+class _OracleCosetTable:
+    """One Python list per row, every column scanned on each coincidence."""
+
+    def __init__(self, n_generators: int, max_cosets: int):
+        self.columns = 2 * n_generators
+        self.max_cosets = max_cosets
+        self.label: list[int] = []
+        self.rows: list[list[int]] = []
+        self.live = 0
+
+    def find(self, c: int) -> int:
+        root = c
+        while self.label[root] != root:
+            root = self.label[root]
+        while self.label[c] != root:
+            self.label[c], c = root, self.label[c]
+        return root
+
+    def define(self) -> int:
+        if len(self.rows) >= self.max_cosets:
+            raise _OracleBudget
+        c = len(self.rows)
+        self.label.append(c)
+        self.rows.append([-1] * self.columns)
+        self.live += 1
+        return c
+
+    def follow(self, c: int, column: int) -> int:
+        c = self.find(c)
+        entry = self.rows[c][column]
+        if entry == -1:
+            d = self.define()
+            self.rows[c][column] = d
+            self.rows[d][column ^ 1] = c
+            return d
+        return self.find(entry)
+
+    def unify(self, a: int, b: int) -> None:
+        pending = [(a, b)]
+        while pending:
+            a, b = pending.pop()
+            a, b = self.find(a), self.find(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            self.label[b] = a
+            self.live -= 1
+            row_a, row_b = self.rows[a], self.rows[b]
+            for column in range(self.columns):
+                other = row_b[column]
+                if other == -1:
+                    continue
+                if row_a[column] == -1:
+                    row_a[column] = other
+                else:
+                    pending.append((row_a[column], other))
+
+
+def oracle_enumerate_trivial_subgroup(
+    n_generators: int, relators: list[list[int]], max_cosets: int
+) -> EnumerationResult:
+    """HLT enumeration on a table of per-row lists, the same definition order
+    as ``coset.enumerate_trivial_subgroup``.  Letters must be in range."""
+    words = [[2 * (abs(x) - 1) + (x < 0) for x in word] for word in relators]
+    table = _OracleCosetTable(n_generators, max_cosets)
+    try:
+        table.define()
+        scanned = 0
+        while scanned < len(table.label):
+            if table.find(scanned) == scanned:
+                for word in words:
+                    at = scanned
+                    for column in word:
+                        at = table.follow(at, column)
+                    table.unify(at, table.find(scanned))
+                    if table.find(scanned) != scanned:
+                        break
+                live = table.find(scanned)
+                if live == scanned:
+                    for column in range(table.columns):
+                        if table.rows[live][column] == -1:
+                            table.follow(live, column)
+            scanned += 1
+    except _OracleBudget:
+        return EnumerationResult(False, table.live, len(table.rows))
+    return EnumerationResult(True, table.live, len(table.rows))

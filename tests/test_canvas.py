@@ -10,9 +10,10 @@ from quivercuts.canvas import (
     pi1_presentation,
     smith_diagonal,
 )
-from quivercuts.coset import enumerate_trivial_subgroup
+from quivercuts.coset import EnumerationResult, enumerate_trivial_subgroup
 from quivercuts.cuts import is_fully_compatible
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
+from support import oracle_enumerate_trivial_subgroup
 
 
 def qwc(vertices, arrows, cycles=()):
@@ -117,6 +118,8 @@ def test_coset_enumeration_known_groups():
     assert enumerate_trivial_subgroup(1, [[1]], 10).live_cosets == 1
     # a free generator never closes
     assert not enumerate_trivial_subgroup(1, [], 64).closed
+    # a budget below one coset defines nothing
+    assert enumerate_trivial_subgroup(1, [[1]], 0) == EnumerationResult(False, 0, 0)
 
 
 def test_coset_enumeration_perfect_group():
@@ -125,6 +128,35 @@ def test_coset_enumeration_perfect_group():
         2, [[1, 1, 1, 1, 1, -1, -2, -1, -2], [2, 2, 2, -1, -2, -1, -2]], 100000
     )
     assert result.closed and result.live_cosets == 120
+
+
+@st.composite
+def presentations(draw):
+    n = draw(st.integers(1, 4))
+    letters = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    relators = draw(st.lists(st.lists(letters, min_size=1, max_size=10), max_size=6))
+    return n, relators, draw(st.integers(1, 5000))
+
+
+@settings(deadline=None, max_examples=150)
+@given(presentations())
+def test_coset_enumeration_matches_oracle(presentation):
+    n, relators, budget = presentation
+    result = enumerate_trivial_subgroup(n, relators, budget)
+    assert result == oracle_enumerate_trivial_subgroup(n, relators, budget)
+    assert result.defined_cosets <= budget
+
+
+def test_wide_presentation_closes():
+    # one vertex, 1500 loops, each loop its own 2-cell: a trivial group on 1500 generators
+    n = 1500
+    q = qwc(["o"], [Arrow(f"a{i}", "o", "o") for i in range(n)], [Cycle((f"a{i}",)) for i in range(n)])
+    verdict = is_simply_connected(q)
+    assert (verdict.status, verdict.evidence) == ("Yes", "coset table closed with 1 coset")
+    relators = [[g] for g in range(1, n + 1)]
+    expected = EnumerationResult(True, 1, n + 1)
+    assert enumerate_trivial_subgroup(n, relators, 10**6) == expected
+    assert oracle_enumerate_trivial_subgroup(n, relators, 10**6) == expected
 
 
 def test_coset_enumeration_rejects_bad_letters():

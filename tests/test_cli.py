@@ -180,6 +180,38 @@ def test_check_budget_flag(capsys):
     assert "simply-connected: Unknown (budget exhausted at 2 cosets)" in out
 
 
+# One-vertex canvases, one loop per generator and one cycle per relator, so
+# each fundamental group is the group presented.
+ONE_VERTEX_CANVASES = {
+    "vonDyck(2,3,5)": ("xy", ("x" * 2, "y" * 3, "xy" * 5), "No (coset table closed with 60 cosets)"),
+    "vonDyck(2,3,4)": ("xy", ("x" * 2, "y" * 3, "xy" * 4), "No (H1 rank 0, torsion 2)"),
+    "vonDyck(3,3,4)": ("xy", ("x" * 3, "y" * 3, "xy" * 4), "No (H1 rank 0, torsion 3)"),
+    "vonDyck(2,3,7)": ("xy", ("x" * 2, "y" * 3, "xy" * 7), "Unknown (budget exhausted at 5000 cosets)"),
+    "vonDyck(3,4,5)": ("xy", ("x" * 3, "y" * 4, "xy" * 5), "Unknown (budget exhausted at 5000 cosets)"),
+    "xyz(2,3,5,7)": ("xyz", ("x" * 2, "y" * 3, "z" * 5, "xyz" * 7), "Unknown (budget exhausted at 5000 cosets)"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
+@pytest.mark.parametrize("name", ONE_VERTEX_CANVASES)
+def test_check_one_vertex_canvases(tmp_path, capsys, name):
+    generators, relators, verdict = ONE_VERTEX_CANVASES[name]
+    document = tmp_path / "canvas.json"
+    document.write_text(
+        json.dumps(
+            {
+                "format_version": 1,
+                "vertices": [{"id": "o"}],
+                "arrows": [{"id": g, "source": "o", "target": "o"} for g in generators],
+                "cycles": [{"arrows": list(word)} for word in relators],
+            }
+        )
+    )
+    code, out, _ = run(capsys, "check", str(document), "--coset-budget", "5000")
+    assert code == 0
+    assert out.splitlines()[3] == f"simply-connected: {verdict}"
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_check_rejects_non_positive_budget(capsys, budget):
     with pytest.raises(SystemExit) as excinfo:
