@@ -38,13 +38,13 @@ class UncoveredQuiverWarning(UserWarning):
 
 
 def _mask(q: QuiverWithCycles, names: Iterable[ArrowId]) -> int:
-    """The bit mask of ``names`` over ``q.cut_space``; raises ``KeyError`` on an unknown arrow."""
+    """The bit mask of ``names`` over ``q.cut_space``; raises ``ValueError`` on an unknown arrow."""
     bit = q.cut_space.bit
     members = frozenset(names)
     try:
         return sum(map(bit.__getitem__, members))  # distinct names have distinct bits
     except KeyError:
-        raise KeyError(f"unknown arrow {min(members - bit.keys())!r}") from None
+        raise ValueError(f"unknown arrow {min(members - bit.keys())!r}") from None
 
 
 def _is_cut_mask(space: CutSpace, m: int) -> bool:

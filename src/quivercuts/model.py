@@ -29,7 +29,6 @@ class Arrow:
     name: ArrowId
     source: VertexId
     target: VertexId
-    label: str | None = None
 
 
 def _least_rotation(items: Sequence[ArrowId]) -> tuple[ArrowId, ...]:

@@ -8,6 +8,14 @@ Every arrow pair (a, b) contributes two 3-cycles, one through each corner
 of its square, carrying opposite signs.  The three arrow classes are the
 standard cuts of the product.
 
+An arrow's name records its class, and :func:`standard_cuts` reads the
+classes back from the names alone, so they survive a document round trip:
+``v:{i}:{b}`` for vertex ``i`` of the left factor times arrow ``b`` of the
+right, ``h:{a}:{j}`` for arrow ``a`` of the left times vertex ``j`` of the
+right, and ``d:{a}:{b}`` for the diagonal of the pair.  A Morita split
+names the copy of an arrow from source copy ``k`` to target copy ``k2``
+by appending ``.{k}.{k2}``.
+
 Vertex labels distinguish the base division algebra (``Base``) from a
 fixed extension (``Ext``); the label's ``split_count`` records into how
 many simple blocks the extension's self-product decomposes.  Splitting a
@@ -22,7 +30,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cuts import Cut
+from .cuts import Cut, _cut_mask
 from .model import Arrow, ArrowId, Cycle, Quiver, QuiverWithCycles, VertexId
 
 DYNKIN_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -170,20 +178,9 @@ def dynkin_quiver(spec: LabeledDynkinSpec, split_count: int = 2) -> LabeledQuive
     vertices = tuple(str(i) for i in range(1, spec.rank + 1))
     ext = {str(i) for i in _EXT_VERTICES.get(spec.family, lambda r: set())(spec.rank)}
     labels = {v: DivisionLabel("Ext", split_count) if v in ext else BASE for v in vertices}
-    arrows = tuple(
-        Arrow(f"{u}-{v}", u, v, label="G" if (u in ext or v in ext) else "F")
-        for u, v in sorted(spec.orientation, key=lambda e: (int(e[0]), int(e[1])))
-    )
+    ordered = sorted(spec.orientation, key=lambda e: (int(e[0]), int(e[1])))
+    arrows = tuple(Arrow(f"{u}-{v}", u, v) for u, v in ordered)
     return LabeledQuiver(Quiver(vertices, arrows), labels)
-
-
-@dataclass(frozen=True)
-class TensorProvenance:
-    """The three arrow classes of a tensor product as sorted name tuples, tracked through splits."""
-
-    vertical: Cut
-    horizontal: Cut
-    diagonal: Cut
 
 
 @dataclass(frozen=True)
@@ -192,12 +189,12 @@ class LabeledQuiverWithCycles:
 
     Label tuples have length 1 for plain labelled quivers and length 2 for
     tensor products (one factor label each).  The mapping may be partial
-    for values read from documents without labels.
+    for values read from documents without labels.  A tensor product's
+    arrow classes live in its arrow names (see the module docstring).
     """
 
     qwc: QuiverWithCycles
     labels: Mapping[VertexId, tuple[DivisionLabel, ...]]
-    provenance: TensorProvenance | None = None
 
 
 def _pair(i: VertexId, j: VertexId) -> VertexId:
@@ -212,25 +209,17 @@ def tensor_qwc(left: LabeledQuiver, right: LabeledQuiver) -> LabeledQuiverWithCy
     """
     vertices = tuple(_pair(i, j) for i in left.quiver.vertices for j in right.quiver.vertices)
     arrows: list[Arrow] = []
-    vertical: set[ArrowId] = set()
-    horizontal: set[ArrowId] = set()
-    diagonal: set[ArrowId] = set()
     for i in left.quiver.vertices:
         for b in right.quiver.arrows:
-            name = f"v:{i}:{b.name}"
-            arrows.append(Arrow(name, _pair(i, b.source), _pair(i, b.target)))
-            vertical.add(name)
+            arrows.append(Arrow(f"v:{i}:{b.name}", _pair(i, b.source), _pair(i, b.target)))
     for a in left.quiver.arrows:
         for j in right.quiver.vertices:
-            name = f"h:{a.name}:{j}"
-            arrows.append(Arrow(name, _pair(a.source, j), _pair(a.target, j)))
-            horizontal.add(name)
+            arrows.append(Arrow(f"h:{a.name}:{j}", _pair(a.source, j), _pair(a.target, j)))
     cycles: list[Cycle] = []
     for a in left.quiver.arrows:
         for b in right.quiver.arrows:
             name = f"d:{a.name}:{b.name}"
             arrows.append(Arrow(name, _pair(a.target, b.target), _pair(a.source, b.source)))
-            diagonal.add(name)
             # up the right factor, across the left, back along the diagonal
             cycles.append(Cycle((f"v:{a.source}:{b.name}", f"h:{a.name}:{b.target}", name), 1))
             # across the left factor first, then up, carrying the minus sign
@@ -240,17 +229,27 @@ def tensor_qwc(left: LabeledQuiver, right: LabeledQuiver) -> LabeledQuiverWithCy
         for i in left.quiver.vertices
         for j in right.quiver.vertices
     }
-    qwc = QuiverWithCycles(Quiver(vertices, tuple(arrows)), tuple(cycles))
-    provenance = TensorProvenance(tuple(sorted(vertical)), tuple(sorted(horizontal)), tuple(sorted(diagonal)))
-    return LabeledQuiverWithCycles(qwc, labels, provenance)
+    return LabeledQuiverWithCycles(QuiverWithCycles(Quiver(vertices, tuple(arrows)), tuple(cycles)), labels)
 
 
 def standard_cuts(t: LabeledQuiverWithCycles) -> tuple[Cut, Cut, Cut]:
-    """The vertical, horizontal and diagonal arrow classes, each a cut."""
-    if t.provenance is None:
-        raise ValueError("standard cuts exist only for tensor-product quivers")
-    p = t.provenance
-    return p.vertical, p.horizontal, p.diagonal
+    """The vertical, horizontal and diagonal arrow classes, each a sorted cut.
+
+    Each arrow is filed by the class prefix of its name (``v``, ``h`` or
+    ``d`` before the first ``:``), so a parsed product document has the same
+    standard cuts as the value it was written from.  Raises ``ValueError``
+    when an arrow carries no class prefix or a class is not a cut.
+    """
+    classes: dict[str, list[ArrowId]] = {"v": [], "h": [], "d": []}
+    for a in t.qwc.quiver.arrows:  # sorted by name, so each class comes out sorted
+        prefix, colon, _ = a.name.partition(":")
+        if not colon or prefix not in classes:
+            raise ValueError("standard cuts exist only for tensor-product quivers")
+        classes[prefix].append(a.name)
+    cuts = tuple(tuple(names) for names in classes.values())
+    for cut in cuts:
+        _cut_mask(t.qwc, cut)
+    return cuts
 
 
 def morita_split(t: LabeledQuiverWithCycles) -> LabeledQuiverWithCycles:
@@ -294,16 +293,14 @@ def morita_split(t: LabeledQuiverWithCycles) -> LabeledQuiverWithCycles:
 
     arrows: list[Arrow] = []
     lifts: dict[tuple[ArrowId, int], list[tuple[int, ArrowId]]] = {}  # (arrow, source copy) -> its copies
-    replicas: dict[ArrowId, list[ArrowId]] = {}
     for a in quiver.arrows:
         ms, mt = multiplicity[a.source], multiplicity[a.target]
         both_split = a.source in split and a.target in split
         for k in range(1, ms + 1):
             for k2 in (k,) if both_split else range(1, mt + 1):  # the off-diagonal blocks vanish
                 name = a.name if ms == 1 and mt == 1 else f"{a.name}.{k}.{k2}"
-                arrows.append(Arrow(name, copy_vertex(a.source, k), copy_vertex(a.target, k2), a.label))
+                arrows.append(Arrow(name, copy_vertex(a.source, k), copy_vertex(a.target, k2)))
                 lifts.setdefault((a.name, k), []).append((k2, name))
-                replicas.setdefault(a.name, []).append(name)
 
     cycles: list[Cycle] = []
     for cycle in t.qwc.cycles:
@@ -318,15 +315,4 @@ def morita_split(t: LabeledQuiverWithCycles) -> LabeledQuiverWithCycles:
             ]
         cycles += [Cycle(names, cycle.sign) for k0, k, names in partial if k == k0]
 
-    provenance = None
-    if t.provenance is not None:
-        def lift(cls: Cut) -> Cut:
-            return tuple(sorted(name for old in cls for name in replicas.get(old, ())))
-
-        provenance = TensorProvenance(
-            lift(t.provenance.vertical),
-            lift(t.provenance.horizontal),
-            lift(t.provenance.diagonal),
-        )
-    qwc = QuiverWithCycles(Quiver(vertices, tuple(arrows)), tuple(cycles))
-    return LabeledQuiverWithCycles(qwc, labels, provenance)
+    return LabeledQuiverWithCycles(QuiverWithCycles(Quiver(vertices, tuple(arrows)), tuple(cycles)), labels)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from conftest import FIXTURES
 import quivercuts
 from quivercuts.cli import main
 from quivercuts.cuts import UncoveredQuiverWarning
+from quivercuts.docio import DisconnectedQuiverWarning
 
 B2B2 = str(FIXTURES / "b2b2_split.json")
 CIRCLE = str(FIXTURES / "circle.json")
@@ -46,14 +48,31 @@ def test_validate_rejects_broken_document(tmp_path, capsys):
     assert "'9'" in err
 
 
+TWO_VERTICES = {"format_version": 1, "vertices": [{"id": "1"}, {"id": "2"}], "arrows": [], "cycles": []}
+DISCONNECTED = "quiver is not connected (2 components, containing '1', '2')\n"
+
+
 def test_validate_reports_disconnected(tmp_path, capsys, recwarn):
     doc = tmp_path / "two.json"
-    doc.write_text(
-        json.dumps({"format_version": 1, "vertices": [{"id": "1"}, {"id": "2"}], "arrows": [], "cycles": []})
+    doc.write_text(json.dumps(TWO_VERTICES))
+    assert run(capsys, "validate", str(doc)) == (1, "", DISCONNECTED)
+    assert not [w for w in recwarn if issubclass(w.category, DisconnectedQuiverWarning)]
+
+
+def test_validate_reports_disconnected_once_in_a_child_process(tmp_path):
+    doc = tmp_path / "two.json"
+    doc.write_text(json.dumps(TWO_VERTICES))
+    done = subprocess.run(
+        [sys.executable, "-m", "quivercuts", "validate", str(doc)], capture_output=True, text=True, env=_child_env()
     )
-    code, out, err = run(capsys, "validate", str(doc))
-    assert code == 1
-    assert "not connected" in err
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", DISCONNECTED)
+
+
+def test_other_commands_keep_the_disconnected_warning(tmp_path, capsys):
+    doc = tmp_path / "two.json"
+    doc.write_text(json.dumps(TWO_VERTICES))
+    with pytest.warns(DisconnectedQuiverWarning, match="not connected"):
+        assert run(capsys, "cuts", str(doc), "--count-only") == (0, "1\n", "")
 
 
 def test_validate_malformed_json(tmp_path, capsys):
@@ -243,6 +262,16 @@ def test_unknown_cut_arrow(capsys, command):
     assert (code, out, err) == (1, "", "error: unknown arrow 'zz'\n")
 
 
+def test_key_error_in_a_handler_propagates(monkeypatch):
+    # only domain errors (ValueError, OSError) become exit status 1; a KeyError is a bug and surfaces
+    def broken(q):
+        raise KeyError("bug")
+
+    monkeypatch.setattr("quivercuts.cli.is_covered", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["check", B2B2])
+
+
 def test_graph_dot_deterministic(capsys):
     code, first, _ = run(capsys, "graph", B2B2)
     assert code == 0 and first.startswith("graph")
@@ -289,6 +318,23 @@ def test_tensor_split_count(capsys):
     assert len(data["arrows"]) == 11
 
 
+# sha256 of the tensor document bytes
+TENSOR_DOCUMENTS = {
+    ("E6", "F4"): "23281ab2fd1d8de4e71e08f341213abefc0af6a628e202acba0ce4398e937802",
+    ("B2:2>1", "B2:2>1", "--split"): "5d71f9235211fbf72256ff3e2cab2878048f1e9588d4d316d6c01d8e1596f150",
+    ("F4", "G2", "--split", "3"): "8ecc28df7bc3caf4e01258bae00b50a1fc7ec5856798a639de0f62ddb8be310b",
+    ("C3", "B3", "--split"): "7edf2a2534051bdea5a8833904e67327a5009467fbfbb1bf6d44f02b65c62401",
+}
+
+
+@pytest.mark.parametrize("argv", list(TENSOR_DOCUMENTS), ids=lambda argv: "-".join(argv).replace(":", ""))
+def test_tensor_document_bytes_are_pinned(capsys, argv):
+    left, right, *split = argv
+    code, out, err = run(capsys, "tensor", "--left", left, "--right", right, *split)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TENSOR_DOCUMENTS[argv]
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 @pytest.mark.parametrize("family", ["A2", "B2:2>1", "C3", "F4"])
 def test_tensor_rejects_non_positive_split(capsys, family, count):
@@ -331,10 +377,14 @@ def test_usage_error_exit_code(capsys):
     assert excinfo.value.code == 2
 
 
-def _pipe_count(left, right):
+def _child_env():
     # the child processes import the same quivercuts as this test, installed or not
     package_root = str(Path(quivercuts.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
+def _pipe_count(left, right):
+    env = _child_env()
     tensor = subprocess.run(
         [sys.executable, "-m", "quivercuts", "tensor", "--left", left, "--right", right],
         capture_output=True,

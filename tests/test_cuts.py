@@ -73,7 +73,7 @@ def test_is_cut_examples(b2b2_split):
     assert is_cut(q, {"d", "e"})
     assert not is_cut(q, {"d", "e", "a"})
     assert is_cut(qwc(["1"], []), set())
-    with pytest.raises(KeyError, match="unknown arrow 'nope'"):
+    with pytest.raises(ValueError, match="unknown arrow 'nope'"):
         is_cut(q, {"nope"})
 
 

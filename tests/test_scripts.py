@@ -33,3 +33,29 @@ def test_export_lattices_writes_pinned_files(flags, tmp_path, monkeypatch, capsy
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
     assert written == {**QUIVERS, **LATTICES[flags]}
     assert capsys.readouterr().out == "".join(f"wrote {tmp_path / name}\n" for name in sorted(written))
+
+
+# rows recorded with the time column cut off
+SURVEYS = {
+    ("A2", "A3:1<2>3", "B2:2>1"): [
+        "A2 x A2  4 5 2 1 5 yes yes yes Yes",
+        "A2 x A3:1<2>3  6 9 4 1 13 yes yes yes Yes",
+        "A2 x B2:2>1  4 5 2 1 5 yes yes yes Yes",
+        "A3:1<2>3 x A3:1<2>3  9 16 8 1 47 yes yes yes Yes",
+        "A3:1<2>3 x B2:2>1  6 9 4 1 13 yes yes yes Yes",
+        "B2:2>1 x B2:2>1  4 5 2 1 5 yes yes yes Yes",
+    ],
+    ("B2:2>1", "--split"): ["B2:2>1 x B2:2>1 (split)  5 8 4 1 7 yes yes yes Yes"],
+}
+
+
+@pytest.mark.parametrize("args", list(SURVEYS), ids=["three-specs", "b2-split"])
+def test_survey_tensor_pairs_rows(args, monkeypatch, capsys):
+    script = SCRIPTS / "survey_tensor_pairs.py"
+    monkeypatch.setattr(sys, "argv", [str(script), *args])
+    runpy.run_path(str(script), run_name="__main__")
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["pair", "V", "A", "C", "chi", "cuts", "conn", "cov", "comp", "sc", "time"]
+    assert set(rule) == {"-"}
+    # the pair column is 28 characters wide and holds spaces itself
+    assert [row[:28].rstrip() + "  " + " ".join(row[28:].split()[:-1]) for row in rows] == SURVEYS[args]

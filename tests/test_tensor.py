@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from quivercuts.cuts import (
     is_cut,
     is_fully_compatible,
 )
+from quivercuts.docio import parse_quiver_document, serialize_quiver_document
 from quivercuts.model import Arrow, Quiver, spanning_tree, validate
 from quivercuts.mutation import is_transitive
 from quivercuts.tensor import (
@@ -164,9 +166,38 @@ def test_standard_cuts_are_cuts(a3b2):
     assert len(standard_cuts(a3b2)[2]) == 2  # two diagonals
 
 
-def test_standard_cuts_require_provenance(b2b2_split):
+def test_standard_cuts_require_a_product(b2b2_split):
+    # the fixture's arrows a..h carry no class prefix
     with pytest.raises(ValueError, match="tensor"):
         standard_cuts(b2b2_split)
+
+
+def _product(left, right, split=None):
+    n = 2 if split is None else split
+    value = tensor_qwc(dynkin_quiver(parse_dynkin_spec(left), n), dynkin_quiver(parse_dynkin_spec(right), n))
+    return value if split is None else morita_split(value)
+
+
+@pytest.mark.parametrize(
+    "left, right, split",
+    [("E6", "F4", None), ("A3:1<2>3", "B2:2>1", None), ("B2:2>1", "B2:2>1", 2), ("F4", "G2", 3)],
+    ids=["e6f4", "a3b2", "b2b2-split", "f4g2-split3"],
+)
+def test_standard_cuts_survive_a_document_round_trip(left, right, split):
+    t = _product(left, right, split)
+    parsed = parse_quiver_document(serialize_quiver_document(t))
+    assert standard_cuts(parsed) == standard_cuts(t)
+    for cut in standard_cuts(parsed):
+        assert is_cut(parsed.qwc, cut)
+
+
+def test_standard_cuts_reject_a_class_that_is_not_a_cut():
+    # a hand-added 2-cycle of one v: and one h: arrow: both classes stay cuts, but d: misses it
+    document = json.loads(serialize_quiver_document(_product("A2", "A2")))
+    document["arrows"] += [{"id": "v:x", "source": "1,1", "target": "1,2"}, {"id": "h:y", "source": "1,2", "target": "1,1"}]
+    document["cycles"].append({"arrows": ["v:x", "h:y"]})
+    with pytest.raises(ValueError, match=r"not a cut: \['d:1-2:1-2'\]"):
+        standard_cuts(parse_quiver_document(json.dumps(document)))
 
 
 def test_cycles_hit_each_class_once(a3b2):
