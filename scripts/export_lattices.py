@@ -30,18 +30,16 @@ def main() -> None:
     split = morita_split(tensor_qwc(b2, b2))
     _, _, diagonal = standard_cuts(split)
     (args.out / "b2b2_split_quiver.dot").write_text(quiver_to_dot(split, cut=diagonal))
-    (args.out / "b2b2_split_lattice.dot").write_text(
-        mutation_graph_to_dot(mutation_graph(split.qwc), directed=args.directed)
-    )
+    with open(args.out / "b2b2_split_lattice.dot", "w") as out:
+        mutation_graph_to_dot(mutation_graph(split.qwc), out, directed=args.directed)
 
     a3 = dynkin_quiver(dynkin_spec("A", 3, frozenset({("2", "1"), ("2", "3")})))
     b2d = dynkin_quiver(dynkin_spec("B", 2))
     product = tensor_qwc(a3, b2d)
     _, _, diagonal = standard_cuts(product)
     (args.out / "a3b2_quiver.dot").write_text(quiver_to_dot(product, cut=diagonal))
-    (args.out / "a3b2_lattice.dot").write_text(
-        mutation_graph_to_dot(mutation_graph(product.qwc), directed=args.directed)
-    )
+    with open(args.out / "a3b2_lattice.dot", "w") as out:
+        mutation_graph_to_dot(mutation_graph(product.qwc), out, directed=args.directed)
 
     for name in sorted(p.name for p in args.out.glob("*.dot")):
         print(f"wrote {args.out / name}")

@@ -29,7 +29,6 @@ from .docio import (
     parse_quiver_document,
     serialize_quiver_document,
 )
-from .model import validate
 from .mutation import mutate_minus, mutate_plus, mutation_graph
 from .tensor import LabeledQuiverWithCycles, dynkin_quiver, morita_split, parse_dynkin_spec, tensor_qwc
 
@@ -59,10 +58,11 @@ def _positive_int(what: str):
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DisconnectedQuiverWarning)  # reported below as a violation
-        value = _read_document(args.file)
-    violations = validate(value.qwc)
+    # the parser raises on every other violation and warns of disconnection
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DisconnectedQuiverWarning)
+        _read_document(args.file)
+    violations = [str(w.message) for w in caught if issubclass(w.category, DisconnectedQuiverWarning)]
     for violation in violations:
         print(violation, file=sys.stderr)
     return 1 if violations else 0
@@ -102,9 +102,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     value = _read_document(args.file)
     graph = mutation_graph(value.qwc)
     if args.json:
-        sys.stdout.write(mutation_graph_to_json(graph))
+        mutation_graph_to_json(graph, sys.stdout)
     else:
-        sys.stdout.write(mutation_graph_to_dot(graph, directed=args.directed))
+        mutation_graph_to_dot(graph, sys.stdout, directed=args.directed)
     return 0
 
 
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     style = p.add_mutually_exclusive_group()
     style.add_argument("--dot", action="store_true", help="DOT output (default)")
     style.add_argument("--json", action="store_true", help="JSON output")
-    p.add_argument("--directed", action="store_true", help="keep labelled edge directions in DOT")
+    p.add_argument("--directed", action="store_true", help="keep labelled edge directions (DOT only)")
     p.set_defaults(run=_cmd_graph)
 
     p = sub.add_parser("tensor", help="build a tensor-product quiver document")
@@ -199,6 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "graph" and args.json and args.directed:
+        parser.error("argument --directed: not allowed with argument --json")
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:

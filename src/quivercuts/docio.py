@@ -18,14 +18,16 @@ component.
 
 DOT export renders quivers as digraphs (cut arrows dashed) and mutation
 graphs as undirected graphs by default, matching mutation-lattice figures.
+The mutation-graph writers (JSON and DOT) write to a text stream, such as
+``sys.stdout`` or an open file, a chunk of rows at a time, and return
+``None``; they never hold the whole text.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import warnings
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, Sequence, TextIO
 
 from .cuts import Cut
 from .model import Arrow, Cycle, Quiver, QuiverWithCycles, validate
@@ -223,8 +225,12 @@ def serialize_quiver_document(value: LabeledQuiverWithCycles | QuiverWithCycles)
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + _dot_escape(text) + '"'
 
 
 def quiver_to_dot(value: LabeledQuiverWithCycles | QuiverWithCycles, cut: Cut | None = None) -> str:
@@ -243,45 +249,96 @@ def quiver_to_dot(value: LabeledQuiverWithCycles | QuiverWithCycles, cut: Cut | 
     return "\n".join(lines) + "\n"
 
 
-def mutation_graph_to_dot(graph: MutationGraph, directed: bool = False) -> str:
-    """DOT export of a mutation graph.
+_ROWS = 4096  # nodes or edges rendered per write
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``, so ``make`` runs once per key."""
+
+    def __init__(self, make: Callable[[str], str]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: str) -> str:
+        value = self[key] = self.make(key)
+        return value
+
+
+def _write_rows(out: TextIO, rows: Sequence, render: Callable[[Sequence, int], list[str]], sep: str) -> None:
+    """Write every row of ``rows``, rendered and joined by ``sep``, ``_ROWS`` rows at a time.
+
+    ``render(chunk, offset)`` gives the text of each row in ``chunk``, the
+    slice of ``rows`` that starts at ``offset``.
+    """
+    for offset in range(0, len(rows), _ROWS):
+        out.write((sep if offset else "") + sep.join(render(rows[offset : offset + _ROWS], offset)))
+
+
+def mutation_graph_to_dot(graph: MutationGraph, out: TextIO, directed: bool = False) -> None:
+    """Write the DOT export of a mutation graph to ``out``, a chunk of rows at a time.
 
     The default undirected view collapses each mutation and its inverse
     into one edge labelled by the mutation vertex; ``directed`` keeps both
-    labelled directions.
+    labelled directions.  Each arrow name is escaped once, and each
+    ``(vertex, direction)`` label is built once.
     """
     kind, joiner = ("digraph", "->") if directed else ("graph", "--")
-    lines = [f'{kind} "mutations" {{']
-    for i, node in enumerate(graph.nodes):
-        lines.append(f"  n{i} [label={_dot_quote(','.join(node))}];")
-    if directed:
-        for i, j, vertex, direction in graph.edges:
-            lines.append(f"  n{i} {joiner} n{j} [label={_dot_quote(f'mu{direction} {vertex}')}];")
-    else:
-        for i, j, vertex in graph.undirected_edges():
-            lines.append(f"  n{i} {joiner} n{j} [label={_dot_quote(vertex)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    numbers = list(map(str, range(len(graph.nodes))))
+    escaped = _Memo(_dot_escape)
+    labels = {
+        d: _Memo(lambda v, d=d: f" [label={_dot_quote(f'mu{d} {v}' if directed else v)}];\n") for d in "+-"
+    }
+    out.write(f'{kind} "mutations" {{\n')
+    _write_rows(
+        out,
+        graph.nodes,
+        lambda chunk, offset: [
+            f'  n{i} [label="{",".join(map(escaped.__getitem__, node))}"];\n'
+            for i, node in enumerate(chunk, offset)
+        ],
+        "",
+    )
+    _write_rows(
+        out,
+        graph.edges,
+        lambda chunk, _: [
+            f"  n{numbers[i]} {joiner} n{numbers[j]}{labels[d][v]}" for i, j, v, d in chunk if directed or i < j
+        ],
+        "",
+    )
+    out.write("}\n")
 
 
-def mutation_graph_to_json(graph: MutationGraph) -> str:
-    """``{"nodes": [...], "edges": [...]}``, as ``json.dumps(doc, indent=2)`` writes it.
+def mutation_graph_to_json(graph: MutationGraph, out: TextIO) -> None:
+    """Write ``{"nodes": [...], "edges": [...]}`` to ``out``, as ``json.dumps(doc, indent=2)`` writes it.
 
-    ``indent`` forces the pure-Python encoder, so the text is written here
-    and only identifier strings go through ``json.dumps``, once each.
+    ``indent`` forces the pure-Python encoder, so the text is written here,
+    a chunk of rows at a time.  Each identifier goes through ``json.dumps``
+    once, and each ``(vertex, direction)`` pair's closing lines are built once.
     """
-    quote = functools.lru_cache(maxsize=None)(json.dumps)
-
-    def array(items: list[str], indent: str) -> str:
-        if not items:
-            return "[]"
-        sep = ",\n" + indent + "  "
-        return f"[\n{indent}  {sep.join(items)}\n{indent}]"
-
-    nodes = [array([quote(name) for name in node], "    ") for node in graph.nodes]
-    edges = [
-        f'{{\n      "source": {i},\n      "target": {j},\n'
-        f'      "vertex": {quote(vertex)},\n      "direction": {quote(direction)}\n    }}'
-        for i, j, vertex, direction in graph.edges
-    ]
-    return f'{{\n  "nodes": {array(nodes, "  ")},\n  "edges": {array(edges, "  ")}\n}}\n'
+    numbers = list(map(str, range(len(graph.nodes))))
+    quoted = _Memo(json.dumps)
+    tails = {
+        d: _Memo(lambda v, d=d: f',\n      "vertex": {json.dumps(v)},\n      "direction": {json.dumps(d)}\n    }}')
+        for d in "+-"
+    }
+    out.write('{\n  "nodes": [')
+    _write_rows(
+        out,
+        graph.nodes,
+        lambda chunk, _: [
+            "\n    [\n      " + ",\n      ".join(map(quoted.__getitem__, node)) + "\n    ]" if node else "\n    []"
+            for node in chunk
+        ],
+        ",",
+    )
+    out.write('\n  ],\n  "edges": [' if graph.nodes else '],\n  "edges": [')
+    _write_rows(
+        out,
+        graph.edges,
+        lambda chunk, _: [
+            f'\n    {{\n      "source": {numbers[i]},\n      "target": {numbers[j]}{tails[d][v]}' for i, j, v, d in chunk
+        ],
+        ",",
+    )
+    out.write("\n  ]\n}\n" if graph.edges else "]\n}\n")

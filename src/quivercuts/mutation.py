@@ -11,7 +11,9 @@ cut-mutation is connectivity of this graph.
 Free arrows (arrows in no distinguished cycle) never belong to enumerated
 cuts, so graph edges are computed in the subquiver spanned by cycle arrows;
 for covered quivers this changes nothing.  Cuts are handled as bit masks
-over the quiver's :class:`~quivercuts.model.CutSpace`.
+over the quiver's :class:`~quivercuts.model.CutSpace`, and every mutation
+is precomputed once as a move: one mask test says whether it applies to a
+cut, and one exclusive or gives the mutated cut.
 """
 
 from __future__ import annotations
@@ -23,30 +25,29 @@ from .cuts import Cut, _cut_mask, enumerate_cuts
 from .model import ArrowId, CutSpace, QuiverWithCycles, VertexId
 
 
-def _moves(space: CutSpace, keep: int) -> list[tuple[VertexId, int, int, str]]:
-    """``(vertex, drop, add, direction)`` of every mutation, over the arrows in ``keep``.
+def _moves(space: CutSpace, keep: int) -> list[tuple[int, int, VertexId, str]]:
+    """``(flip, drop, vertex, direction)`` of every mutation, over the arrows in ``keep``.
 
     A source move ("+") drops a vertex's incoming arrows and adds its outgoing
-    ones, a sink move ("-") the reverse.  A move applies to a cut mask ``m``
-    when ``m & drop == drop and not m & add``, and yields ``(m & ~drop) | add``.
+    ones, a sink move ("-") the reverse; ``flip`` is ``drop | add``.  A move
+    applies to a cut mask ``m`` when ``m & flip == drop``, and yields
+    ``m ^ flip``.  A loop lies in both ``drop`` and ``add``, so its vertex is
+    never strict: such moves are left out, since the one test would pass them.
     """
     moves = []
     for v, (incoming, outgoing) in space.incidence.items():
         incoming &= keep
         outgoing &= keep
-        if incoming | outgoing:
-            moves += [(v, incoming, outgoing, "+"), (v, outgoing, incoming, "-")]
+        if (incoming or outgoing) and not incoming & outgoing:
+            flip = incoming | outgoing
+            moves += [(flip, incoming, v, "+"), (flip, outgoing, v, "-")]
     return moves
 
 
 def _strict(q: QuiverWithCycles, cut: Iterable[ArrowId], direction: str) -> dict[VertexId, int]:
     """Each vertex where ``cut`` mutates in ``direction``, mapped to the resulting mask."""
     m = _cut_mask(q, cut)
-    return {
-        v: (m & ~drop) | add
-        for v, drop, add, d in _moves(q.cut_space, -1)
-        if d == direction and m & drop == drop and not m & add
-    }
+    return {v: m ^ flip for flip, drop, v, d in _moves(q.cut_space, -1) if d == direction and m & flip == drop}
 
 
 def _mutate(q: QuiverWithCycles, cut: Iterable[ArrowId], vertex: VertexId, direction: str) -> Cut:
@@ -123,7 +124,7 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
 
     All cuts are enumerated up front (discovery by mutation alone would hide
     non-transitive instances); edges are then computed node by node on the
-    cuts' bit masks, restricted to cycle arrows.
+    cuts' bit masks, restricted to cycle arrows, one mask test per move.
     """
     cuts = enumerate_cuts(q)
     space = q.cut_space
@@ -132,11 +133,7 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
     index = {m: i for i, m in enumerate(masks)}
     edges: list[tuple[int, int, VertexId, str]] = []
     for i, m in enumerate(masks):
-        edges += sorted(
-            (i, index[(m & ~drop) | add], v, direction)
-            for v, drop, add, direction in moves
-            if m & drop == drop and not m & add
-        )
+        edges += sorted([(i, index[m ^ flip], v, d) for flip, drop, v, d in moves if m & flip == drop])
     return MutationGraph(tuple(cuts), tuple(edges))
 
 

@@ -20,6 +20,7 @@ flat table and defined-column masks of the library.
 
 from __future__ import annotations
 
+import io
 import random
 from itertools import permutations, product
 from typing import Iterable
@@ -29,6 +30,13 @@ from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
 from quivercuts.tensor import BASE, LabeledDynkinSpec, LabeledQuiver, LabeledQuiverWithCycles
 
 Step = tuple[str, int]  # (arrow name, +1 along the arrow or -1 against it)
+
+
+def written(write, graph, **kwargs) -> str:
+    """The text that ``write(graph, out, **kwargs)``, e.g. ``mutation_graph_to_json``, writes to ``out``."""
+    out = io.StringIO()
+    write(graph, out, **kwargs)
+    return out.getvalue()
 
 
 def outgoing(quiver: Quiver, v: str) -> list[Arrow]:

@@ -8,7 +8,14 @@ import hashlib
 import random
 import time
 
-from support import brute_force_cuts, is_acyclic, labeled_isomorphic, oracle_mutation_edges, random_tree_quiver
+from support import (
+    brute_force_cuts,
+    is_acyclic,
+    labeled_isomorphic,
+    oracle_mutation_edges,
+    random_tree_quiver,
+    written,
+)
 
 from quivercuts.canvas import euler_characteristic, h1, is_simply_connected
 from quivercuts.cuts import (
@@ -71,9 +78,9 @@ def test_criterion_2_e6f4_structural_suite():
     assert graph.is_connected
     # the exports' bytes, pinned
     exports = {
-        "json": mutation_graph_to_json(graph),
-        "dot": mutation_graph_to_dot(graph),
-        "directed dot": mutation_graph_to_dot(graph, directed=True),
+        "json": written(mutation_graph_to_json, graph),
+        "dot": written(mutation_graph_to_dot, graph),
+        "directed dot": written(mutation_graph_to_dot, graph, directed=True),
     }
     assert {kind: hashlib.sha256(text.encode()).hexdigest() for kind, text in exports.items()} == {
         "json": "6127fcf8e6ae3a569bc45c136cdd753d8ad160ec900c02886e3574ee1aec331e",

@@ -68,6 +68,27 @@ def test_validate_reports_disconnected_once_in_a_child_process(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (1, "", DISCONNECTED)
 
 
+@pytest.mark.parametrize("document", ["minimal", "disconnected"])
+def test_validate_validates_once(tmp_path, capsys, monkeypatch, document):
+    path = MINIMAL
+    if document == "disconnected":
+        path = str(tmp_path / "two.json")
+        Path(path).write_text(json.dumps(TWO_VERTICES))
+    calls = []
+    original = quivercuts.model.validate
+
+    def counting(q):
+        calls.append(q)
+        return original(q)
+
+    for module in (quivercuts, quivercuts.model, quivercuts.docio, quivercuts.cli):
+        if getattr(module, "validate", None) is original:
+            monkeypatch.setattr(module, "validate", counting)
+    code, _, _ = run(capsys, "validate", path)
+    assert code == (1 if document == "disconnected" else 0)
+    assert len(calls) == 1
+
+
 def test_other_commands_keep_the_disconnected_warning(tmp_path, capsys):
     doc = tmp_path / "two.json"
     doc.write_text(json.dumps(TWO_VERTICES))
@@ -290,6 +311,15 @@ def test_graph_directed(capsys):
     code, out, _ = run(capsys, "graph", B2B2, "--directed")
     assert code == 0
     assert out.count(" -> ") == 18
+
+
+def test_graph_json_rejects_directed(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["graph", B2B2, "--json", "--directed"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--directed: not allowed with argument --json" in captured.err
 
 
 def test_tensor_document(capsys):

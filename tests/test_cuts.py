@@ -215,6 +215,29 @@ def test_count_e6e6_without_listing():
     assert count_cuts(tensor_qwc(left, left).qwc) == 1505721
 
 
+def _names_reversed(q):
+    """``q`` with its arrow names reversed in order, so the DAG indexes and branches differently."""
+    names = sorted(a.name for a in q.quiver.arrows)
+    new = dict(zip(names, reversed(names)))
+    arrows = tuple(Arrow(new[a.name], a.source, a.target) for a in q.quiver.arrows)
+    cycles = tuple(Cycle(tuple(map(new.__getitem__, c.arrows)), c.sign) for c in q.cycles)
+    return QuiverWithCycles(Quiver(q.quiver.vertices, arrows), cycles)
+
+
+@pytest.mark.parametrize(
+    ("left", "right", "count"),
+    [("E6", "E7", 13527313), ("E7", "E7", 166849592), ("E8", "E6", 121450718), ("E8", "E8", 34864900152)],
+)
+def test_big_counts_agree_under_factor_swap_and_renaming(left, right, count):
+    # the swapped product and the renamed arrows give the cut-state DAG other
+    # states (E8xE6: 1291, 4490 and 4665), and all three count the same cuts
+    first, second = dynkin_quiver(parse_dynkin_spec(left)), dynkin_quiver(parse_dynkin_spec(right))
+    product = tensor_qwc(first, second).qwc
+    assert count_cuts(tensor_qwc(second, first).qwc) == count
+    assert count_cuts(_names_reversed(product)) == count
+    assert count_cuts(product) == count
+
+
 def test_covered(b2b2_split, a3b2):
     assert is_covered(b2b2_split.qwc)
     assert is_covered(a3b2.qwc)

@@ -1,8 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 from conftest import fixture_text
+from support import written
 
+from quivercuts import docio
 from quivercuts.docio import (
     DisconnectedQuiverWarning,
     DocumentError,
@@ -177,11 +180,11 @@ def test_quiver_dot_dashes_cut(b2b2_split):
 
 def test_mutation_graph_dot(b2b2_split):
     graph = mutation_graph(b2b2_split.qwc)
-    dot = mutation_graph_to_dot(graph)
+    dot = written(mutation_graph_to_dot, graph)
     assert dot.startswith("graph")
     assert dot.count(" -- ") == 9
     assert dot.count("label=") == 7 + 9
-    directed = mutation_graph_to_dot(graph, directed=True)
+    directed = written(mutation_graph_to_dot, graph, directed=True)
     assert directed.startswith("digraph")
     assert directed.count(" -> ") == 18
     assert 'label="mu+ 3"' in directed
@@ -190,7 +193,7 @@ def test_mutation_graph_dot(b2b2_split):
 def test_empty_mutation_graph_dot():
     from quivercuts.mutation import MutationGraph
 
-    dot = mutation_graph_to_dot(MutationGraph((), ()))
+    dot = written(mutation_graph_to_dot, MutationGraph((), ()))
     assert dot == 'graph "mutations" {\n}\n'
 
 
@@ -207,7 +210,7 @@ def _reference_graph_json(graph):
 
 def test_mutation_graph_json(b2b2_split):
     graph = mutation_graph(b2b2_split.qwc)
-    text = mutation_graph_to_json(graph)
+    text = written(mutation_graph_to_json, graph)
     assert text == _reference_graph_json(graph)
     data = json.loads(text)
     assert len(data["nodes"]) == 7
@@ -241,7 +244,46 @@ def _escaped_ids_quiver():
     ids=["empty", "empty-cut", "escaped-ids"],
 )
 def test_mutation_graph_json_matches_json_dumps(graph):
-    assert mutation_graph_to_json(graph) == _reference_graph_json(graph)
+    assert written(mutation_graph_to_json, graph) == _reference_graph_json(graph)
+
+
+def _reference_graph_dot(graph, directed):
+    def quote(text):
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    kind, joiner = ("digraph", "->") if directed else ("graph", "--")
+    lines = [f'{kind} "mutations" {{']
+    lines += [f"  n{i} [label={quote(','.join(node))}];" for i, node in enumerate(graph.nodes)]
+    for i, j, vertex, direction in graph.edges:
+        if directed:
+            lines.append(f"  n{i} -> n{j} [label={quote(f'mu{direction} {vertex}')}];")
+        elif i < j:
+            lines.append(f"  n{i} -- n{j} [label={quote(vertex)}];")
+    return "\n".join(lines) + "\n}\n"
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_mutation_graph_dot_escapes_ids(directed):
+    graph = mutation_graph(_escaped_ids_quiver())
+    assert written(mutation_graph_to_dot, graph, directed=directed) == _reference_graph_dot(graph, directed)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_graph_writers_stream_chunks_of_rows(a3b2, monkeypatch, rows):
+    # 13 nodes and 42 edges: every chunk size here splits both into several writes
+    graph = mutation_graph(a3b2.qwc)
+    monkeypatch.setattr(docio, "_ROWS", rows)
+    expected = {
+        (mutation_graph_to_json, False): _reference_graph_json(graph),
+        (mutation_graph_to_dot, False): _reference_graph_dot(graph, False),
+        (mutation_graph_to_dot, True): _reference_graph_dot(graph, True),
+    }
+    for (write, directed), text in expected.items():
+        chunks = []
+        kwargs = {"directed": True} if directed else {}
+        assert write(graph, SimpleNamespace(write=chunks.append), **kwargs) is None
+        assert "".join(chunks) == text
+        assert len(chunks) >= len(graph.edges) // rows
 
 
 def test_pair_labels_collapse_on_export(a3b2):

@@ -156,6 +156,24 @@ def _joined_triangles():
     )
 
 
+def test_loop_vertex_has_no_moves():
+    # the loop is a cycle of its own, so it lies in every cut, and its
+    # vertex "a" is never strict: the loop would have to be in and out
+    q = QuiverWithCycles(
+        Quiver(("a", "b"), (Arrow("p", "a", "b"), Arrow("r", "b", "a"), Arrow("l", "a", "a"))),
+        (Cycle(("p", "r")), Cycle(("l",))),
+    )
+    cuts = enumerate_cuts(q)
+    assert cuts == [("l", "p"), ("l", "r")]
+    graph = mutation_graph(q)
+    assert graph.edges == ((0, 1, "b", "+"), (1, 0, "b", "-"))
+    assert graph.edges == tuple(oracle_mutation_edges(q, cuts))
+    for cut in cuts:
+        sources, sinks = oracle_strict_vertices(q.quiver, frozenset(cut))
+        assert "a" not in sources + sinks
+        assert (strict_sources(q, cut), strict_sinks(q, cut)) == (frozenset(sources), frozenset(sinks))
+
+
 def test_non_transitive_instance():
     # two parallel 2-cycles: {u,x} admits no mutation at all, so the
     # mutation graph cannot be connected (the instance is not fully compatible)
