@@ -22,6 +22,7 @@ from .cuts import (
     is_fully_compatible,
     truncated_presentation,
     truncated_quiver,
+    write_cuts,
 )
 from .docio import (
     DocumentError,

@@ -18,6 +18,7 @@ nonterminating loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .coset import enumerate_trivial_subgroup
@@ -80,11 +81,43 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form of an integer matrix.
 
     Entries are positive and each divides the next; their count is the rank.
+    A row whose one nonzero entry is a unit comes first and gives a 1: row
+    operations clear its column in the other rows and change nothing else,
+    so the row and its column drop out, and clearing may leave more such
+    rows.  The given rows are told apart by list scans and only the others
+    are read entry by entry, so one-letter relators cost no pivot search;
+    the rows and columns that remain go through the dense loop.
     """
-    m = [list(row) for row in matrix]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    diagonal: list[int] = []
+    n_cols = len(matrix[0]) if matrix else 0
+    cleared: set[int] = set()
+    others = []
+    for row in matrix:
+        unit = sum(row)  # the one nonzero entry, when there is one
+        if unit in (1, -1) and row.count(0) == n_cols - 1:
+            cleared.add(row.index(unit))  # a second unit row of a cleared column is cleared to zero
+        else:
+            others.append(row)
+    entries = [{j: row[j] for j in compress(range(n_cols), row) if j not in cleared} for row in others]
+    holders: dict[int, list[int]] = {}  # column -> the rows with an entry there
+    for k, row_entries in enumerate(entries):
+        for j in row_entries:
+            holders.setdefault(j, []).append(k)
+    work = list(range(len(entries)))
+    while work:
+        row_entries = entries[work.pop()]
+        if len(row_entries) != 1:
+            continue
+        [(c, unit)] = row_entries.items()
+        if unit not in (1, -1):
+            continue
+        cleared.add(c)
+        for k in holders[c]:
+            if entries[k].pop(c, 0):
+                work.append(k)
+    kept = [j for j in range(n_cols) if j not in cleared]
+    m = [[row_entries.get(j, 0) for j in kept] for row_entries in entries if row_entries]
+    n_rows, n_cols = len(m), len(kept)
+    diagonal = [1] * len(cleared)
     t = 0
     while t < n_rows and t < n_cols:
         best = None

@@ -16,11 +16,11 @@ from pathlib import Path
 from .canvas import DEFAULT_COSET_BUDGET, is_simply_connected
 from .cuts import (
     count_cuts,
-    enumerate_cuts,
     has_enough_cuts,
     is_covered,
     is_fully_compatible,
     truncated_presentation,
+    write_cuts,
 )
 from .docio import (
     DisconnectedQuiverWarning,
@@ -73,8 +73,7 @@ def _cmd_cuts(args: argparse.Namespace) -> int:
     if args.count_only:
         print(count_cuts(value.qwc))
         return 0
-    for cut in enumerate_cuts(value.qwc):
-        print(",".join(cut))
+    write_cuts(value.qwc, sys.stdout)
     return 0
 
 

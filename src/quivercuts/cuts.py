@@ -15,9 +15,14 @@ cycles.  What remains allowed depends only on which cycles are covered, so
 the search for all cuts folds into a small DAG of covered-cycle states, in
 effect a ZDD of the cut family, whose root-to-sink paths are the cuts.
 Counting, listing, :func:`has_enough_cuts` and :func:`is_fully_compatible`
-all read this DAG; only listing visits every cut.  Arrows lying in no
-distinguished cycle lie in no cut; counting or listing the cuts of a quiver
-with such arrows triggers :class:`UncoveredQuiverWarning`.
+all read this DAG.  Only listing visits every cut: one pass, children first,
+gives each state the integer masks of the paths below it, with the arrows
+in reversed name order so that descending masks are ascending name tuples,
+and names are built only at the end, a byte of a mask at a time.
+:func:`enumerate_cuts` returns the tuples and :func:`write_cuts` streams the
+``cuts`` lines.  Arrows lying in no distinguished cycle lie in no cut;
+counting or listing the cuts of a quiver with such arrows triggers
+:class:`UncoveredQuiverWarning`.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
-from operator import add
-from typing import Iterable, Mapping, Sequence
+from itertools import compress, islice
+from operator import add, getitem
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, spanning_tree
 
@@ -154,46 +160,130 @@ def count_cuts(q: QuiverWithCycles) -> int:
     return _cut_dag(q.cut_space)[0][0]
 
 
+def _cut_masks(space: CutSpace) -> list[int]:
+    """Every cut as a *listing mask*, in descending order: arrow ``i`` at bit ``8 * nb - 1 - i``.
+
+    ``nb`` is ``_mask_bytes(space)``, so the least name takes the top bit and
+    byte ``j`` of ``m.to_bytes(nb, "big")`` holds arrows ``8j`` to ``8j + 7``,
+    most significant bit first.  One pass over the cut-state DAG, children
+    first, gives each state the masks of the paths below it as ``(bits,
+    base)``, the masks ``bits | s`` for ``s`` in ``base``: the sink has the
+    empty path, a state with one live edge shares its child's ``base`` and
+    adds the edge's bit to ``bits``, and a state with more joins each edge's
+    masks in a new list.  A child's pair is dropped once its last parent has
+    used it; the root's masks are every cut once.
+
+    Descending masks are ascending sorted name tuples.  No cut contains
+    another: were ``A`` inside ``B``, an arrow of ``B`` outside ``A`` lies on
+    a cycle that ``A``, and so ``B``, meets at another arrow.  So for cuts
+    ``A != B`` let ``d`` be the least name of their symmetric difference, say
+    in ``A``.  The tuples agree on the names before ``d``, where ``A`` has
+    ``d`` and ``B`` a greater name, not its end, so ``A``'s tuple is the
+    smaller.  ``d`` is the top bit of ``A ^ B`` and lies in ``A``, so ``A``'s
+    mask is the larger.
+    """
+    dag = _cut_dag(space)
+    top = 8 * _mask_bytes(space) - 1
+    at = {covered: i for i, covered in enumerate(dag)}  # states by position: the sink first, the root last
+    edges = [[(1 << (top - ai), at[child]) for ai, child in live] for _, live in dag.values()]
+    uses = [0] * len(edges)  # live edges into each state not yet followed
+    for live in edges:
+        for _, j in live:
+            uses[j] += 1
+    below: list[tuple[int, list[int]] | None] = [(0, [0])]  # (bits, base): the masks bits | s for s in base
+    for live in edges[1:]:  # children first
+        parts = []
+        for b, j in live:
+            bits, base = below[j]
+            parts.append((b | bits, base))
+            uses[j] -= 1
+            if not uses[j]:
+                below[j] = None
+        # one live edge shares its child's base; more join their masks in a new one
+        below.append(parts[0] if len(parts) == 1 else (0, [b | s for b, base in parts for s in base]))
+    bits, base = below[-1]
+    masks = [bits | s for s in base] if bits else base  # a root with no bits of its own owns its list
+    masks.sort(reverse=True)
+    return masks
+
+
+def _mask_bytes(space: CutSpace) -> int:
+    return (len(space.cycles_of) + 7) // 8
+
+
+_BITS = [[x >> k & 1 for k in range(7, -1, -1)] for x in range(256)]  # a byte's bits, most significant first
+
+
+class _ByteNames(dict):
+    """One byte of a listing mask -> the names of its set bits, in name order; each entry is made on first use."""
+
+    def __init__(self, names: Sequence[ArrowId]) -> None:
+        super().__init__()
+        self.names = names  # the arrows of this byte, most significant bit first
+
+    def __missing__(self, x: int) -> tuple[ArrowId, ...]:
+        value = self[x] = tuple(compress(self.names, _BITS[x]))
+        return value
+
+
+class _ByteText(_ByteNames):
+    """One byte of a listing mask -> its names, each after a comma: a line is its bytes' texts less the first comma."""
+
+    def __missing__(self, x: int) -> str:
+        value = self[x] = ",".join(("", *compress(self.names, _BITS[x])))
+        return value
+
+
+def _decoded(space: CutSpace, table: type[_ByteNames]) -> Iterator[Iterator]:
+    """Per cut, in listing order, an iterator over the ``table`` entries of the bytes of its mask, in byte order.
+
+    Byte ``j`` has its own ``table`` over arrows ``8j`` to ``8j + 7``.  Only
+    the bytes from the mask's first nonzero byte to its last are made and
+    looked up: the ``k`` bytes from the first to the end come from the bit
+    length and pair with the last ``k`` tables, and the zero bytes below the
+    last set bit are stripped.  A zero byte between two set bits is looked
+    up like any other and gives no name.
+    """
+    nb = _mask_bytes(space)
+    tables = [table(space.arrows[j : j + 8]) for j in range(0, 8 * nb, 8)]
+    for m in _cut_masks(space):
+        k = (m.bit_length() + 7) >> 3  # 0 only for the empty cut, the cut of a space with no tables
+        yield map(getitem, tables[-k:], m.to_bytes(k, "big").rstrip(b"\0"))
+
+
 def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
     """All cuts of ``q``, each a sorted tuple of arrow names, in ascending order.
 
     The cuts are the root-to-sink paths of the cut-state DAG (see
-    :func:`count_cuts`), walked along live edges only, so no branch ends
-    without a cut.  A chain of states with a single live edge is folded into
-    one step.  An arrow occurring twice in one cycle lies in no cut.
+    :func:`count_cuts`), gathered as integer masks whose descending order is
+    this order (see ``_cut_masks``), and decoded a byte at a time through
+    tables filled on first use: a cut is the sum of its bytes' name tuples,
+    at most ``nb`` of them.  An arrow occurring twice in one cycle lies in no
+    cut.
 
     Arrows lying in no cycle are excluded from every cut; when such arrows
     exist an :class:`UncoveredQuiverWarning` is emitted.
     """
     _warn_if_uncovered(q)
-    space = q.cut_space
-    dag = _cut_dag(space)
-    sink = (1 << len(space.members)) - 1
-    steps: dict[int, list[tuple[Cut, int]]] = {}  # state -> folded live edges, arrows by name
-    found: list[Cut] = []
-    stack: list[tuple[Cut, int]] = [((), 0)] if dag[0][0] else []
-    while stack:
-        chosen, covered = stack.pop()
-        if covered == sink:
-            found.append(tuple(sorted(chosen)))
-            continue
-        if covered not in steps:
-            steps[covered] = _folded_edges(dag, sink, space.arrows, covered)
-        stack += [(chosen + path, child) for path, child in steps[covered]]
-    found.sort()
-    return found
+    return [sum(parts, ()) for parts in _decoded(q.cut_space, _ByteNames)]
 
 
-def _folded_edges(dag: _Dag, sink: int, names: Sequence[ArrowId], covered: int) -> list[tuple[Cut, int]]:
-    """The live edges of ``covered``, each followed through states that have one live edge."""
-    folded = []
-    for ai, child in dag[covered][1]:
-        path = [names[ai]]
-        while child != sink and len(dag[child][1]) == 1:
-            ai, child = dag[child][1][0]
-            path.append(names[ai])
-        folded.append((tuple(path), child))
-    return folded
+_ROWS = 4096  # cuts written per write
+
+
+def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
+    """Write the cuts of ``q`` to ``out`` in :func:`enumerate_cuts` order, each a line of comma-joined names.
+
+    Lines are decoded from the same masks as :func:`enumerate_cuts`, through
+    byte tables that hold each byte's names as text rather than as a tuple,
+    and written ``_ROWS`` at a time, so neither a tuple per cut nor the
+    whole text is built.  Warns like :func:`enumerate_cuts` when arrows lie
+    in no distinguished cycle.
+    """
+    _warn_if_uncovered(q)
+    decoded = _decoded(q.cut_space, _ByteText)
+    while lines := ["".join(parts)[1:] for parts in islice(decoded, _ROWS)]:
+        out.write("\n".join(lines) + "\n")
 
 
 def has_enough_cuts(q: QuiverWithCycles) -> bool:

@@ -15,7 +15,11 @@ apart from the one spanning forest the library reads components off.  The
 Morita lift oracle tries every copy assignment of a cycle's stations, apart
 from the arrow-by-arrow extension the library makes.  The coset oracle keeps a
 Python list per row and scans every column on a coincidence, apart from the
-flat table and defined-column masks of the library.
+flat table and defined-column masks of the library.  The listing oracle is
+a memo-free backtracking search on frozensets of names, apart from the
+cut-state DAG, the integer masks and the byte tables the library lists
+through.  The Smith oracle is the dense pivot loop alone, without the
+library's first pass over unit rows.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import io
 import random
 from itertools import permutations, product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from quivercuts.coset import EnumerationResult
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
@@ -32,10 +36,10 @@ from quivercuts.tensor import BASE, LabeledDynkinSpec, LabeledQuiver, LabeledQui
 Step = tuple[str, int]  # (arrow name, +1 along the arrow or -1 against it)
 
 
-def written(write, graph, **kwargs) -> str:
-    """The text that ``write(graph, out, **kwargs)``, e.g. ``mutation_graph_to_json``, writes to ``out``."""
+def written(write, value, **kwargs) -> str:
+    """The text that ``write(value, out, **kwargs)``, e.g. ``mutation_graph_to_json``, writes to ``out``."""
     out = io.StringIO()
-    write(graph, out, **kwargs)
+    write(value, out, **kwargs)
     return out.getvalue()
 
 
@@ -134,6 +138,29 @@ def brute_force_cuts(q: QuiverWithCycles) -> list[frozenset[str]]:
             cuts.append(subset)
     cuts.sort(key=lambda cut: tuple(sorted(cut)))
     return cuts
+
+
+def oracle_enumerate_cuts(q: QuiverWithCycles) -> list[frozenset[str]]:
+    """Every cut, found once each by an exact-one backtracking search on frozensets, with no memo.
+
+    A partial choice extends by each arrow of its first cycle that it does
+    not meet, and is dropped once it meets some cycle twice (an arrow counted
+    once per occurrence); the first uncovered cycle of a cut has one arrow in
+    it, so each cut is reached by one path.  The cuts come in search order.
+    """
+    cycles = [cycle.arrows for cycle in q.cycles]
+    found = []
+    stack = [frozenset()]
+    while stack:
+        chosen = stack.pop()
+        meets = [sum(1 for name in cycle if name in chosen) for cycle in cycles]
+        if any(k > 1 for k in meets):
+            continue
+        if 0 not in meets:
+            found.append(chosen)
+            continue
+        stack.extend(chosen | {name} for name in set(cycles[meets.index(0)]))
+    return found
 
 
 def oracle_are_compatible(q: QuiverWithCycles, first: Iterable[str], second: Iterable[str]) -> bool:
@@ -474,3 +501,60 @@ def oracle_enumerate_trivial_subgroup(
     except _OracleBudget:
         return EnumerationResult(False, table.live, len(table.rows))
     return EnumerationResult(True, table.live, len(table.rows))
+
+
+def oracle_smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """Nonzero diagonal of the Smith normal form by the dense pivot loop alone, with no unit-row pass."""
+    m = [list(row) for row in matrix]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    diagonal: list[int] = []
+    t = 0
+    while t < n_rows and t < n_cols:
+        best = None
+        for i in range(t, n_rows):
+            for j in range(t, n_cols):
+                v = m[i][j]
+                if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
+                    best = (i, j)
+            if best is not None and abs(m[best[0]][best[1]]) == 1:
+                break  # no pivot is smaller than a unit
+        if best is None:
+            break
+        bi, bj = best
+        m[t], m[bi] = m[bi], m[t]
+        if bj != t:
+            for row in m:
+                row[t], row[bj] = row[bj], row[t]
+        pivot = m[t][t]
+        dirty = False
+        for i in range(t + 1, n_rows):
+            if m[i][t]:
+                factor = m[i][t] // pivot
+                m[i] = [a - factor * b for a, b in zip(m[i], m[t])]
+                if m[i][t]:
+                    dirty = True  # remainder smaller than the pivot appeared
+        for j in range(t + 1, n_cols):
+            if m[t][j]:
+                factor = m[t][j] // pivot
+                for row in m:
+                    row[j] -= factor * row[t]
+                if m[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        offender = None
+        for i in range(t + 1, n_rows if abs(pivot) != 1 else 0):  # a unit divides everything
+            for j in range(t + 1, n_cols):
+                if m[i][j] % pivot != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            # mix the offending row in so the pivot can shrink to the gcd
+            m[t] = [a + b for a, b in zip(m[t], m[offender])]
+            continue
+        diagonal.append(abs(pivot))
+        t += 1
+    return diagonal

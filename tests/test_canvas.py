@@ -13,7 +13,7 @@ from quivercuts.canvas import (
 from quivercuts.coset import EnumerationResult, enumerate_trivial_subgroup
 from quivercuts.cuts import is_fully_compatible
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
-from support import oracle_enumerate_trivial_subgroup
+from support import oracle_enumerate_trivial_subgroup, oracle_smith_diagonal
 
 
 def qwc(vertices, arrows, cycles=()):
@@ -106,6 +106,30 @@ def test_smith_diagonal_against_sympy(rows):
     reference = smith_normal_form(Matrix(rows), domain=ZZ)
     expected = [abs(reference[i, i]) for i in range(min(reference.shape)) if reference[i, i] != 0]
     assert ours == expected
+
+
+def _rows(n_cols):
+    """Rows of ``n_cols`` small entries, or unit rows: one entry of 1 or -1."""
+    unit = st.tuples(st.integers(0, n_cols - 1), st.sampled_from((1, -1))).map(
+        lambda place: [place[1] if j == place[0] else 0 for j in range(n_cols)]
+    )
+    return st.lists(st.one_of(st.lists(st.integers(-4, 4), min_size=n_cols, max_size=n_cols), unit), max_size=7)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 7).flatmap(_rows))
+def test_smith_diagonal_against_the_dense_loop(rows):
+    # the unit rows and their columns drop out first; the dense loop alone gives the same diagonal
+    assert smith_diagonal(rows) == oracle_smith_diagonal(rows)
+
+
+def test_smith_diagonal_drops_unit_rows_in_chains():
+    # x1 = 1 clears x1 from x1 x2, which leaves x2 = 1, and so on down the chain
+    n = 6
+    chain = [[1] + [0] * (n - 1)] + [[int(j in (i - 1, i)) for j in range(n)] for i in range(1, n)]
+    assert smith_diagonal(chain) == oracle_smith_diagonal(chain) == [1] * n
+    assert smith_diagonal([[1, 0], [1, 0], [2, 4]]) == oracle_smith_diagonal([[1, 0], [1, 0], [2, 4]]) == [1, 4]
+    assert smith_diagonal([[-1, 3], [0, 2]]) == [1, 2]
 
 
 def test_coset_enumeration_known_groups():

@@ -193,6 +193,56 @@ def test_deep_cut_document(tmp_path, capsys):
     assert out.splitlines()[3].startswith("simply-connected: Yes")
 
 
+E7F4_CUTS_SHA256 = "ae524c14830e1301ea906642ae587860629c4c2508b60d1a87f17e85caa0172b"
+
+
+def test_cuts_listing_e7f4_is_pinned(capsys, monkeypatch):
+    # the sha256 of the 79,159 lines, recorded before the listing ran on masks
+    code, document, _ = run(capsys, "tensor", "--left", "E7", "--right", "F4")
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(document))
+    code, out, err = run(capsys, "cuts")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 79159
+    assert hashlib.sha256(out.encode()).hexdigest() == E7F4_CUTS_SHA256
+
+
+def test_cuts_of_a_quiver_with_no_cut(tmp_path, capsys):
+    # the loop occurs twice in its one cycle, so no arrow set meets the cycle exactly once
+    document = tmp_path / "twice.json"
+    document.write_text(
+        json.dumps(
+            {
+                "format_version": 1,
+                "vertices": [{"id": "v"}],
+                "arrows": [{"id": "l", "source": "v", "target": "v"}],
+                "cycles": [{"arrows": ["l", "l"]}],
+            }
+        )
+    )
+    assert run(capsys, "cuts", str(document)) == (0, "", "")
+    assert run(capsys, "cuts", str(document), "--count-only") == (0, "0\n", "")
+
+
+def test_cuts_of_one_long_cycle(tmp_path, capsys):
+    # one cycle of 3000 arrows: 3000 cuts of one arrow each, in name order
+    names = [f"x{i:04d}" for i in range(3000)]
+    document = tmp_path / "cycle.json"
+    document.write_text(
+        json.dumps(
+            {
+                "format_version": 1,
+                "vertices": [{"id": str(i)} for i in range(3000)],
+                "arrows": [
+                    {"id": name, "source": str(i), "target": str((i + 1) % 3000)} for i, name in enumerate(names)
+                ],
+                "cycles": [{"arrows": names}],
+            }
+        )
+    )
+    assert run(capsys, "cuts", str(document)) == (0, "".join(name + "\n" for name in names), "")
+
+
 def test_check_b2b2(capsys):
     code, out, _ = run(capsys, "check", B2B2)
     assert code == 0

@@ -1,3 +1,4 @@
+import io
 import random
 import warnings
 
@@ -11,11 +12,13 @@ from support import (
     oracle_has_enough_cuts,
     oracle_is_cut,
     oracle_component_count,
+    oracle_enumerate_cuts,
     oracle_is_fully_compatible,
     oracle_mutation_edges,
     oracle_split_components,
     random_quiver_with_cycles,
     random_tree_quiver,
+    written,
 )
 
 from quivercuts.canvas import _presentations, pi1_presentation
@@ -30,6 +33,7 @@ from quivercuts.cuts import (
     is_fully_compatible,
     truncated_presentation,
     truncated_quiver,
+    write_cuts,
 )
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
 from quivercuts.mutation import is_transitive, mutation_graph
@@ -181,6 +185,72 @@ def _check_against_oracles(q, rng):
     assert graph.is_connected == (components <= 1)
 
 
+# names that sort around the comma: " " < "+" < "," < "-" < letters, and "a" is a prefix of the rest,
+# so sorting the joined lines as strings, or the masks ascending, puts some cuts out of order
+AROUND_THE_COMMA = ("a", "a b", "a+", "a,", "a-", "ab", "b", "a,b")
+
+
+def _renamed(q, names):
+    """``q`` with its arrows renamed, in declaration order, to ``names``."""
+    new = dict(zip((a.name for a in q.quiver.arrows), names))
+    arrows = tuple(Arrow(new[a.name], a.source, a.target) for a in q.quiver.arrows)
+    cycles = tuple(Cycle(tuple(map(new.__getitem__, c.arrows)), c.sign) for c in q.cycles)
+    return QuiverWithCycles(Quiver(q.quiver.vertices, arrows), cycles)
+
+
+def _check_listing(q):
+    expected = sorted(tuple(sorted(cut)) for cut in oracle_enumerate_cuts(q))
+    assert enumerate_cuts(q) == expected
+    assert written(write_cuts, q) == "".join(",".join(cut) + "\n" for cut in expected)
+
+
+@pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
+@given(st.integers(0, 10**6))
+def test_listing_matches_the_backtracking_oracle(seed):
+    # free arrows, repeated arrows, several components and no cycles at all,
+    # under names that sort around the comma
+    rng = random.Random(seed)
+    q = random_quiver_with_cycles(rng)
+    _check_listing(_renamed(q, rng.sample(AROUND_THE_COMMA, len(q.quiver.arrows))))
+
+
+def test_listing_orders_names_around_the_comma():
+    # two 2-cycles: as strings "a+,b" sorts before "a,b", as name tuples after it
+    q = qwc(
+        ["1", "2", "3"],
+        [Arrow("a", "1", "2"), Arrow("a+", "2", "1"), Arrow("b", "1", "3"), Arrow("ab", "3", "1")],
+        [Cycle(("a", "a+")), Cycle(("b", "ab"))],
+    )
+    assert enumerate_cuts(q) == [("a", "ab"), ("a", "b"), ("a+", "ab"), ("a+", "b")]
+    assert written(write_cuts, q) == "a,ab\na,b\na+,ab\na+,b\n"
+    _check_listing(q)
+
+
+@pytest.mark.parametrize(("left", "right"), [("A4", "A4"), ("D4", "D4"), ("A3", "E6")])
+def test_listing_products_match_the_backtracking_oracle(left, right):
+    _check_listing(tensor_qwc(dynkin_quiver(parse_dynkin_spec(left)), dynkin_quiver(parse_dynkin_spec(right))).qwc)
+
+
+def test_write_cuts_streams_chunks_of_lines(monkeypatch):
+    # a single cycle of 10 arrows has 10 one-arrow cuts; chunks of 3 lines give the same text in 4 writes
+    names = [f"x{i}" for i in range(10)]
+    arrows = [Arrow(name, str(i), str((i + 1) % 10)) for i, name in enumerate(names)]
+    q = qwc([str(i) for i in range(10)], arrows, [Cycle(tuple(names))])
+    whole = written(write_cuts, q)
+    monkeypatch.setattr("quivercuts.cuts._ROWS", 3)
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    out = Recorder()
+    write_cuts(q, out)
+    assert out.getvalue() == whole == "".join(name + "\n" for name in names)
+    assert len(writes) == 4
+
+
 def test_deep_cut_needs_no_recursion():
     # one vertex with 1500 loops, each its own cycle: the one cut is a DAG path of
     # 1500 states, deeper than the recursion limit
@@ -202,11 +272,12 @@ def test_uncovered_warning_points_at_the_caller():
         warnings.simplefilter("always")
         enumerate_cuts(q)
         count_cuts(q)
+        write_cuts(q, io.StringIO())
         mutation_graph(q)
         is_transitive(q)
-    assert [w.category for w in caught] == [UncoveredQuiverWarning] * 4
+    assert [w.category for w in caught] == [UncoveredQuiverWarning] * 5
     assert len({str(w.message) for w in caught}) == 1
-    assert [w.filename for w in caught] == [__file__] * 4
+    assert [w.filename for w in caught] == [__file__] * 5
 
 
 def test_count_e6e6_without_listing():
@@ -219,9 +290,7 @@ def _names_reversed(q):
     """``q`` with its arrow names reversed in order, so the DAG indexes and branches differently."""
     names = sorted(a.name for a in q.quiver.arrows)
     new = dict(zip(names, reversed(names)))
-    arrows = tuple(Arrow(new[a.name], a.source, a.target) for a in q.quiver.arrows)
-    cycles = tuple(Cycle(tuple(map(new.__getitem__, c.arrows)), c.sign) for c in q.cycles)
-    return QuiverWithCycles(Quiver(q.quiver.vertices, arrows), cycles)
+    return _renamed(q, [new[a.name] for a in q.quiver.arrows])
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ EXPORTS = {
     "is_fully_compatible",
     "truncated_presentation",
     "truncated_quiver",
+    "write_cuts",
     # docio
     "DocumentError",
     "DocumentInvariantError",
