@@ -15,14 +15,16 @@ cycles.  What remains allowed depends only on which cycles are covered, so
 the search for all cuts folds into a small DAG of covered-cycle states, in
 effect a ZDD of the cut family, whose root-to-sink paths are the cuts.
 Counting, listing, :func:`has_enough_cuts` and :func:`is_fully_compatible`
-all read this DAG.  Only listing visits every cut: one pass, children first,
-gives each state the integer masks of the paths below it, with the arrows
-in reversed name order so that descending masks are ascending name tuples,
-and names are built only at the end, a byte of a mask at a time.
-:func:`enumerate_cuts` returns the tuples and :func:`write_cuts` streams the
-``cuts`` lines.  Arrows lying in no distinguished cycle lie in no cut;
-counting or listing the cuts of a quiver with such arrows triggers
-:class:`UncoveredQuiverWarning`.
+all read this DAG, built once per quiver as ``CutSpace.dag``.  Only listing
+visits every cut: one pass, children first, gives each state the integer
+masks of the paths below it, in the one layout of
+:class:`~quivercuts.model.CutSpace`, where the least name takes the top
+bit, so that descending masks are ascending name tuples; names are built
+only at the end, a byte of a mask at a time.  :func:`enumerate_cuts`
+returns the tuples, :func:`write_cuts` streams the ``cuts`` lines, and the
+mutation graph reads the same masks.  Arrows lying in no distinguished
+cycle lie in no cut; counting or listing the cuts of a quiver with such
+arrows triggers :class:`UncoveredQuiverWarning`.
 """
 
 from __future__ import annotations
@@ -80,13 +82,6 @@ def is_covered(q: QuiverWithCycles) -> bool:
     return q.cycle_arrows == frozenset(a.name for a in q.quiver.arrows)
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # modules whose public functions list cuts on behalf of their caller
 _LISTING_MODULES = frozenset({__name__, f"{__package__}.mutation"})
 
@@ -105,72 +100,23 @@ def _warn_if_uncovered(q: QuiverWithCycles) -> None:
     warnings.warn(message, UncoveredQuiverWarning, stacklevel=level)
 
 
-_Dag = dict[int, tuple[int, tuple[tuple[int, int], ...]]]
-
-
-def _cut_dag(space: CutSpace) -> _Dag:
-    """The cut-state DAG: covered-cycle mask -> (cut count, live edges ``(arrow index, child)``).
-
-    A state is the set of cycles covered so far.  Its arrows banned by the
-    exact-one condition are ``never`` and every arrow of a covered cycle, so
-    the state alone fixes what lies below it.  Each state branches on the
-    candidates of the uncovered cycle with the fewest of them; an arrow joins
-    the cut and covers every cycle through it.  The root is ``0`` and the
-    sink, the all-covered mask, counts 1.  Edges into states with no cut are
-    dropped, so the root-to-sink paths are exactly the cuts, each once, and a
-    state with no cut below has no edge.  Every state follows its children in
-    the mapping's order.
-    """
-    members, cycles_of = space.members, space.cycles_of
-    conflicts = [0] * len(cycles_of)  # arrows sharing a cycle, per arrow
-    for ai, cycles in enumerate(cycles_of):
-        for ci in _iter_bits(cycles):
-            conflicts[ai] |= members[ci]
-    sink = (1 << len(members)) - 1
-    branches: dict[int, list[tuple[int, int]]] = {sink: []}
-    stack = [(0, space.never)]  # (covered, banned), depth first without recursion
-    while stack:
-        covered, banned = stack.pop()
-        if covered in branches:
-            continue
-        best_cands, best_n = 0, len(cycles_of) + 1
-        for ci in _iter_bits(sink & ~covered):
-            cands = members[ci] & ~banned
-            n = cands.bit_count()
-            if n < best_n:
-                best_cands, best_n = cands, n
-                if n <= 1:
-                    break
-        branches[covered] = [(ai, covered | cycles_of[ai]) for ai in _iter_bits(best_cands)]
-        stack += [(child, banned | conflicts[ai]) for ai, child in branches[covered]]
-    # a child covers more cycles than its parent; the sink, covering all, comes first
-    dag: _Dag = {sink: (1, ())}
-    for covered in sorted(branches, key=int.bit_count, reverse=True)[1:]:
-        edges = tuple((ai, child) for ai, child in branches[covered] if dag[child][0])
-        dag[covered] = (sum(dag[child][0] for _, child in edges), edges)
-    return dag
-
-
 def count_cuts(q: QuiverWithCycles) -> int:
     """The number of cuts of ``q``: the root's path count in the cut-state DAG, no cut listed.
 
     Warns like :func:`enumerate_cuts` when arrows lie in no distinguished cycle.
     """
     _warn_if_uncovered(q)
-    return _cut_dag(q.cut_space)[0][0]
+    return q.cut_space.dag[0][0]
 
 
 def _cut_masks(space: CutSpace) -> list[int]:
-    """Every cut as a *listing mask*, in descending order: arrow ``i`` at bit ``8 * nb - 1 - i``.
+    """Every cut as a mask over ``space``, in descending order.
 
-    ``nb`` is ``_mask_bytes(space)``, so the least name takes the top bit and
-    byte ``j`` of ``m.to_bytes(nb, "big")`` holds arrows ``8j`` to ``8j + 7``,
-    most significant bit first.  One pass over the cut-state DAG, children
-    first, gives each state the masks of the paths below it as ``(bits,
-    base)``, the masks ``bits | s`` for ``s`` in ``base``: the sink has the
-    empty path, a state with one live edge shares its child's ``base`` and
-    adds the edge's bit to ``bits``, and a state with more joins each edge's
-    masks in a new list.  A child's pair is dropped once its last parent has
+    One pass over the cut-state DAG, children first, gives each state the
+    masks of the paths below it as ``(bits, base)``, the masks ``bits | s``
+    for ``s`` in ``base``: the sink has the empty path, a state with one live
+    edge shares its child's ``base`` and adds the edge's bit to ``bits``, and
+    a state with more joins each edge's masks in a new list.  A child's pair is dropped once its last parent has
     used it; the root's masks are every cut once.
 
     Descending masks are ascending sorted name tuples.  No cut contains
@@ -182,10 +128,9 @@ def _cut_masks(space: CutSpace) -> list[int]:
     smaller.  ``d`` is the top bit of ``A ^ B`` and lies in ``A``, so ``A``'s
     mask is the larger.
     """
-    dag = _cut_dag(space)
-    top = 8 * _mask_bytes(space) - 1
+    dag = space.dag
     at = {covered: i for i, covered in enumerate(dag)}  # states by position: the sink first, the root last
-    edges = [[(1 << (top - ai), at[child]) for ai, child in live] for _, live in dag.values()]
+    edges = [[(1 << ai, at[child]) for ai, child in live] for _, live in dag.values()]
     uses = [0] * len(edges)  # live edges into each state not yet followed
     for live in edges:
         for _, j in live:
@@ -207,15 +152,11 @@ def _cut_masks(space: CutSpace) -> list[int]:
     return masks
 
 
-def _mask_bytes(space: CutSpace) -> int:
-    return (len(space.cycles_of) + 7) // 8
-
-
 _BITS = [[x >> k & 1 for k in range(7, -1, -1)] for x in range(256)]  # a byte's bits, most significant first
 
 
 class _ByteNames(dict):
-    """One byte of a listing mask -> the names of its set bits, in name order; each entry is made on first use."""
+    """One byte of a cut mask -> the names of its set bits, in name order; each entry is made on first use."""
 
     def __init__(self, names: Sequence[ArrowId]) -> None:
         super().__init__()
@@ -227,15 +168,15 @@ class _ByteNames(dict):
 
 
 class _ByteText(_ByteNames):
-    """One byte of a listing mask -> its names, each after a comma: a line is its bytes' texts less the first comma."""
+    """One byte of a cut mask -> its names, each after a comma: a line is its bytes' texts less the first comma."""
 
     def __missing__(self, x: int) -> str:
         value = self[x] = ",".join(("", *compress(self.names, _BITS[x])))
         return value
 
 
-def _decoded(space: CutSpace, table: type[_ByteNames]) -> Iterator[Iterator]:
-    """Per cut, in listing order, an iterator over the ``table`` entries of the bytes of its mask, in byte order.
+def _decoded(space: CutSpace, table: type[_ByteNames], masks: Iterable[int]) -> Iterator[Iterator]:
+    """Per mask, an iterator over the ``table`` entries of its bytes, in byte order.
 
     Byte ``j`` has its own ``table`` over arrows ``8j`` to ``8j + 7``.  Only
     the bytes from the mask's first nonzero byte to its last are made and
@@ -244,10 +185,9 @@ def _decoded(space: CutSpace, table: type[_ByteNames]) -> Iterator[Iterator]:
     last set bit are stripped.  A zero byte between two set bits is looked
     up like any other and gives no name.
     """
-    nb = _mask_bytes(space)
-    tables = [table(space.arrows[j : j + 8]) for j in range(0, 8 * nb, 8)]
-    for m in _cut_masks(space):
-        k = (m.bit_length() + 7) >> 3  # 0 only for the empty cut, the cut of a space with no tables
+    tables = [table(space.arrows[j : j + 8]) for j in range(0, len(space.cycles_of), 8)]
+    for m in masks:
+        k = (m.bit_length() + 7) >> 3  # 0 only for the empty cut
         yield map(getitem, tables[-k:], m.to_bytes(k, "big").rstrip(b"\0"))
 
 
@@ -265,7 +205,8 @@ def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
     exist an :class:`UncoveredQuiverWarning` is emitted.
     """
     _warn_if_uncovered(q)
-    return [sum(parts, ()) for parts in _decoded(q.cut_space, _ByteNames)]
+    space = q.cut_space
+    return [sum(parts, ()) for parts in _decoded(space, _ByteNames, _cut_masks(space))]
 
 
 _ROWS = 4096  # cuts written per write
@@ -281,7 +222,8 @@ def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
     in no distinguished cycle.
     """
     _warn_if_uncovered(q)
-    decoded = _decoded(q.cut_space, _ByteText)
+    space = q.cut_space
+    decoded = _decoded(space, _ByteText, _cut_masks(space))
     while lines := ["".join(parts)[1:] for parts in islice(decoded, _ROWS)]:
         out.write("\n".join(lines) + "\n")
 
@@ -289,10 +231,10 @@ def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
 def has_enough_cuts(q: QuiverWithCycles) -> bool:
     """True iff every arrow of ``q`` lies in at least one cut: the arrows of the live DAG edges."""
     used = 0
-    for _, edges in _cut_dag(q.cut_space).values():
+    for _, edges in q.cut_space.dag.values():
         for ai, _ in edges:
             used |= 1 << ai
-    return used == (1 << len(q.cut_space.arrows)) - 1
+    return used.bit_count() == len(q.cut_space.arrows)
 
 
 def _basis_masks(q: QuiverWithCycles) -> list[tuple[int, int]]:
@@ -343,7 +285,7 @@ def is_fully_compatible(q: QuiverWithCycles) -> bool:
     space = q.cut_space
     of_arrow = [_signature(basis, 1 << ai) for ai in range(len(space.cycles_of))]  # DAG edges carry cycle arrows
     below: dict[int, tuple[int, ...]] = {}
-    for covered, (_, edges) in _cut_dag(space).items():
+    for covered, (_, edges) in space.dag.items():
         signatures = {tuple(map(add, of_arrow[ai], below[child])) for ai, child in edges}
         if len(signatures) > 1:
             return False

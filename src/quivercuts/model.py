@@ -4,11 +4,12 @@ A quiver is a finite directed graph (vertices ``Q0``, arrows ``Q1``).  A
 quiver with cycles carries in addition a set ``Q2`` of directed cycles,
 recording the support of a potential.  Cycles are kept in a canonical
 rotation so that two choices of starting vertex compare equal.
-``CutSpace`` is a quiver's arrow sets as integer bit masks.  One BFS
-spanning forest, a ``SpanningTree`` rooted at each component's least
-vertex, gives the components that :func:`validate` counts, the chords of
-the cycle-space basis of compatibility and the fundamental-group
-presentation of each component of the canvas.
+``CutSpace`` is the one bit-mask view of a quiver's arrows, the only
+place names map to bits, and holds the cut-state DAG that every cut
+computation reads.  One BFS spanning forest, a ``SpanningTree`` rooted at
+each component's least vertex, gives the components that :func:`validate`
+counts, the chords of the cycle-space basis of compatibility and the
+fundamental-group presentation of each component of the canvas.
 
 All values are immutable after construction and every operation here is a
 pure function, so they are safe to share across threads.  Collections are
@@ -95,24 +96,77 @@ class Quiver:
             raise KeyError(f"unknown arrow {name!r}") from None
 
 
+def _iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class CutSpace:
-    """Arrow sets as integer bit masks: bit ``i`` stands for ``arrows[i]``.
+    """Arrow sets as integer bit masks: ``arrows[i]`` sits at bit ``8 * nb - 1 - i``.
 
-    Cycle arrows take the low bits (``cycle_mask``) in name order, free arrows
-    the bits above.  ``incidence`` holds each non-isolated vertex's masks,
-    ``members`` each cycle's arrows, ``cycles_of`` the cycles through each
-    cycle arrow (bit ``c`` for ``cycles[c]``), and ``never`` the arrows
-    repeated inside one cycle, which lie in no cut.
+    ``arrows`` holds every arrow in name order and ``nb`` is the number of
+    bytes they fill, so the least name takes the top bit, byte ``j`` of
+    ``m.to_bytes(nb, "big")`` holds ``arrows[8j:8j + 8]`` most significant bit
+    first, and descending masks of cuts are ascending name tuples.
+    ``cycle_mask`` holds the cycle arrows, ``incidence`` each non-isolated
+    vertex's masks, ``members`` each cycle's arrows, ``cycles_of`` the cycles
+    through the arrow at each bit position (bit ``c`` for ``cycles[c]``), and
+    ``never`` the arrows repeated inside one cycle, which lie in no cut.
     """
 
     arrows: tuple[ArrowId, ...]
-    bit: Mapping[ArrowId, int]  # name -> 1 << index
+    bit: Mapping[ArrowId, int]  # name -> its bit
     cycle_mask: int
     incidence: Mapping[VertexId, tuple[int, int]]  # (incoming, outgoing)
     members: tuple[int, ...]
-    cycles_of: tuple[int, ...]
+    cycles_of: tuple[int, ...]  # 8 * nb entries, one per bit position
     never: int
+
+    @cached_property
+    def dag(self) -> dict[int, tuple[int, tuple[tuple[int, int], ...]]]:
+        """The cut-state DAG: covered-cycle mask -> (cut count, live edges ``(bit position, child)``).
+
+        A state is the set of cycles covered so far.  Its arrows banned by the
+        exact-one condition are ``never`` and every arrow of a covered cycle,
+        so the state alone fixes what lies below it.  Each state branches on
+        the candidates of the uncovered cycle with the fewest of them; an arrow
+        joins the cut and covers every cycle through it.  The root is ``0``
+        and the sink, the all-covered mask, counts 1.  Edges into states with
+        no cut are dropped, so the root-to-sink paths are exactly the cuts,
+        each once, and a state with no cut below has no edge.  Every state
+        follows its children in the mapping's order.
+        """
+        members, cycles_of = self.members, self.cycles_of
+        conflicts = [0] * len(cycles_of)  # arrows sharing a cycle, per arrow
+        for ai, cycles in enumerate(cycles_of):
+            for ci in _iter_bits(cycles):
+                conflicts[ai] |= members[ci]
+        sink = (1 << len(members)) - 1
+        branches: dict[int, list[tuple[int, int]]] = {sink: []}
+        stack = [(0, self.never)]  # (covered, banned), depth first without recursion
+        while stack:
+            covered, banned = stack.pop()
+            if covered in branches:
+                continue
+            best_cands, best_n = 0, len(cycles_of) + 1
+            for ci in _iter_bits(sink & ~covered):
+                cands = members[ci] & ~banned
+                n = cands.bit_count()
+                if n < best_n:
+                    best_cands, best_n = cands, n
+                    if n <= 1:
+                        break
+            branches[covered] = [(ai, covered | cycles_of[ai]) for ai in _iter_bits(best_cands)]
+            stack += [(child, banned | conflicts[ai]) for ai, child in branches[covered]]
+        # a child covers more cycles than its parent; the sink, covering all, comes first
+        dag = {sink: (1, ())}
+        for covered in sorted(branches, key=int.bit_count, reverse=True)[1:]:
+            edges = tuple((ai, child) for ai, child in branches[covered] if dag[child][0])
+            dag[covered] = (sum(dag[child][0] for _, child in edges), edges)
+        return dag
 
 
 @dataclass(frozen=True)
@@ -141,15 +195,15 @@ class QuiverWithCycles:
     @cached_property
     def cut_space(self) -> CutSpace:
         """The bit-mask view of the arrows, built once per quiver with cycles."""
-        cycle_arrows = sorted(self.cycle_arrows)
-        order = cycle_arrows + [a.name for a in self.quiver.arrows if a.name not in self.cycle_arrows]
-        bit = {name: 1 << i for i, name in enumerate(order)}
+        arrows = sorted(self.cycle_arrows.union(a.name for a in self.quiver.arrows))
+        width = (len(arrows) + 7) // 8 * 8  # 8 * nb
+        bit = {name: 1 << (width - 1 - i) for i, name in enumerate(arrows)}
         incidence = {v: [0, 0] for v in self.quiver.vertices}
         for a in self.quiver.arrows:  # an undeclared endpoint updates a throwaway pair
             incidence.get(a.target, [0, 0])[0] |= bit[a.name]
             incidence.get(a.source, [0, 0])[1] |= bit[a.name]
         touched = {v: (inc, out) for v, (inc, out) in incidence.items() if inc | out}
-        members, cycles_of, never = [], [0] * len(cycle_arrows), 0
+        members, cycles_of, never = [], [0] * width, 0
         for ci, cycle in enumerate(self.cycles):
             m = 0
             for b in map(bit.__getitem__, cycle.arrows):
@@ -157,8 +211,8 @@ class QuiverWithCycles:
                 m |= b
                 cycles_of[b.bit_length() - 1] |= 1 << ci
             members.append(m)
-        cycle_mask = (1 << len(cycle_arrows)) - 1
-        return CutSpace(tuple(order), bit, cycle_mask, touched, tuple(members), tuple(cycles_of), never)
+        cycle_mask = sum(map(bit.__getitem__, self.cycle_arrows))
+        return CutSpace(tuple(arrows), bit, cycle_mask, touched, tuple(members), tuple(cycles_of), never)
 
 
 def validate(q: QuiverWithCycles) -> list[str]:

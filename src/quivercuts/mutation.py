@@ -11,8 +11,9 @@ cut-mutation is connectivity of this graph.
 Free arrows (arrows in no distinguished cycle) never belong to enumerated
 cuts, so graph edges are computed in the subquiver spanned by cycle arrows;
 for covered quivers this changes nothing.  Cuts are handled as bit masks
-over the quiver's :class:`~quivercuts.model.CutSpace`, and every mutation
-is precomputed once as a move: one mask test says whether it applies to a
+over the quiver's :class:`~quivercuts.model.CutSpace`, the masks the cut
+listing sorts, whose bits run in name order.  Every mutation is
+precomputed once as a move: one mask test says whether it applies to a
 cut, and one exclusive or gives the mutated cut.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cuts import Cut, _cut_mask, enumerate_cuts
+from .cuts import Cut, _ByteNames, _cut_mask, _cut_masks, _decoded, _warn_if_uncovered
 from .model import ArrowId, CutSpace, QuiverWithCycles, VertexId
 
 
@@ -55,8 +56,8 @@ def _mutate(q: QuiverWithCycles, cut: Iterable[ArrowId], vertex: VertexId, direc
     if mutated is None:
         kind = "source" if direction == "+" else "sink"
         raise ValueError(f"vertex {vertex!r} is not a strict {kind} of the cut")
-    # free arrows hold bits above the cycle arrows, so bit order is not name order
-    return tuple(sorted(name for i, name in enumerate(q.cut_space.arrows) if mutated >> i & 1))
+    bit = q.cut_space.bit
+    return tuple(name for name in q.cut_space.arrows if mutated & bit[name])
 
 
 def strict_sources(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> frozenset[VertexId]:
@@ -122,19 +123,21 @@ class MutationGraph:
 def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
     """The graph of all cuts of ``q`` under single cut-mutations.
 
-    All cuts are enumerated up front (discovery by mutation alone would hide
-    non-transitive instances); edges are then computed node by node on the
-    cuts' bit masks, restricted to cycle arrows, one mask test per move.
+    All cuts are listed up front as masks (discovery by mutation alone would
+    hide non-transitive instances); edges are then computed node by node on
+    those masks, restricted to cycle arrows, one mask test per move, and the
+    nodes are decoded from the same masks.
     """
-    cuts = enumerate_cuts(q)
+    _warn_if_uncovered(q)
     space = q.cut_space
     moves = _moves(space, space.cycle_mask)
-    masks = [sum(map(space.bit.__getitem__, cut)) for cut in cuts]
+    masks = _cut_masks(space)
     index = {m: i for i, m in enumerate(masks)}
     edges: list[tuple[int, int, VertexId, str]] = []
     for i, m in enumerate(masks):
         edges += sorted([(i, index[m ^ flip], v, d) for flip, drop, v, d in moves if m & flip == drop])
-    return MutationGraph(tuple(cuts), tuple(edges))
+    nodes = tuple(sum(parts, ()) for parts in _decoded(space, _ByteNames, masks))
+    return MutationGraph(nodes, tuple(edges))
 
 
 def is_transitive(q: QuiverWithCycles) -> bool:

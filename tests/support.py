@@ -324,14 +324,17 @@ def random_tree_quiver(rng: random.Random, max_vertices: int = 4, min_vertices: 
     return LabeledQuiver(Quiver(vertices, tuple(arrows)), {v: BASE for v in vertices})
 
 
-def random_quiver_with_cycles(rng: random.Random, max_vertices: int = 3, max_arrows: int = 6) -> QuiverWithCycles:
-    """Random arrows (loops, parallels, several components) with up to three cycles.
+def random_quiver_with_cycles(
+    rng: random.Random, max_vertices: int = 3, max_arrows: int = 6, min_arrows: int = 0
+) -> QuiverWithCycles:
+    """Random arrows ``a0``, ``a1``, ... (loops, parallels, several components) with up to three cycles.
 
     Each cycle is read off a random directed walk that returns to its start,
     so an arrow may repeat inside a cycle, and arrows may lie in no cycle.
     """
     vertices = [str(i) for i in range(1, rng.randint(1, max_vertices) + 1)]
-    arrows = [Arrow(f"a{i}", rng.choice(vertices), rng.choice(vertices)) for i in range(rng.randint(0, max_arrows))]
+    n = rng.randint(min_arrows, max_arrows)
+    arrows = [Arrow(f"a{i}", rng.choice(vertices), rng.choice(vertices)) for i in range(n)]
     quiver = Quiver(tuple(vertices), tuple(arrows))
     cycles = []
     for _ in range(rng.randint(0, 3)):

@@ -1,6 +1,9 @@
 import io
 import random
+import runpy
 import warnings
+from functools import cached_property
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,14 +17,17 @@ from support import (
     oracle_component_count,
     oracle_enumerate_cuts,
     oracle_is_fully_compatible,
+    oracle_mutate,
     oracle_mutation_edges,
     oracle_split_components,
+    oracle_strict_vertices,
     random_quiver_with_cycles,
     random_tree_quiver,
     written,
 )
 
 from quivercuts.canvas import _presentations, pi1_presentation
+from quivercuts.cli import main
 from quivercuts.cuts import (
     UncoveredQuiverWarning,
     are_compatible,
@@ -35,8 +41,15 @@ from quivercuts.cuts import (
     truncated_quiver,
     write_cuts,
 )
-from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
-from quivercuts.mutation import is_transitive, mutation_graph
+from quivercuts.model import Arrow, Cycle, CutSpace, Quiver, QuiverWithCycles
+from quivercuts.mutation import (
+    is_transitive,
+    mutate_minus,
+    mutate_plus,
+    mutation_graph,
+    strict_sinks,
+    strict_sources,
+)
 from quivercuts.tensor import dynkin_quiver, parse_dynkin_spec, standard_cuts, tensor_qwc
 
 B2B2_CUTS = [
@@ -231,6 +244,30 @@ def test_listing_products_match_the_backtracking_oracle(left, right):
     _check_listing(tensor_qwc(dynkin_quiver(parse_dynkin_spec(left)), dynkin_quiver(parse_dynkin_spec(right))).qwc)
 
 
+@pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
+@given(st.integers(0, 10**6))
+def test_two_byte_masks_match_the_backtracking_oracles(seed):
+    # 9 to 16 arrows a0..a15 fill two mask bytes: "a10" sorts before "a2", and
+    # free arrows sort between cycle arrows
+    rng = random.Random(seed)
+    q = random_quiver_with_cycles(rng, 5, 16, min_arrows=9)
+    _check_listing(q)
+    cuts = enumerate_cuts(q)
+    assert mutation_graph(q).edges == tuple(oracle_mutation_edges(q, cuts))
+    # strictness and mutation on each cut, and on it with some free arrows added
+    free = sorted(frozenset(a.name for a in q.quiver.arrows) - q.cycle_arrows)
+    for cut in cuts:
+        added = frozenset(cut).union(name for name in free if rng.random() < 0.5)
+        for members in (frozenset(cut), added):
+            sources, sinks = oracle_strict_vertices(q.quiver, members)
+            assert strict_sources(q, members) == frozenset(sources)
+            assert strict_sinks(q, members) == frozenset(sinks)
+            for v in sources:
+                assert mutate_plus(q, members, v) == tuple(sorted(oracle_mutate(q.quiver, members, v, "+")))
+            for v in sinks:
+                assert mutate_minus(q, members, v) == tuple(sorted(oracle_mutate(q.quiver, members, v, "-")))
+
+
 def test_write_cuts_streams_chunks_of_lines(monkeypatch):
     # a single cycle of 10 arrows has 10 one-arrow cuts; chunks of 3 lines give the same text in 4 writes
     names = [f"x{i}" for i in range(10)]
@@ -278,6 +315,35 @@ def test_uncovered_warning_points_at_the_caller():
     assert [w.category for w in caught] == [UncoveredQuiverWarning] * 5
     assert len({str(w.message) for w in caught}) == 1
     assert [w.filename for w in caught] == [__file__] * 5
+
+
+def test_one_dag_build_per_quiver(monkeypatch, tmp_path, capsys):
+    builds = []
+    build = CutSpace.__dict__["dag"].func
+
+    def counting(space):
+        builds.append(space)
+        return build(space)
+
+    dag = cached_property(counting)
+    dag.__set_name__(CutSpace, "dag")
+    monkeypatch.setattr(CutSpace, "dag", dag)
+    # check on a tensor document
+    assert main(["tensor", "--left", "A3:1<2>3", "--right", "B2:2>1"]) == 0
+    document = tmp_path / "a3b2.json"
+    document.write_text(capsys.readouterr().out)
+    assert main(["check", str(document)]) == 0
+    assert capsys.readouterr().out.startswith("covered: yes\nenough-cuts: yes\nfully-compatible: yes\n")
+    assert len(builds) == 1
+    # a survey row counts the cuts, builds the mutation graph and judges compatibility
+    script = Path(__file__).resolve().parent.parent / "scripts" / "survey_tensor_pairs.py"
+    row = runpy.run_path(str(script))["survey_pair"]("A3:1<2>3", "B2:2>1", False)
+    assert (row["cuts"], row["connected"], row["fully_compatible"]) == (13, True, True)
+    assert len(builds) == 2
+    # a count, then a listing of the same quiver
+    q = tensor_qwc(dynkin_quiver(parse_dynkin_spec("A3")), dynkin_quiver(parse_dynkin_spec("A3"))).qwc
+    assert count_cuts(q) == len(written(write_cuts, q).splitlines())
+    assert len(builds) == 3
 
 
 def test_count_e6e6_without_listing():

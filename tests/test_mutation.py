@@ -185,13 +185,19 @@ def test_non_transitive_instance():
 
 
 def test_free_arrows_judged_on_enumerated_cuts():
-    q = _joined_triangles()
+    # free arrows sort before the cycle arrows ("join"), between them ("pz") and after them ("z")
+    base = _joined_triangles()
+    arrows = base.quiver.arrows + (Arrow("pz", "1", "5"), Arrow("z", "6", "1"))
+    q = QuiverWithCycles(Quiver(base.quiver.vertices, arrows), base.cycles)
     with pytest.warns(UserWarning):
         graph = mutation_graph(q)
     assert len(graph.nodes) == 9
-    assert all("join" not in node for node in graph.nodes)
-    # the free arrow's bit lies above the cycle arrows, but its name sorts first
-    assert mutate_plus(q, ("p3", "q1"), "1") == ("join", "p1", "q1")
+    assert all(name not in node for node in graph.nodes for name in ("join", "pz", "z"))
+    # vertex 1 takes "z" in and sends "join", "p1" and "pz" out; each result is name-sorted
+    plus = mutate_plus(q, ("p3", "q1", "z"), "1")
+    minus = mutate_minus(q, plus, "1")
+    assert plus == ("join", "p1", "pz", "q1") == tuple(sorted(plus))
+    assert minus == ("p3", "q1", "z") == tuple(sorted(minus))
     with pytest.warns(UserWarning):
         assert is_transitive(q)
 
