@@ -195,8 +195,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first ``main`` call and reused by every later one in the
+# process: ``parse_args`` changes nothing on the parser, each call gets a
+# fresh namespace, and the handlers look up module globals when they run.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     if args.command == "graph" and args.json and args.directed:
         parser.error("argument --directed: not allowed with argument --json")

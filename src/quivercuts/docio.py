@@ -36,6 +36,8 @@ from .tensor import DivisionLabel, LabeledQuiverWithCycles
 
 FORMAT_VERSION = 1
 
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls: one quoting rule for every writer
+
 
 class DocumentError(ValueError):
     """Base class for quiver-document failures."""
@@ -109,6 +111,8 @@ def parse_quiver_document(text: str) -> LabeledQuiverWithCycles:
     version = data["format_version"]
     if not isinstance(version, int) or isinstance(version, bool):
         raise DocumentSchemaError("format_version must be an integer")
+    if version < 1:
+        raise DocumentSchemaError(f"format_version must be at least 1, got {version}")
     if version > FORMAT_VERSION:
         raise DocumentSchemaError(
             f"format_version {version} is newer than the supported version {FORMAT_VERSION}"
@@ -186,12 +190,25 @@ def _collapse_label(pair: tuple[DivisionLabel, ...]) -> DivisionLabel:
     return DivisionLabel("Ext", 1)  # one Ext factor keeps the product a division algebra
 
 
+def _array(items: list[str], indent: str) -> str:
+    """The rendered ``items`` as a JSON array laid out as ``json.dumps(indent=2)`` lays it out at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
 def serialize_quiver_document(value: LabeledQuiverWithCycles | QuiverWithCycles) -> str:
     """Canonical JSON for a quiver with cycles.
 
     Tensor vertices carry a pair of factor labels in memory; those collapse
     to the single label describing the vertex algebra, so pair structure is
     not preserved across a round trip (documents carry single labels only).
+
+    The text is what ``json.dumps(doc, indent=2)`` writes, byte for byte,
+    plus a final newline.  It is written here because ``indent`` forces the
+    pure-Python encoder; identifiers are quoted by ``_quote``, the function
+    ``json.dumps`` quotes a string with.
     """
     if isinstance(value, QuiverWithCycles):
         qwc: QuiverWithCycles = value
@@ -201,28 +218,28 @@ def serialize_quiver_document(value: LabeledQuiverWithCycles | QuiverWithCycles)
         labels = value.labels
     vertices = []
     for v in qwc.quiver.vertices:
-        entry: dict[str, Any] = {"id": v}
         if v in labels:
             label = _collapse_label(labels[v])
-            box: dict[str, Any] = {"kind": label.kind}
-            if label.split_count != 1:
-                box["split_count"] = label.split_count
-            entry["label"] = box
-        vertices.append(entry)
-    arrows = [{"id": a.name, "source": a.source, "target": a.target} for a in qwc.quiver.arrows]
-    cycles = []
-    for c in qwc.cycles:
-        entry = {"arrows": list(c.arrows)}
-        if c.sign is not None:
-            entry["sign"] = c.sign
-        cycles.append(entry)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "vertices": vertices,
-        "arrows": arrows,
-        "cycles": cycles,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+            split = f',\n        "split_count": {label.split_count}' if label.split_count != 1 else ""
+            box = f'{{\n        "kind": {_quote(label.kind)}{split}\n      }}'
+            vertices.append(f'{{\n      "id": {_quote(v)},\n      "label": {box}\n    }}')
+        else:
+            vertices.append(f'{{\n      "id": {_quote(v)}\n    }}')
+    arrows = [
+        f'{{\n      "id": {_quote(a.name)},\n      "source": {_quote(a.source)},'
+        f'\n      "target": {_quote(a.target)}\n    }}'
+        for a in qwc.quiver.arrows
+    ]
+    cycles = [
+        f'{{\n      "arrows": {_array(list(map(_quote, c.arrows)), "      ")}'
+        + ("" if c.sign is None else f',\n      "sign": {c.sign}')
+        + "\n    }"
+        for c in qwc.cycles
+    ]
+    return (
+        f'{{\n  "format_version": {FORMAT_VERSION},\n  "vertices": {_array(vertices, "  ")},\n'
+        f'  "arrows": {_array(arrows, "  ")},\n  "cycles": {_array(cycles, "  ")}\n}}\n'
+    )
 
 
 def _dot_escape(text: str) -> str:
@@ -313,13 +330,13 @@ def mutation_graph_to_json(graph: MutationGraph, out: TextIO) -> None:
     """Write ``{"nodes": [...], "edges": [...]}`` to ``out``, as ``json.dumps(doc, indent=2)`` writes it.
 
     ``indent`` forces the pure-Python encoder, so the text is written here,
-    a chunk of rows at a time.  Each identifier goes through ``json.dumps``
+    a chunk of rows at a time.  Each identifier goes through ``_quote``
     once, and each ``(vertex, direction)`` pair's closing lines are built once.
     """
     numbers = list(map(str, range(len(graph.nodes))))
-    quoted = _Memo(json.dumps)
+    quoted = _Memo(_quote)
     tails = {
-        d: _Memo(lambda v, d=d: f',\n      "vertex": {json.dumps(v)},\n      "direction": {json.dumps(d)}\n    }}')
+        d: _Memo(lambda v, d=d: f',\n      "vertex": {_quote(v)},\n      "direction": {_quote(d)}\n    }}')
         for d in "+-"
     }
     out.write('{\n  "nodes": [')

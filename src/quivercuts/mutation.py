@@ -34,6 +34,14 @@ def _moves(space: CutSpace, keep: int) -> list[tuple[int, int, VertexId, str]]:
     applies to a cut mask ``m`` when ``m & flip == drop``, and yields
     ``m ^ flip``.  A loop lies in both ``drop`` and ``add``, so its vertex is
     never strict: such moves are left out, since the one test would pass them.
+
+    The moves come by ``add - drop`` descending, then by vertex and direction,
+    so the moves that apply to any one cut yield its mutations in descending
+    mask order, which is ascending order of the cuts they reach.  When a move
+    applies to ``m``, ``m ^ flip == m - drop + add``, so its targets compare as
+    ``add - drop`` does, whatever ``m`` is.  Two moves that apply to ``m`` and
+    reach one target have one ``flip``, hence one ``drop = m & flip`` and one
+    ``add``, and the vertex and direction order those.
     """
     moves = []
     for v, (incoming, outgoing) in space.incidence.items():
@@ -42,6 +50,7 @@ def _moves(space: CutSpace, keep: int) -> list[tuple[int, int, VertexId, str]]:
         if (incoming or outgoing) and not incoming & outgoing:
             flip = incoming | outgoing
             moves += [(flip, incoming, v, "+"), (flip, outgoing, v, "-")]
+    moves.sort(key=lambda move: (2 * move[1] - move[0], move[2], move[3]))  # drop - add = 2 drop - flip
     return moves
 
 
@@ -125,8 +134,9 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
 
     All cuts are listed up front as masks (discovery by mutation alone would
     hide non-transitive instances); edges are then computed node by node on
-    those masks, restricted to cycle arrows, one mask test per move, and the
-    nodes are decoded from the same masks.
+    those masks, restricted to cycle arrows, one mask test per move, in the
+    order of the moves, which is already the sorted order, and the nodes are
+    decoded from the same masks.
     """
     _warn_if_uncovered(q)
     space = q.cut_space
@@ -135,7 +145,7 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
     index = {m: i for i, m in enumerate(masks)}
     edges: list[tuple[int, int, VertexId, str]] = []
     for i, m in enumerate(masks):
-        edges += sorted([(i, index[m ^ flip], v, d) for flip, drop, v, d in moves if m & flip == drop])
+        edges += [(i, index[m ^ flip], v, d) for flip, drop, v, d in moves if m & flip == drop]
     nodes = tuple(sum(parts, ()) for parts in _decoded(space, _ByteNames, masks))
     return MutationGraph(nodes, tuple(edges))
 

@@ -19,17 +19,22 @@ flat table and defined-column masks of the library.  The listing oracle is
 a memo-free backtracking search on frozensets of names, apart from the
 cut-state DAG, the integer masks and the byte tables the library lists
 through.  The Smith oracle is the dense pivot loop alone, without the
-library's first pass over unit rows.
+library's first pass over unit rows.  The document oracle builds the
+document as nested dicts and lists and hands it to ``json.dumps(indent=2)``,
+apart from the text the library writes directly; it shares only the label
+collapse.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import random
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
 from quivercuts.coset import EnumerationResult
+from quivercuts.docio import FORMAT_VERSION, _collapse_label
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
 from quivercuts.tensor import BASE, LabeledDynkinSpec, LabeledQuiver, LabeledQuiverWithCycles
 
@@ -41,6 +46,37 @@ def written(write, value, **kwargs) -> str:
     out = io.StringIO()
     write(value, out, **kwargs)
     return out.getvalue()
+
+
+def reference_quiver_document(value: LabeledQuiverWithCycles | QuiverWithCycles) -> str:
+    """The canonical document text, as ``json.dumps(doc, indent=2)`` writes the document ``doc``."""
+    if isinstance(value, QuiverWithCycles):
+        qwc, labels = value, {}
+    else:
+        qwc, labels = value.qwc, value.labels
+    vertices = []
+    for v in qwc.quiver.vertices:
+        entry: dict = {"id": v}
+        if v in labels:
+            label = _collapse_label(labels[v])
+            box: dict = {"kind": label.kind}
+            if label.split_count != 1:
+                box["split_count"] = label.split_count
+            entry["label"] = box
+        vertices.append(entry)
+    cycles = []
+    for c in qwc.cycles:
+        entry = {"arrows": list(c.arrows)}
+        if c.sign is not None:
+            entry["sign"] = c.sign
+        cycles.append(entry)
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "vertices": vertices,
+        "arrows": [{"id": a.name, "source": a.source, "target": a.target} for a in qwc.quiver.arrows],
+        "cycles": cycles,
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def outgoing(quiver: Quiver, v: str) -> list[Arrow]:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -10,7 +11,8 @@ import pytest
 from conftest import FIXTURES
 
 import quivercuts
-from quivercuts.cli import main
+from quivercuts import cli
+from quivercuts.cli import build_parser, main
 from quivercuts.cuts import UncoveredQuiverWarning
 from quivercuts.docio import DisconnectedQuiverWarning
 
@@ -489,3 +491,138 @@ def test_pipe_tensor_into_cuts():
 
 def test_pipe_e6f4_published_count():
     assert _pipe_count("E6", "F4") == "16599\n"
+
+
+# every argv the tests above pass to main, usage errors included
+PARSED_ARGVS = [
+    ["validate", MINIMAL],
+    ["validate", "-"],
+    ["cuts", B2B2],
+    ["cuts", B2B2, "--count-only"],
+    ["cuts", "--count-only"],
+    ["cuts", CIRCLE],
+    ["check", B2B2],
+    ["check", B2B2, "--coset-budget", "2"],
+    ["check", B2B2, "--coset-budget", "0"],
+    ["check", B2B2, "--coset-budget", "-5"],
+    ["check", "--coset-budget", "1000", "-"],
+    ["mutate", B2B2, "--cut", "d,e", "--vertex", "3", "--dir", "minus"],
+    ["mutate", B2B2, "--cut", "c,f", "--vertex", "3", "--dir", "plus"],
+    ["mutate", B2B2, "--cut", "d,e", "--vertex", "3", "--dir", "sideways"],
+    ["graph", B2B2],
+    ["graph", B2B2, "--dot"],
+    ["graph", B2B2, "--json"],
+    ["graph", B2B2, "--directed"],
+    ["graph", B2B2, "--json", "--directed"],
+    ["graph", B2B2, "--json", "--dot"],
+    ["tensor", "--left", "A2", "--right", "A2"],
+    ["tensor", "--left", "B2:2>1", "--right", "B2:2>1", "--split"],
+    ["tensor", "--left", "B2:2>1", "--right", "B2:2>1", "--split", "3"],
+    ["tensor", "--left", "F4", "--right", "F4", "--split", "0"],
+    ["tensor", "--left", "H9", "--right", "A2"],
+    ["tensor", "--left", "A2"],
+    ["truncate", B2B2, "--cut", "d,e"],
+    ["truncate", B2B2],
+    ["no-such-command"],
+    [],
+]
+
+
+def _parsed(parser, argv):
+    """The namespace's fields, or the exit code and stderr of a usage error."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, err.getvalue()
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(5):
+        assert run(capsys, "cuts", B2B2, "--count-only") == (0, "7\n", "")
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert "invalid choice" in capsys.readouterr().err
+        assert run(capsys, "mutate", B2B2, "--cut", "d,e", "--vertex", "3", "--dir", "minus") == (0, "c,f\n", "")
+    assert len(built) == 1 and cli._parser is built[0]
+
+
+def test_reused_parser_parses_like_a_fresh_one(capsys):
+    main(["validate", MINIMAL])
+    reused = cli._parser
+    assert reused is not None
+    for _ in range(2):  # the second pass follows every usage error of the first
+        for argv in PARSED_ARGVS:
+            assert _parsed(reused, argv) == _parsed(build_parser(), argv), argv
+
+
+@pytest.mark.parametrize(
+    "error, argv",
+    [
+        (["check", B2B2, "--coset-budget", "0"], ["check", B2B2]),
+        (["graph", B2B2, "--json", "--directed"], ["graph", B2B2]),
+        (["tensor", "--left", "B2", "--right", "B2", "--split", "-3"], ["tensor", "--left", "B2", "--right", "B2"]),
+        (["mutate", B2B2, "--cut", "d,e", "--vertex", "3", "--dir", "sideways"], ["cuts", B2B2]),
+    ],
+    ids=["budget", "json-directed", "split", "direction"],
+)
+def test_a_usage_error_leaves_the_next_call_unchanged(capsys, error, argv):
+    before = run(capsys, *argv)
+    with pytest.raises(SystemExit) as excinfo:
+        main(error)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert run(capsys, *argv) == before
+
+
+# A one-shot process builds the parser once, as before; argparse words its
+# messages differently across CPython versions, so the bytes are those of 3.11.
+ONE_SHOT = {
+    ("--help",): (
+        0,
+        """usage: quivercuts [-h] {validate,cuts,check,mutate,graph,tensor,truncate} ...
+
+Cuts, cut-mutation and canvas topology for quivers with distinguished cycles.
+
+positional arguments:
+  {validate,cuts,check,mutate,graph,tensor,truncate}
+    validate            check a quiver document; exit 0 iff valid
+    cuts                enumerate all cuts
+    check               covered / enough-cuts / fully-compatible / simply-
+                        connected
+    mutate              apply one cut-mutation
+    graph               export the mutation graph
+    tensor              build a tensor-product quiver document
+    truncate            print the truncated presentation for a cut
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "",
+    ),
+    ("check", "--coset-budget", "0"): (
+        2,
+        "",
+        "usage: quivercuts check [-h] [--coset-budget N] [file]\n"
+        "quivercuts check: error: argument --coset-budget: coset budget must be positive, got 0\n",
+    ),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse wording of CPython 3.11")
+@pytest.mark.parametrize("argv", list(ONE_SHOT), ids=["help", "usage-error"])
+def test_one_shot_help_and_usage_error_bytes_are_pinned(argv):
+    done = subprocess.run(
+        [sys.executable, "-m", "quivercuts", *argv], capture_output=True, env={**_child_env(), "COLUMNS": "80"}
+    )
+    code, out, err = ONE_SHOT[argv]
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())

@@ -1,9 +1,10 @@
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
 from conftest import fixture_text
-from support import written
+from support import random_quiver_with_cycles, reference_quiver_document, written
 
 from quivercuts import docio
 from quivercuts.docio import (
@@ -20,6 +21,16 @@ from quivercuts.docio import (
 )
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
 from quivercuts.mutation import MutationGraph, mutation_graph
+from quivercuts.tensor import (
+    BASE,
+    DivisionLabel,
+    LabeledQuiverWithCycles,
+    diagram_edges,
+    dynkin_quiver,
+    dynkin_spec,
+    morita_split,
+    tensor_qwc,
+)
 
 MINIMAL = {
     "format_version": 1,
@@ -84,6 +95,8 @@ def test_deep_nesting_is_a_syntax_error(text):
         ),
         (doc(vertices=[{"id": "1"}, {"id": "1"}]), "duplicate vertex"),
         (doc(format_version=2), "format_version"),
+        (doc(format_version=0), "format_version must be at least 1, got 0"),
+        (doc(format_version=-7), "format_version must be at least 1, got -7"),
         (doc(format_version="1"), "format_version must be an integer"),
         (doc(format_version=True), "format_version must be an integer"),
         (doc(vertices=[{"id": "1", "label": {"kind": "Huge"}}]), "label kind"),
@@ -110,6 +123,8 @@ def test_deep_nesting_is_a_syntax_error(text):
         "duplicate-arrow",
         "duplicate-vertex",
         "newer-version",
+        "zero-version",
+        "negative-version",
         "string-version",
         "bool-version",
         "label-kind",
@@ -164,6 +179,68 @@ def test_error_hierarchy():
     assert issubclass(DocumentSchemaError, DocumentError)
     assert issubclass(DocumentInvariantError, DocumentError)
     assert issubclass(DocumentError, ValueError)
+
+
+# characters JSON escapes (quote, backslash, controls), or writes as \u escapes (non-ASCII, astral, a lone surrogate)
+ODD = 'aZ0 /"\\\x00\x07\t\n\x1f\x7f\u00e9\u2603\U0001f600\ud800'
+
+
+def _odd_names(rng, names):
+    # the "#i" suffix keeps the names distinct
+    return {name: "".join(rng.choices(ODD, k=rng.randint(0, 4))) + f"#{i}" for i, name in enumerate(names)}
+
+
+def _renamed(rng, value):
+    """``value`` with every vertex and arrow renamed to an identifier that needs escapes."""
+    qwc, labels = (value, {}) if isinstance(value, QuiverWithCycles) else (value.qwc, value.labels)
+    vertex = _odd_names(rng, qwc.quiver.vertices)
+    arrow = _odd_names(rng, [a.name for a in qwc.quiver.arrows])
+    quiver = Quiver(
+        tuple(map(vertex.__getitem__, qwc.quiver.vertices)),
+        tuple(Arrow(arrow[a.name], vertex[a.source], vertex[a.target]) for a in qwc.quiver.arrows),
+    )
+    cycles = tuple(Cycle(tuple(map(arrow.__getitem__, c.arrows)), c.sign) for c in qwc.cycles)
+    return LabeledQuiverWithCycles(QuiverWithCycles(quiver, cycles), {vertex[v]: lab for v, lab in labels.items()})
+
+
+def _random_label(rng):
+    return BASE if rng.random() < 0.4 else DivisionLabel("Ext", rng.randint(1, 3))
+
+
+def _random_dynkin(rng, split_count):
+    family, rank = rng.choice([("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)])
+    orientation = frozenset((u, v) if rng.random() < 0.5 else (v, u) for u, v in diagram_edges(family, rank))
+    return dynkin_quiver(dynkin_spec(family, rank, orientation), split_count=split_count)
+
+
+def _random_document_value(rng):
+    """A random quiver with cycles (bare or labelled, signed or not), tensor product or Morita split."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        q = random_quiver_with_cycles(rng, max_vertices=4, max_arrows=7)
+        q = QuiverWithCycles(q.quiver, tuple(Cycle(c.arrows, rng.choice((None, 1, -1))) for c in q.cycles))
+        if kind == 0:
+            return q
+        labels = {v: tuple(_random_label(rng) for _ in range(rng.randint(1, 2))) for v in q.quiver.vertices}
+        return LabeledQuiverWithCycles(q, {v: lab for v, lab in labels.items() if rng.random() < 0.7})
+    split_count = rng.randint(1, 3)
+    product = tensor_qwc(_random_dynkin(rng, split_count), _random_dynkin(rng, split_count))
+    return product if kind == 2 else morita_split(product)
+
+
+def test_serialize_matches_json_dumps_on_random_documents():
+    rng = random.Random(20261018)
+    empty = QuiverWithCycles(Quiver((), ()), ())
+    for value in [empty, _renamed(rng, empty), *(_random_document_value(rng) for _ in range(300))]:
+        for candidate in (value, _renamed(rng, value)):
+            assert serialize_quiver_document(candidate) == reference_quiver_document(candidate)
+
+
+def test_serialize_matches_json_dumps_on_hand_examples(b2b2_split, a3b2):
+    point = QuiverWithCycles(Quiver(("1",), ()), ())
+    loop = QuiverWithCycles(Quiver(("\u00e9",), (Arrow('"\\', "\u00e9", "\u00e9"),)), (Cycle(('"\\',), -1),))
+    for value in (point, loop, b2b2_split, a3b2, _renamed(random.Random(1), a3b2)):
+        assert serialize_quiver_document(value) == reference_quiver_document(value)
 
 
 def test_serialize_is_deterministic(b2b2_split):

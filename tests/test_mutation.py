@@ -174,6 +174,16 @@ def test_loop_vertex_has_no_moves():
         assert (strict_sources(q, cut), strict_sinks(q, cut)) == (frozenset(sources), frozenset(sinks))
 
 
+def test_moves_reaching_one_cut_are_ordered_by_vertex():
+    # in the 2-cycle (p r), b+ and a- both drop r and add p, so they reach the same cut, and a+ and b- the other
+    q = QuiverWithCycles(Quiver(("a", "b"), (Arrow("p", "b", "a"), Arrow("r", "a", "b"))), (Cycle(("p", "r")),))
+    cuts = enumerate_cuts(q)
+    assert cuts == [("p",), ("r",)]
+    graph = mutation_graph(q)
+    assert graph.edges == ((0, 1, "a", "+"), (0, 1, "b", "-"), (1, 0, "a", "-"), (1, 0, "b", "+"))
+    assert graph.edges == tuple(oracle_mutation_edges(q, cuts))
+
+
 def test_non_transitive_instance():
     # two parallel 2-cycles: {u,x} admits no mutation at all, so the
     # mutation graph cannot be connected (the instance is not fully compatible)
