@@ -22,7 +22,7 @@ from itertools import compress
 from typing import Sequence
 
 from .coset import enumerate_trivial_subgroup
-from .model import ArrowId, QuiverWithCycles, VertexId, spanning_tree
+from .model import ArrowId, QuiverWithCycles, VertexId
 
 DEFAULT_COSET_BUDGET = 10**6
 
@@ -48,7 +48,7 @@ def _presentations(q: QuiverWithCycles) -> dict[VertexId, GroupPresentation]:
     relators are the cycles whose arrows all lie in it, read with forest
     arrows erased.
     """
-    tree = spanning_tree(q.quiver)
+    tree = q.quiver.forest
     arrows = q.quiver.arrow_map
     chords = {r: [] for r in tree.root.values()}
     for a in tree.chords:

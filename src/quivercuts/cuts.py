@@ -15,12 +15,13 @@ cycles.  What remains allowed depends only on which cycles are covered, so
 the search for all cuts folds into a small DAG of covered-cycle states, in
 effect a ZDD of the cut family, whose root-to-sink paths are the cuts.
 Counting, listing, :func:`has_enough_cuts` and :func:`is_fully_compatible`
-all read this DAG, built once per quiver as ``CutSpace.dag``.  Only listing
-visits every cut: one pass, children first, gives each state the integer
-masks of the paths below it, in the one layout of
+all read this DAG, built once per quiver as ``CutSpace.dag``: a node table,
+children first, whose edges carry an arrow bit and a child index.  Only
+listing visits every cut: one pass down the table gives each state the
+integer masks of the paths below it, in the one layout of
 :class:`~quivercuts.model.CutSpace`, where the least name takes the top
 bit, so that descending masks are ascending name tuples; names are built
-only at the end, a byte of a mask at a time.  :func:`enumerate_cuts`
+only at the end, by ``CutSpace.decode``.  :func:`enumerate_cuts`
 returns the tuples, :func:`write_cuts` streams the ``cuts`` lines, and the
 mutation graph reads the same masks.  Arrows lying in no distinguished
 cycle lie in no cut; counting or listing the cuts of a quiver with such
@@ -32,27 +33,17 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import add, getitem
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from itertools import islice
+from operator import add
+from typing import Iterable, Mapping, TextIO
 
-from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, spanning_tree
+from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, _iter_bits
 
 Cut = tuple[ArrowId, ...]  # the cut's arrow names, sorted
 
 
 class UncoveredQuiverWarning(UserWarning):
     """Raised-as-warning when arrows outside every distinguished cycle exist."""
-
-
-def _mask(q: QuiverWithCycles, names: Iterable[ArrowId]) -> int:
-    """The bit mask of ``names`` over ``q.cut_space``; raises ``ValueError`` on an unknown arrow."""
-    bit = q.cut_space.bit
-    members = frozenset(names)
-    try:
-        return sum(map(bit.__getitem__, members))  # distinct names have distinct bits
-    except KeyError:
-        raise ValueError(f"unknown arrow {min(members - bit.keys())!r}") from None
 
 
 def _is_cut_mask(space: CutSpace, m: int) -> bool:
@@ -62,7 +53,7 @@ def _is_cut_mask(space: CutSpace, m: int) -> bool:
 def _cut_mask(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> int:
     """The bit mask of ``cut``; raises ``ValueError`` unless it is a cut."""
     members = frozenset(cut)
-    m = _mask(q, members)
+    m = q.cut_space.mask(members)
     if not _is_cut_mask(q.cut_space, m):
         raise ValueError(f"not a cut: {sorted(members)}")
     return m
@@ -74,12 +65,12 @@ def is_cut(q: QuiverWithCycles, arrows: Iterable[ArrowId]) -> bool:
     Occurrences are counted with multiplicity: an arrow repeated inside one
     cycle contributes once per occurrence.
     """
-    return _is_cut_mask(q.cut_space, _mask(q, arrows))
+    return _is_cut_mask(q.cut_space, q.cut_space.mask(arrows))
 
 
 def is_covered(q: QuiverWithCycles) -> bool:
-    """True iff every arrow appears in some distinguished cycle."""
-    return q.cycle_arrows == frozenset(a.name for a in q.quiver.arrows)
+    """True iff every arrow appears in some distinguished cycle, and every cycle arrow is declared."""
+    return q.cut_space.declared == q.cut_space.cycle_mask
 
 
 # modules whose public functions list cuts on behalf of their caller
@@ -90,7 +81,8 @@ def _warn_if_uncovered(q: QuiverWithCycles) -> None:
     """Warn, at the first caller outside the listing modules, that free arrows lie in no cut."""
     if is_covered(q):
         return
-    free = sorted(frozenset(a.name for a in q.quiver.arrows) - q.cycle_arrows)
+    space = q.cut_space
+    free = list(sum(next(space.decode([space.declared & ~space.cycle_mask], tuple)), ()))
     message = f"arrows outside every distinguished cycle are excluded from cuts: {free}"
     if not q.cycles:
         message = "quiver has no distinguished cycles; the empty cut is the only cut"
@@ -106,7 +98,7 @@ def count_cuts(q: QuiverWithCycles) -> int:
     Warns like :func:`enumerate_cuts` when arrows lie in no distinguished cycle.
     """
     _warn_if_uncovered(q)
-    return q.cut_space.dag[0][0]
+    return q.cut_space.dag[-1][0]
 
 
 def _cut_masks(space: CutSpace) -> list[int]:
@@ -129,14 +121,12 @@ def _cut_masks(space: CutSpace) -> list[int]:
     mask is the larger.
     """
     dag = space.dag
-    at = {covered: i for i, covered in enumerate(dag)}  # states by position: the sink first, the root last
-    edges = [[(1 << ai, at[child]) for ai, child in live] for _, live in dag.values()]
-    uses = [0] * len(edges)  # live edges into each state not yet followed
-    for live in edges:
-        for _, j in live:
+    uses = [0] * len(dag)  # live edges into each state not yet followed
+    for _, edges in dag:
+        for _, j in edges:
             uses[j] += 1
     below: list[tuple[int, list[int]] | None] = [(0, [0])]  # (bits, base): the masks bits | s for s in base
-    for live in edges[1:]:  # children first
+    for _, live in dag[1:]:  # children first
         parts = []
         for b, j in live:
             bits, base = below[j]
@@ -152,61 +142,22 @@ def _cut_masks(space: CutSpace) -> list[int]:
     return masks
 
 
-_BITS = [[x >> k & 1 for k in range(7, -1, -1)] for x in range(256)]  # a byte's bits, most significant first
-
-
-class _ByteNames(dict):
-    """One byte of a cut mask -> the names of its set bits, in name order; each entry is made on first use."""
-
-    def __init__(self, names: Sequence[ArrowId]) -> None:
-        super().__init__()
-        self.names = names  # the arrows of this byte, most significant bit first
-
-    def __missing__(self, x: int) -> tuple[ArrowId, ...]:
-        value = self[x] = tuple(compress(self.names, _BITS[x]))
-        return value
-
-
-class _ByteText(_ByteNames):
-    """One byte of a cut mask -> its names, each after a comma: a line is its bytes' texts less the first comma."""
-
-    def __missing__(self, x: int) -> str:
-        value = self[x] = ",".join(("", *compress(self.names, _BITS[x])))
-        return value
-
-
-def _decoded(space: CutSpace, table: type[_ByteNames], masks: Iterable[int]) -> Iterator[Iterator]:
-    """Per mask, an iterator over the ``table`` entries of its bytes, in byte order.
-
-    Byte ``j`` has its own ``table`` over arrows ``8j`` to ``8j + 7``.  Only
-    the bytes from the mask's first nonzero byte to its last are made and
-    looked up: the ``k`` bytes from the first to the end come from the bit
-    length and pair with the last ``k`` tables, and the zero bytes below the
-    last set bit are stripped.  A zero byte between two set bits is looked
-    up like any other and gives no name.
-    """
-    tables = [table(space.arrows[j : j + 8]) for j in range(0, len(space.cycles_of), 8)]
-    for m in masks:
-        k = (m.bit_length() + 7) >> 3  # 0 only for the empty cut
-        yield map(getitem, tables[-k:], m.to_bytes(k, "big").rstrip(b"\0"))
-
-
 def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
     """All cuts of ``q``, each a sorted tuple of arrow names, in ascending order.
 
     The cuts are the root-to-sink paths of the cut-state DAG (see
     :func:`count_cuts`), gathered as integer masks whose descending order is
-    this order (see ``_cut_masks``), and decoded a byte at a time through
-    tables filled on first use: a cut is the sum of its bytes' name tuples,
-    at most ``nb`` of them.  An arrow occurring twice in one cycle lies in no
-    cut.
+    this order (see ``_cut_masks``), and decoded a byte at a time by
+    :meth:`~quivercuts.model.CutSpace.decode`: a cut is the sum of its
+    bytes' name tuples, at most ``nb`` of them.  An arrow occurring twice in
+    one cycle lies in no cut.
 
     Arrows lying in no cycle are excluded from every cut; when such arrows
     exist an :class:`UncoveredQuiverWarning` is emitted.
     """
     _warn_if_uncovered(q)
     space = q.cut_space
-    return [sum(parts, ()) for parts in _decoded(space, _ByteNames, _cut_masks(space))]
+    return [sum(parts, ()) for parts in space.decode(_cut_masks(space), tuple)]
 
 
 _ROWS = 4096  # cuts written per write
@@ -215,26 +166,24 @@ _ROWS = 4096  # cuts written per write
 def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
     """Write the cuts of ``q`` to ``out`` in :func:`enumerate_cuts` order, each a line of comma-joined names.
 
-    Lines are decoded from the same masks as :func:`enumerate_cuts`, through
-    byte tables that hold each byte's names as text rather than as a tuple,
-    and written ``_ROWS`` at a time, so neither a tuple per cut nor the
-    whole text is built.  Warns like :func:`enumerate_cuts` when arrows lie
-    in no distinguished cycle.
+    Lines are decoded from the same masks as :func:`enumerate_cuts`, each
+    byte to its names as text, each after a comma, rather than to a tuple: a
+    line is its bytes' texts less the first comma.  Lines are written
+    ``_ROWS`` at a time, so neither a tuple per cut nor the whole text is
+    built.  Warns like :func:`enumerate_cuts` when arrows lie in no
+    distinguished cycle.
     """
     _warn_if_uncovered(q)
     space = q.cut_space
-    decoded = _decoded(space, _ByteText, _cut_masks(space))
+    decoded = space.decode(_cut_masks(space), lambda names: ",".join(("", *names)))
     while lines := ["".join(parts)[1:] for parts in islice(decoded, _ROWS)]:
         out.write("\n".join(lines) + "\n")
 
 
 def has_enough_cuts(q: QuiverWithCycles) -> bool:
     """True iff every arrow of ``q`` lies in at least one cut: the arrows of the live DAG edges."""
-    used = 0
-    for _, edges in q.cut_space.dag.values():
-        for ai, _ in edges:
-            used |= 1 << ai
-    return used.bit_count() == len(q.cut_space.arrows)
+    used = {b for _, edges in q.cut_space.dag for b, _ in edges}  # one arrow's bit each
+    return len(used) == len(q.cut_space.arrows)
 
 
 def _basis_masks(q: QuiverWithCycles) -> list[tuple[int, int]]:
@@ -249,7 +198,7 @@ def _basis_masks(q: QuiverWithCycles) -> list[tuple[int, int]]:
     that agree on the basis agree on every cyclic walk.
     """
     bit = q.cut_space.bit
-    tree = spanning_tree(q.quiver)
+    tree = q.quiver.forest
     paths = dict.fromkeys(tree.root.values(), (0, 0))
     for v, (parent, arrow, direction) in tree.parents.items():  # parents first
         p, m = paths[parent]
@@ -283,13 +232,13 @@ def is_fully_compatible(q: QuiverWithCycles) -> bool:
     """
     basis = _basis_masks(q)
     space = q.cut_space
-    of_arrow = [_signature(basis, 1 << ai) for ai in range(len(space.cycles_of))]  # DAG edges carry cycle arrows
-    below: dict[int, tuple[int, ...]] = {}
-    for covered, (_, edges) in space.dag.items():
-        signatures = {tuple(map(add, of_arrow[ai], below[child])) for ai, child in edges}
+    of_arrow = {b: _signature(basis, b) for b in space.bit.values()}
+    below: list[tuple[int, ...]] = []
+    for _, edges in space.dag:
+        signatures = {tuple(map(add, of_arrow[b], below[j])) for b, j in edges}
         if len(signatures) > 1:
             return False
-        below[covered] = signatures.pop() if edges else (0,) * len(basis)
+        below.append(signatures.pop() if edges else (0,) * len(basis))
     return True
 
 
@@ -317,12 +266,12 @@ def truncated_presentation(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> Trunc
     """Relations obtained by rotating each distinguished cycle through ``cut``."""
     members = frozenset(cut)
     quiver_c = truncated_quiver(q, members)  # also validates the cut
+    space = q.cut_space
     relations: dict[ArrowId, tuple[tuple[int, tuple[ArrowId, ...]], ...]] = {}
     for name in sorted(members):
         entries = []
-        for cycle in q.cycles:
-            if name not in cycle.arrows:
-                continue
+        for ci in _iter_bits(space.cycles_of[space.bit[name].bit_length() - 1]):  # in the order of q.cycles
+            cycle = q.cycles[ci]
             at = cycle.arrows.index(name)
             path = cycle.arrows[at + 1 :] + cycle.arrows[:at]
             entries.append((cycle.sign if cycle.sign is not None else 1, path))

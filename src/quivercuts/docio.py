@@ -30,7 +30,7 @@ import warnings
 from typing import Any, Callable, Mapping, Sequence, TextIO
 
 from .cuts import Cut
-from .model import Arrow, Cycle, Quiver, QuiverWithCycles, validate
+from .model import Arrow, Cycle, Quiver, QuiverWithCycles, _Memo, validate
 from .mutation import MutationGraph
 from .tensor import DivisionLabel, LabeledQuiverWithCycles
 
@@ -267,18 +267,6 @@ def quiver_to_dot(value: LabeledQuiverWithCycles | QuiverWithCycles, cut: Cut | 
 
 
 _ROWS = 4096  # nodes or edges rendered per write
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)``, so ``make`` runs once per key."""
-
-    def __init__(self, make: Callable[[str], str]) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: str) -> str:
-        value = self[key] = self.make(key)
-        return value
 
 
 def _write_rows(out: TextIO, rows: Sequence, render: Callable[[Sequence, int], list[str]], sep: str) -> None:

@@ -4,12 +4,13 @@ A quiver is a finite directed graph (vertices ``Q0``, arrows ``Q1``).  A
 quiver with cycles carries in addition a set ``Q2`` of directed cycles,
 recording the support of a potential.  Cycles are kept in a canonical
 rotation so that two choices of starting vertex compare equal.
-``CutSpace`` is the one bit-mask view of a quiver's arrows, the only
-place names map to bits, and holds the cut-state DAG that every cut
-computation reads.  One BFS spanning forest, a ``SpanningTree`` rooted at
-each component's least vertex, gives the components that :func:`validate`
-counts, the chords of the cycle-space basis of compatibility and the
-fundamental-group presentation of each component of the canvas.
+``CutSpace`` is the one bit-mask view of a quiver's arrows, the only place
+names become bits and bits become names, and holds the cut-state DAG, a
+node table that every cut computation reads.  One BFS spanning forest per
+quiver, ``Quiver.forest``, rooted at each component's least vertex, gives
+the components that :func:`validate` counts, the chords of the cycle-space
+basis of compatibility and the fundamental-group presentation of each
+component of the canvas.
 
 All values are immutable after construction and every operation here is a
 pure function, so they are safe to share across threads.  Collections are
@@ -19,8 +20,10 @@ sorted by identifier, making outputs byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Sequence
+from functools import cached_property, reduce
+from itertools import compress
+from operator import getitem, or_
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 VertexId = str
 ArrowId = str
@@ -34,7 +37,8 @@ class Arrow:
 
 def _least_rotation(items: Sequence[ArrowId]) -> tuple[ArrowId, ...]:
     seq = tuple(items)
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+    least = min(seq)  # the least rotation starts at an occurrence of the least name
+    return min(seq[i:] + seq[:i] for i, name in enumerate(seq) if name == least)
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,12 @@ class Quiver:
             inc.setdefault(a.source, []).append(a)
             if a.target != a.source:
                 inc.setdefault(a.target, []).append(a)
-        return {v: tuple(sorted(arrows, key=lambda a: a.name)) for v, arrows in inc.items()}
+        return {v: tuple(arrows) for v, arrows in inc.items()}
+
+    @cached_property
+    def forest(self) -> SpanningTree:
+        """The BFS spanning forest of :func:`spanning_tree`, built once per quiver."""
+        return spanning_tree(self)
 
     def arrow(self, name: ArrowId) -> Arrow:
         try:
@@ -103,54 +112,101 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``, so ``make`` runs once per key."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+_BITS = [[x >> k & 1 for k in range(7, -1, -1)] for x in range(256)]  # a byte's bits, most significant first
+
+
 @dataclass(frozen=True)
 class CutSpace:
     """Arrow sets as integer bit masks: ``arrows[i]`` sits at bit ``8 * nb - 1 - i``.
 
     ``arrows`` holds every arrow in name order and ``nb`` is the number of
-    bytes they fill, so the least name takes the top bit, byte ``j`` of
-    ``m.to_bytes(nb, "big")`` holds ``arrows[8j:8j + 8]`` most significant bit
-    first, and descending masks of cuts are ascending name tuples.
-    ``cycle_mask`` holds the cycle arrows, ``incidence`` each non-isolated
-    vertex's masks, ``members`` each cycle's arrows, ``cycles_of`` the cycles
-    through the arrow at each bit position (bit ``c`` for ``cycles[c]``), and
-    ``never`` the arrows repeated inside one cycle, which lie in no cut.
+    bytes they fill, so the least name takes the top bit, byte ``j`` of a
+    mask holds ``arrows[8j:8j + 8]`` most significant bit first, and
+    descending masks of cuts are ascending name tuples.  :meth:`mask` and
+    :meth:`decode` are the only ways between names and masks.
+    ``cycle_mask`` holds the cycle arrows, ``declared`` the arrows the
+    quiver declares, ``incidence`` each non-isolated vertex's masks,
+    ``members`` each cycle's arrows, ``cycles_of`` the cycles through the
+    arrow at each bit position (bit ``c`` for ``cycles[c]``), and ``never``
+    the arrows repeated inside one cycle, which lie in no cut.
     """
 
     arrows: tuple[ArrowId, ...]
     bit: Mapping[ArrowId, int]  # name -> its bit
     cycle_mask: int
+    declared: int
     incidence: Mapping[VertexId, tuple[int, int]]  # (incoming, outgoing)
     members: tuple[int, ...]
     cycles_of: tuple[int, ...]  # 8 * nb entries, one per bit position
     never: int
 
+    def mask(self, names: Iterable[ArrowId]) -> int:
+        """The bit mask of ``names``; raises ``ValueError`` on an unknown arrow."""
+        members = frozenset(names)
+        try:
+            return sum(map(self.bit.__getitem__, members))  # distinct names have distinct bits
+        except KeyError:
+            raise ValueError(f"unknown arrow {min(members - self.bit.keys())!r}") from None
+
+    def decode(self, masks: Iterable[int], render: Callable[[Iterator[ArrowId]], object]) -> Iterator[Iterator]:
+        """Per mask, an iterator over ``render`` of each of its bytes' names, in name order.
+
+        Byte ``j`` has its own table over arrows ``8j`` to ``8j + 7`` that
+        keeps what ``render`` gives for each byte value on first use.  Only
+        the bytes from the mask's first nonzero byte to its last are looked up:
+        the ``k`` bytes from the first to the end come from the bit length
+        and pair with the last ``k`` tables, and the zero bytes below the
+        last set bit are stripped.  A zero byte between two set bits is
+        looked up like any other and renders no name.
+        """
+        tables = [
+            _Memo(lambda x, names=self.arrows[j : j + 8]: render(compress(names, _BITS[x])))
+            for j in range(0, len(self.cycles_of), 8)
+        ]
+        for m in masks:
+            k = (m.bit_length() + 7) >> 3  # 0 only for the empty mask
+            yield map(getitem, tables[-k:], m.to_bytes(k, "big").rstrip(b"\0"))
+
     @cached_property
-    def dag(self) -> dict[int, tuple[int, tuple[tuple[int, int], ...]]]:
-        """The cut-state DAG: covered-cycle mask -> (cut count, live edges ``(bit position, child)``).
+    def dag(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        """The cut-state DAG as a node table, children first: ``(cut count, live edges (arrow bit, child index))``.
 
         A state is the set of cycles covered so far.  Its arrows banned by the
         exact-one condition are ``never`` and every arrow of a covered cycle,
-        so the state alone fixes what lies below it.  Each state branches on
-        the candidates of the uncovered cycle with the fewest of them; an arrow
-        joins the cut and covers every cycle through it.  The root is ``0``
-        and the sink, the all-covered mask, counts 1.  Edges into states with
-        no cut are dropped, so the root-to-sink paths are exactly the cuts,
-        each once, and a state with no cut below has no edge.  Every state
-        follows its children in the mapping's order.
+        so the state alone fixes what lies below it; they are its parent's and
+        those of the cycles it newly covers, joined when it is first reached.
+        Each state branches on the candidates of the uncovered cycle with the
+        fewest of them; an arrow joins the cut and covers every cycle through
+        it.  The sink, all cycles covered, sits at ``[0]`` and counts 1; the
+        root, none covered, at ``[-1]``; a child covers more cycles than its
+        parent and comes before it.  Edges into states with no cut are
+        dropped, so the root-to-sink paths are exactly the cuts, each once,
+        and a state with no cut below has no edge.  Each edge's arrow bit is
+        the int ``bit`` holds for the arrow, shared by every edge with it.
         """
         members, cycles_of = self.members, self.cycles_of
-        conflicts = [0] * len(cycles_of)  # arrows sharing a cycle, per arrow
-        for ai, cycles in enumerate(cycles_of):
-            for ci in _iter_bits(cycles):
-                conflicts[ai] |= members[ci]
         sink = (1 << len(members)) - 1
         branches: dict[int, list[tuple[int, int]]] = {sink: []}
-        stack = [(0, self.never)]  # (covered, banned), depth first without recursion
+        # what choosing an arrow bans, the arrows of its cycles, once per set of cycles
+        conflicts = {cycles: reduce(or_, map(members.__getitem__, _iter_bits(cycles)), 0) for cycles in {0, *cycles_of}}
+        stack = [(0, 0, self.never)]  # (covered, cycles its last arrow covered, parent's banned), depth first
         while stack:
-            covered, banned = stack.pop()
+            covered, newly, banned = stack.pop()
             if covered in branches:
                 continue
+            banned |= conflicts[newly]
             best_cands, best_n = 0, len(cycles_of) + 1
             for ci in _iter_bits(sink & ~covered):
                 cands = members[ci] & ~banned
@@ -160,12 +216,14 @@ class CutSpace:
                     if n <= 1:
                         break
             branches[covered] = [(ai, covered | cycles_of[ai]) for ai in _iter_bits(best_cands)]
-            stack += [(child, banned | conflicts[ai]) for ai, child in branches[covered]]
-        # a child covers more cycles than its parent; the sink, covering all, comes first
-        dag = {sink: (1, ())}
-        for covered in sorted(branches, key=int.bit_count, reverse=True)[1:]:
-            edges = tuple((ai, child) for ai, child in branches[covered] if dag[child][0])
-            dag[covered] = (sum(dag[child][0] for _, child in edges), edges)
+            stack += [(child, cycles_of[ai], banned) for ai, child in branches[covered]]
+        order = sorted(branches, key=int.bit_count, reverse=True)  # the sink, covering all, first; the root last
+        at = {covered: i for i, covered in enumerate(order)}
+        bit, arrows, top = self.bit, self.arrows, len(cycles_of) - 1  # bit position ai holds arrows[top - ai]
+        dag = [(1, ())]
+        for covered in order[1:]:
+            edges = tuple((bit[arrows[top - ai]], at[child]) for ai, child in branches[covered] if dag[at[child]][0])
+            dag.append((sum(dag[j][0] for _, j in edges), edges))
         return dag
 
 
@@ -200,8 +258,10 @@ class QuiverWithCycles:
         bit = {name: 1 << (width - 1 - i) for i, name in enumerate(arrows)}
         incidence = {v: [0, 0] for v in self.quiver.vertices}
         for a in self.quiver.arrows:  # an undeclared endpoint updates a throwaway pair
-            incidence.get(a.target, [0, 0])[0] |= bit[a.name]
-            incidence.get(a.source, [0, 0])[1] |= bit[a.name]
+            b = bit[a.name]
+            ends, starts = incidence.get(a.target, [0, 0]), incidence.get(a.source, [0, 0])
+            ends[0] = ends[0] | b if ends[0] else b  # a vertex's one incoming arrow shares its bit, no copy
+            starts[1] = starts[1] | b if starts[1] else b
         touched = {v: (inc, out) for v, (inc, out) in incidence.items() if inc | out}
         members, cycles_of, never = [], [0] * width, 0
         for ci, cycle in enumerate(self.cycles):
@@ -212,7 +272,8 @@ class QuiverWithCycles:
                 cycles_of[b.bit_length() - 1] |= 1 << ci
             members.append(m)
         cycle_mask = sum(map(bit.__getitem__, self.cycle_arrows))
-        return CutSpace(tuple(arrows), bit, cycle_mask, touched, tuple(members), tuple(cycles_of), never)
+        declared = sum(map(bit.__getitem__, {a.name for a in self.quiver.arrows}))
+        return CutSpace(tuple(arrows), bit, cycle_mask, declared, touched, tuple(members), tuple(cycles_of), never)
 
 
 def validate(q: QuiverWithCycles) -> list[str]:
@@ -259,7 +320,7 @@ def validate(q: QuiverWithCycles) -> list[str]:
                     f"(target {here.target!r} != next source {nxt.source!r})"
                 )
 
-    roots = sorted(set(spanning_tree(quiver).root.values()))
+    roots = sorted(set(quiver.forest.root.values()))
     if len(roots) > 1:
         reps = ", ".join(map(repr, roots))
         violations.append(f"quiver is not connected ({len(roots)} components, containing {reps})")

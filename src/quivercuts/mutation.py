@@ -12,9 +12,9 @@ Free arrows (arrows in no distinguished cycle) never belong to enumerated
 cuts, so graph edges are computed in the subquiver spanned by cycle arrows;
 for covered quivers this changes nothing.  Cuts are handled as bit masks
 over the quiver's :class:`~quivercuts.model.CutSpace`, the masks the cut
-listing sorts, whose bits run in name order.  Every mutation is
-precomputed once as a move: one mask test says whether it applies to a
-cut, and one exclusive or gives the mutated cut.
+listing sorts, and turned into names only by its ``decode``.  Every
+mutation is precomputed once as a move: one mask test says whether it
+applies to a cut, and one exclusive or gives the mutated cut.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cuts import Cut, _ByteNames, _cut_mask, _cut_masks, _decoded, _warn_if_uncovered
+from .cuts import Cut, _cut_mask, _cut_masks, _warn_if_uncovered
 from .model import ArrowId, CutSpace, QuiverWithCycles, VertexId
 
 
@@ -65,8 +65,7 @@ def _mutate(q: QuiverWithCycles, cut: Iterable[ArrowId], vertex: VertexId, direc
     if mutated is None:
         kind = "source" if direction == "+" else "sink"
         raise ValueError(f"vertex {vertex!r} is not a strict {kind} of the cut")
-    bit = q.cut_space.bit
-    return tuple(name for name in q.cut_space.arrows if mutated & bit[name])
+    return sum(next(q.cut_space.decode([mutated], tuple)), ())
 
 
 def strict_sources(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> frozenset[VertexId]:
@@ -146,7 +145,7 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
     edges: list[tuple[int, int, VertexId, str]] = []
     for i, m in enumerate(masks):
         edges += [(i, index[m ^ flip], v, d) for flip, drop, v, d in moves if m & flip == drop]
-    nodes = tuple(sum(parts, ()) for parts in _decoded(space, _ByteNames, masks))
+    nodes = tuple(sum(parts, ()) for parts in space.decode(masks, tuple))
     return MutationGraph(nodes, tuple(edges))
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,28 @@ def test_deep_cut_document(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert out.splitlines()[:3] == ["covered: yes", "enough-cuts: yes", "fully-compatible: yes"]
     assert out.splitlines()[3].startswith("simply-connected: Yes")
+
+
+
+def test_long_cycle_document_counts_in_linear_time(tmp_path, capsys):
+    # one 50,000-arrow cycle has one cut per arrow; putting the cycle in its least
+    # rotation took about 20 s when every rotation was built and compared
+    n = 50000
+    names = [f"a{i:05d}" for i in range(n)]
+    document = tmp_path / "long_cycle.json"
+    document.write_text(
+        json.dumps(
+            {
+                "format_version": 1,
+                "vertices": [{"id": str(i)} for i in range(n)],
+                "arrows": [{"id": name, "source": str(i), "target": str((i + 1) % n)} for i, name in enumerate(names)],
+                "cycles": [{"arrows": names[n // 2 :] + names[: n // 2]}],
+            }
+        )
+    )
+    start = time.perf_counter()
+    assert run(capsys, "cuts", str(document), "--count-only") == (0, f"{n}\n", "")
+    assert time.perf_counter() - start < 10
 
 
 E7F4_CUTS_SHA256 = "ae524c14830e1301ea906642ae587860629c4c2508b60d1a87f17e85caa0172b"

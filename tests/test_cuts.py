@@ -41,7 +41,7 @@ from quivercuts.cuts import (
     truncated_quiver,
     write_cuts,
 )
-from quivercuts.model import Arrow, Cycle, CutSpace, Quiver, QuiverWithCycles
+from quivercuts.model import Arrow, Cycle, CutSpace, Quiver, QuiverWithCycles, spanning_tree
 from quivercuts.mutation import (
     is_transitive,
     mutate_minus,
@@ -203,6 +203,17 @@ def _check_against_oracles(q, rng):
 AROUND_THE_COMMA = ("a", "a b", "a+", "a,", "a-", "ab", "b", "a,b")
 
 
+NAMES_AROUND_THE_COMMA = st.lists(st.sampled_from(AROUND_THE_COMMA), min_size=1, max_size=2).map("".join)
+
+
+@given(st.lists(NAMES_AROUND_THE_COMMA, min_size=1, max_size=16, unique=True), st.data())
+def test_decode_inverts_mask(names, data):
+    # 1 to 16 loops, so up to two mask bytes, named around the comma, and any subset of them
+    space = qwc(["v"], [Arrow(name, "v", "v") for name in names]).cut_space
+    subset = data.draw(st.lists(st.sampled_from(names), unique=True))
+    assert sum(next(space.decode([space.mask(subset)], tuple)), ()) == tuple(sorted(subset))
+
+
 def _renamed(q, names):
     """``q`` with its arrows renamed, in declaration order, to ``names``."""
     new = dict(zip((a.name for a in q.quiver.arrows), names))
@@ -297,6 +308,10 @@ def test_deep_cut_needs_no_recursion():
     assert count_cuts(q) == 1
     assert has_enough_cuts(q)
     assert is_fully_compatible(q)
+    # each loop's cycle, rotated through it, leaves the empty relation path
+    presentation = truncated_presentation(q, names)
+    assert presentation.truncated_quiver.arrows == ()
+    assert presentation.relations == {name: ((1, ()),) for name in names}
 
 
 def test_uncovered_warning_points_at_the_caller():
@@ -318,23 +333,29 @@ def test_uncovered_warning_points_at_the_caller():
 
 
 def test_one_dag_build_per_quiver(monkeypatch, tmp_path, capsys):
-    builds = []
+    builds, forests = [], []
     build = CutSpace.__dict__["dag"].func
 
     def counting(space):
         builds.append(space)
         return build(space)
 
+    def counting_forest(quiver):
+        forests.append(quiver)
+        return spanning_tree(quiver)
+
     dag = cached_property(counting)
     dag.__set_name__(CutSpace, "dag")
     monkeypatch.setattr(CutSpace, "dag", dag)
-    # check on a tensor document
+    monkeypatch.setattr("quivercuts.model.spanning_tree", counting_forest)
+    # check on a tensor document: validation, the compatibility basis and the canvas share one forest
     assert main(["tensor", "--left", "A3:1<2>3", "--right", "B2:2>1"]) == 0
     document = tmp_path / "a3b2.json"
     document.write_text(capsys.readouterr().out)
     assert main(["check", str(document)]) == 0
     assert capsys.readouterr().out.startswith("covered: yes\nenough-cuts: yes\nfully-compatible: yes\n")
     assert len(builds) == 1
+    assert len(forests) == 1
     # a survey row counts the cuts, builds the mutation graph and judges compatibility
     script = Path(__file__).resolve().parent.parent / "scripts" / "survey_tensor_pairs.py"
     row = runpy.run_path(str(script))["survey_pair"]("A3:1<2>3", "B2:2>1", False)
@@ -378,6 +399,8 @@ def test_covered(b2b2_split, a3b2):
     assert is_covered(a3b2.qwc)
     assert is_covered(qwc(["1"], []))
     assert not is_covered(qwc(["1", "2"], [Arrow("u", "1", "2")]))
+    # a cycle through an undeclared arrow leaves the quiver uncovered, though every declared arrow is on it
+    assert not is_covered(qwc(["1"], [Arrow("u", "1", "1")], [Cycle(("u", "ghost"))]))
 
 
 def test_has_enough_cuts(b2b2_split):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from support import is_acyclic, random_cyclic_walk
 
 from quivercuts.cuts import _basis_masks
@@ -9,6 +11,7 @@ from quivercuts.model import (
     Cycle,
     Quiver,
     QuiverWithCycles,
+    _least_rotation,
     spanning_tree,
     validate,
 )
@@ -78,6 +81,12 @@ def test_rotation_invariance_exhaustive():
         assert expected.arrows == tuple(seq)
         for r in range(n):
             assert Cycle(tuple(seq[r:] + seq[:r])) == expected
+
+
+@given(st.lists(st.sampled_from("abc"), min_size=1, max_size=12))
+def test_least_rotation_matches_every_rotation(word):
+    # over three letters the least name repeats, so several rotations start with it
+    assert _least_rotation(word) == min(tuple(word[i:] + word[:i]) for i in range(len(word)))
 
 
 def test_cycle_value_rotates_itself():
