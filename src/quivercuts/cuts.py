@@ -16,9 +16,9 @@ the search for all cuts folds into a small DAG of covered-cycle states, in
 effect a ZDD of the cut family, whose root-to-sink paths are the cuts.
 Counting, listing, :func:`has_enough_cuts` and :func:`is_fully_compatible`
 all read this DAG, built once per quiver as ``CutSpace.dag``: a node table,
-children first, whose edges carry an arrow bit and a child index.  Only
-listing visits every cut: one pass down the table gives each state the
-integer masks of the paths below it, in the one layout of
+children first, whose edges carry an arrow's bit position and a child
+index.  Only listing visits every cut: one pass down the table gives each
+state the integer masks of the paths below it, in the one layout of
 :class:`~quivercuts.model.CutSpace`, where the least name takes the top
 bit, so that descending masks are ascending name tuples; names are built
 only at the end, by ``CutSpace.decode``.  :func:`enumerate_cuts`
@@ -33,7 +33,6 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 from operator import add
 from typing import Iterable, Mapping, TextIO
 
@@ -107,9 +106,10 @@ def _cut_masks(space: CutSpace) -> list[int]:
     One pass over the cut-state DAG, children first, gives each state the
     masks of the paths below it as ``(bits, base)``, the masks ``bits | s``
     for ``s`` in ``base``: the sink has the empty path, a state with one live
-    edge shares its child's ``base`` and adds the edge's bit to ``bits``, and
-    a state with more joins each edge's masks in a new list.  A child's pair is dropped once its last parent has
-    used it; the root's masks are every cut once.
+    edge shares its child's ``base`` and adds the edge's bit, made once per
+    live edge from its position, to ``bits``, and a state with more joins
+    each edge's masks in a new list.  A child's pair is dropped once its last
+    parent has used it; the root's masks are every cut once.
 
     Descending masks are ascending sorted name tuples.  No cut contains
     another: were ``A`` inside ``B``, an arrow of ``B`` outside ``A`` lies on
@@ -128,9 +128,9 @@ def _cut_masks(space: CutSpace) -> list[int]:
     below: list[tuple[int, list[int]] | None] = [(0, [0])]  # (bits, base): the masks bits | s for s in base
     for _, live in dag[1:]:  # children first
         parts = []
-        for b, j in live:
+        for p, j in live:
             bits, base = below[j]
-            parts.append((b | bits, base))
+            parts.append((1 << p | bits, base))
             uses[j] -= 1
             if not uses[j]:
                 below[j] = None
@@ -170,19 +170,33 @@ def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
     byte to its names as text, each after a comma, rather than to a tuple: a
     line is its bytes' texts less the first comma.  Lines are written
     ``_ROWS`` at a time, so neither a tuple per cut nor the whole text is
-    built.  Warns like :func:`enumerate_cuts` when arrows lie in no
-    distinguished cycle.
+    built.  Every write joins the one list ``rows``, made before the first
+    and refilled in place, whose last entry ``""`` gives the final newline:
+    one allocation per write.  A list grown line by line for each write
+    would pass through small sizes between the written chunks, and the
+    small blocks that the C allocator keeps cached once they are freed
+    would split the space the chunks leave, so a listing's peak memory
+    would depend on what ran before it in the process.  Warns like
+    :func:`enumerate_cuts` when arrows lie in no distinguished cycle.
     """
     _warn_if_uncovered(q)
     space = q.cut_space
     decoded = space.decode(_cut_masks(space), lambda names: ",".join(("", *names)))
-    while lines := ["".join(parts)[1:] for parts in islice(decoded, _ROWS)]:
-        out.write("\n".join(lines) + "\n")
+    rows = [""] * (_ROWS + 1)
+    n = _ROWS
+    while n == _ROWS:
+        n = 0
+        for n, parts in zip(range(1, _ROWS + 1), decoded):
+            rows[n - 1] = "".join(parts)[1:]
+        if n < _ROWS:
+            rows[n:] = [""]  # the last, short write
+        if n:
+            out.write("\n".join(rows))
 
 
 def has_enough_cuts(q: QuiverWithCycles) -> bool:
     """True iff every arrow of ``q`` lies in at least one cut: the arrows of the live DAG edges."""
-    used = {b for _, edges in q.cut_space.dag for b, _ in edges}  # one arrow's bit each
+    used = {p for _, edges in q.cut_space.dag for p, _ in edges}  # one arrow's bit position each
     return len(used) == len(q.cut_space.arrows)
 
 
@@ -197,16 +211,16 @@ def _basis_masks(q: QuiverWithCycles) -> list[tuple[int, int]]:
     ``popcount(m & plus) - popcount(m & minus)``.  Degree is linear on walks, so cuts
     that agree on the basis agree on every cyclic walk.
     """
-    bit = q.cut_space.bit
+    at = q.cut_space.at
     tree = q.quiver.forest
     paths = dict.fromkeys(tree.root.values(), (0, 0))
     for v, (parent, arrow, direction) in tree.parents.items():  # parents first
         p, m = paths[parent]
-        paths[v] = (p | bit[arrow.name], m) if direction == 1 else (p, m | bit[arrow.name])
+        paths[v] = (p | 1 << at[arrow.name], m) if direction == 1 else (p, m | 1 << at[arrow.name])
     basis = []
     for a in tree.chords:
         (ps, ms), (pt, mt) = paths[a.source], paths[a.target]
-        basis.append((bit[a.name] | (ps & ~pt) | (mt & ~ms), (pt & ~ps) | (ms & ~mt)))
+        basis.append((1 << at[a.name] | (ps & ~pt) | (mt & ~ms), (pt & ~ps) | (ms & ~mt)))
     return basis
 
 
@@ -232,10 +246,10 @@ def is_fully_compatible(q: QuiverWithCycles) -> bool:
     """
     basis = _basis_masks(q)
     space = q.cut_space
-    of_arrow = {b: _signature(basis, b) for b in space.bit.values()}
+    of_arrow = {p: _signature(basis, 1 << p) for p in space.at.values()}
     below: list[tuple[int, ...]] = []
     for _, edges in space.dag:
-        signatures = {tuple(map(add, of_arrow[b], below[j])) for b, j in edges}
+        signatures = {tuple(map(add, of_arrow[p], below[j])) for p, j in edges}
         if len(signatures) > 1:
             return False
         below.append(signatures.pop() if edges else (0,) * len(basis))
@@ -270,7 +284,7 @@ def truncated_presentation(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> Trunc
     relations: dict[ArrowId, tuple[tuple[int, tuple[ArrowId, ...]], ...]] = {}
     for name in sorted(members):
         entries = []
-        for ci in _iter_bits(space.cycles_of[space.bit[name].bit_length() - 1]):  # in the order of q.cycles
+        for ci in _iter_bits(space.cycles_of[space.at[name]]):  # in the order of q.cycles
             cycle = q.cycles[ci]
             at = cycle.arrows.index(name)
             path = cycle.arrows[at + 1 :] + cycle.arrows[:at]

@@ -4,11 +4,12 @@ A quiver is a finite directed graph (vertices ``Q0``, arrows ``Q1``).  A
 quiver with cycles carries in addition a set ``Q2`` of directed cycles,
 recording the support of a potential.  Cycles are kept in a canonical
 rotation so that two choices of starting vertex compare equal.
-``CutSpace`` is the one bit-mask view of a quiver's arrows, the only place
-names become bits and bits become names, and holds the cut-state DAG, a
-node table that every cut computation reads.  One BFS spanning forest per
-quiver, ``Quiver.forest``, rooted at each component's least vertex, gives
-the components that :func:`validate` counts, the chords of the cycle-space
+``CutSpace`` is the one bit-mask view of a quiver's arrows: it gives each
+arrow its bit position, the one value held per arrow, turns name sets into
+masks and masks back into names, and holds the cut-state DAG, a node table
+that every cut computation reads.  One BFS spanning forest per quiver,
+``Quiver.forest``, rooted at each component's least vertex, gives the
+components that :func:`validate` counts, the chords of the cycle-space
 basis of compatibility and the fundamental-group presentation of each
 component of the canvas.
 
@@ -36,9 +37,31 @@ class Arrow:
 
 
 def _least_rotation(items: Sequence[ArrowId]) -> tuple[ArrowId, ...]:
+    """The lexicographically least rotation of ``items``, in linear time.
+
+    ``i`` and ``j`` are two candidate starts and ``k`` the length of their
+    common prefix.  At the first difference the greater start loses, and so
+    does every start up to ``k`` past it, whose rotation is beaten by the one
+    as far past the other start; each step moves ``k``, ``i`` or ``j`` on, so
+    the scan ends after at most ``3n`` comparisons.
+    """
     seq = tuple(items)
-    least = min(seq)  # the least rotation starts at an occurrence of the least name
-    return min(seq[i:] + seq[:i] for i, name in enumerate(seq) if name == least)
+    n = len(seq)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    start = min(i, j)
+    return seq[start:] + seq[:start]
 
 
 @dataclass(frozen=True)
@@ -55,8 +78,8 @@ class Cycle:
     def __post_init__(self) -> None:
         if not self.arrows:
             raise ValueError("a cycle needs at least one arrow")
-        if self.sign not in (None, 1, -1):
-            raise ValueError(f"cycle sign must be +1, -1 or None, got {self.sign}")
+        if self.sign is not None and (type(self.sign) is not int or self.sign not in (1, -1)):  # no bool, no float
+            raise ValueError(f"cycle sign must be +1, -1 or None, got {self.sign!r}")
         object.__setattr__(self, "arrows", _least_rotation(tuple(self.arrows)))
 
     def __len__(self) -> int:
@@ -134,20 +157,21 @@ class CutSpace:
     ``arrows`` holds every arrow in name order and ``nb`` is the number of
     bytes they fill, so the least name takes the top bit, byte ``j`` of a
     mask holds ``arrows[8j:8j + 8]`` most significant bit first, and
-    descending masks of cuts are ascending name tuples.  :meth:`mask` and
-    :meth:`decode` are the only ways between names and masks.
+    descending masks of cuts are ascending name tuples.  An arrow is held
+    only as its bit position, which ``at`` maps its name to; the one-bit int
+    ``1 << p`` is made only where a mask is built.  :meth:`mask` and
+    :meth:`decode` are the ways between name sets and masks.
     ``cycle_mask`` holds the cycle arrows, ``declared`` the arrows the
-    quiver declares, ``incidence`` each non-isolated vertex's masks,
-    ``members`` each cycle's arrows, ``cycles_of`` the cycles through the
-    arrow at each bit position (bit ``c`` for ``cycles[c]``), and ``never``
-    the arrows repeated inside one cycle, which lie in no cut.
+    quiver declares, ``members`` each cycle's arrows, ``cycles_of`` the
+    cycles through the arrow at each bit position (bit ``c`` for
+    ``cycles[c]``), and ``never`` the arrows repeated inside one cycle,
+    which lie in no cut.
     """
 
     arrows: tuple[ArrowId, ...]
-    bit: Mapping[ArrowId, int]  # name -> its bit
+    at: Mapping[ArrowId, int]  # name -> its bit position
     cycle_mask: int
     declared: int
-    incidence: Mapping[VertexId, tuple[int, int]]  # (incoming, outgoing)
     members: tuple[int, ...]
     cycles_of: tuple[int, ...]  # 8 * nb entries, one per bit position
     never: int
@@ -156,9 +180,9 @@ class CutSpace:
         """The bit mask of ``names``; raises ``ValueError`` on an unknown arrow."""
         members = frozenset(names)
         try:
-            return sum(map(self.bit.__getitem__, members))  # distinct names have distinct bits
+            return sum(1 << p for p in map(self.at.__getitem__, members))  # distinct names have distinct bits
         except KeyError:
-            raise ValueError(f"unknown arrow {min(members - self.bit.keys())!r}") from None
+            raise ValueError(f"unknown arrow {min(members - self.at.keys())!r}") from None
 
     def decode(self, masks: Iterable[int], render: Callable[[Iterator[ArrowId]], object]) -> Iterator[Iterator]:
         """Per mask, an iterator over ``render`` of each of its bytes' names, in name order.
@@ -181,7 +205,7 @@ class CutSpace:
 
     @cached_property
     def dag(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-        """The cut-state DAG as a node table, children first: ``(cut count, live edges (arrow bit, child index))``.
+        """The cut-state DAG as a node table, children first: ``(cut count, live edges (arrow position, child index))``.
 
         A state is the set of cycles covered so far.  Its arrows banned by the
         exact-one condition are ``never`` and every arrow of a covered cycle,
@@ -193,8 +217,8 @@ class CutSpace:
         root, none covered, at ``[-1]``; a child covers more cycles than its
         parent and comes before it.  Edges into states with no cut are
         dropped, so the root-to-sink paths are exactly the cuts, each once,
-        and a state with no cut below has no edge.  Each edge's arrow bit is
-        the int ``bit`` holds for the arrow, shared by every edge with it.
+        and a state with no cut below has no edge.  Each edge carries its
+        arrow's bit position, the ``at`` value of the arrow's name.
         """
         members, cycles_of = self.members, self.cycles_of
         sink = (1 << len(members)) - 1
@@ -219,10 +243,9 @@ class CutSpace:
             stack += [(child, cycles_of[ai], banned) for ai, child in branches[covered]]
         order = sorted(branches, key=int.bit_count, reverse=True)  # the sink, covering all, first; the root last
         at = {covered: i for i, covered in enumerate(order)}
-        bit, arrows, top = self.bit, self.arrows, len(cycles_of) - 1  # bit position ai holds arrows[top - ai]
         dag = [(1, ())]
         for covered in order[1:]:
-            edges = tuple((bit[arrows[top - ai]], at[child]) for ai, child in branches[covered] if dag[at[child]][0])
+            edges = tuple((ai, at[child]) for ai, child in branches[covered] if dag[at[child]][0])
             dag.append((sum(dag[j][0] for _, j in edges), edges))
         return dag
 
@@ -255,25 +278,17 @@ class QuiverWithCycles:
         """The bit-mask view of the arrows, built once per quiver with cycles."""
         arrows = sorted(self.cycle_arrows.union(a.name for a in self.quiver.arrows))
         width = (len(arrows) + 7) // 8 * 8  # 8 * nb
-        bit = {name: 1 << (width - 1 - i) for i, name in enumerate(arrows)}
-        incidence = {v: [0, 0] for v in self.quiver.vertices}
-        for a in self.quiver.arrows:  # an undeclared endpoint updates a throwaway pair
-            b = bit[a.name]
-            ends, starts = incidence.get(a.target, [0, 0]), incidence.get(a.source, [0, 0])
-            ends[0] = ends[0] | b if ends[0] else b  # a vertex's one incoming arrow shares its bit, no copy
-            starts[1] = starts[1] | b if starts[1] else b
-        touched = {v: (inc, out) for v, (inc, out) in incidence.items() if inc | out}
+        at = {name: width - 1 - i for i, name in enumerate(arrows)}
         members, cycles_of, never = [], [0] * width, 0
         for ci, cycle in enumerate(self.cycles):
             m = 0
-            for b in map(bit.__getitem__, cycle.arrows):
-                never |= m & b  # a repeated arrow
-                m |= b
-                cycles_of[b.bit_length() - 1] |= 1 << ci
+            for p in map(at.__getitem__, cycle.arrows):
+                never |= m & 1 << p  # a repeated arrow
+                m |= 1 << p
+                cycles_of[p] |= 1 << ci
             members.append(m)
-        cycle_mask = sum(map(bit.__getitem__, self.cycle_arrows))
-        declared = sum(map(bit.__getitem__, {a.name for a in self.quiver.arrows}))
-        return CutSpace(tuple(arrows), bit, cycle_mask, declared, touched, tuple(members), tuple(cycles_of), never)
+        declared = sum(1 << at[name] for name in {a.name for a in self.quiver.arrows})
+        return CutSpace(tuple(arrows), at, reduce(or_, members, 0), declared, tuple(members), tuple(cycles_of), never)
 
 
 def validate(q: QuiverWithCycles) -> list[str]:

@@ -13,8 +13,9 @@ cuts, so graph edges are computed in the subquiver spanned by cycle arrows;
 for covered quivers this changes nothing.  Cuts are handled as bit masks
 over the quiver's :class:`~quivercuts.model.CutSpace`, the masks the cut
 listing sorts, and turned into names only by its ``decode``.  Every
-mutation is precomputed once as a move: one mask test says whether it
-applies to a cut, and one exclusive or gives the mutated cut.
+mutation at a declared vertex is precomputed once as a move, from the
+masks of the vertex's incoming and outgoing arrows: one mask test says
+whether it applies to a cut, and one exclusive or gives the mutated cut.
 """
 
 from __future__ import annotations
@@ -23,17 +24,18 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .cuts import Cut, _cut_mask, _cut_masks, _warn_if_uncovered
-from .model import ArrowId, CutSpace, QuiverWithCycles, VertexId
+from .model import ArrowId, QuiverWithCycles, VertexId
 
 
-def _moves(space: CutSpace, keep: int) -> list[tuple[int, int, VertexId, str]]:
-    """``(flip, drop, vertex, direction)`` of every mutation, over the arrows in ``keep``.
+def _moves(q: QuiverWithCycles, keep: int) -> list[tuple[int, int, VertexId, str]]:
+    """``(flip, drop, vertex, direction)`` of every mutation at a declared vertex, over the arrows in ``keep``.
 
     A source move ("+") drops a vertex's incoming arrows and adds its outgoing
     ones, a sink move ("-") the reverse; ``flip`` is ``drop | add``.  A move
     applies to a cut mask ``m`` when ``m & flip == drop``, and yields
     ``m ^ flip``.  A loop lies in both ``drop`` and ``add``, so its vertex is
     never strict: such moves are left out, since the one test would pass them.
+    An arrow to an undeclared vertex counts only at its declared end.
 
     The moves come by ``add - drop`` descending, then by vertex and direction,
     so the moves that apply to any one cut yield its mutations in descending
@@ -43,10 +45,11 @@ def _moves(space: CutSpace, keep: int) -> list[tuple[int, int, VertexId, str]]:
     reach one target have one ``flip``, hence one ``drop = m & flip`` and one
     ``add``, and the vertex and direction order those.
     """
+    space, incident = q.cut_space, q.quiver.incident
     moves = []
-    for v, (incoming, outgoing) in space.incidence.items():
-        incoming &= keep
-        outgoing &= keep
+    for v in set(q.quiver.vertices):  # the sort below orders the moves
+        incoming = space.mask(a.name for a in incident[v] if a.target == v) & keep
+        outgoing = space.mask(a.name for a in incident[v] if a.source == v) & keep
         if (incoming or outgoing) and not incoming & outgoing:
             flip = incoming | outgoing
             moves += [(flip, incoming, v, "+"), (flip, outgoing, v, "-")]
@@ -57,7 +60,7 @@ def _moves(space: CutSpace, keep: int) -> list[tuple[int, int, VertexId, str]]:
 def _strict(q: QuiverWithCycles, cut: Iterable[ArrowId], direction: str) -> dict[VertexId, int]:
     """Each vertex where ``cut`` mutates in ``direction``, mapped to the resulting mask."""
     m = _cut_mask(q, cut)
-    return {v: m ^ flip for flip, drop, v, d in _moves(q.cut_space, -1) if d == direction and m & flip == drop}
+    return {v: m ^ flip for flip, drop, v, d in _moves(q, -1) if d == direction and m & flip == drop}
 
 
 def _mutate(q: QuiverWithCycles, cut: Iterable[ArrowId], vertex: VertexId, direction: str) -> Cut:
@@ -139,7 +142,7 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
     """
     _warn_if_uncovered(q)
     space = q.cut_space
-    moves = _moves(space, space.cycle_mask)
+    moves = _moves(q, space.cycle_mask)
     masks = _cut_masks(space)
     index = {m: i for i, m in enumerate(masks)}
     edges: list[tuple[int, int, VertexId, str]] = []

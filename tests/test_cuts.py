@@ -1,6 +1,7 @@
 import io
 import random
 import runpy
+import tracemalloc
 import warnings
 from functools import cached_property
 from pathlib import Path
@@ -279,13 +280,8 @@ def test_two_byte_masks_match_the_backtracking_oracles(seed):
                 assert mutate_minus(q, members, v) == tuple(sorted(oracle_mutate(q.quiver, members, v, "-")))
 
 
-def test_write_cuts_streams_chunks_of_lines(monkeypatch):
-    # a single cycle of 10 arrows has 10 one-arrow cuts; chunks of 3 lines give the same text in 4 writes
-    names = [f"x{i}" for i in range(10)]
-    arrows = [Arrow(name, str(i), str((i + 1) % 10)) for i, name in enumerate(names)]
-    q = qwc([str(i) for i in range(10)], arrows, [Cycle(tuple(names))])
-    whole = written(write_cuts, q)
-    monkeypatch.setattr("quivercuts.cuts._ROWS", 3)
+def _recorded_writes(q, rows, monkeypatch):
+    monkeypatch.setattr("quivercuts.cuts._ROWS", rows)
     writes = []
 
     class Recorder(io.StringIO):
@@ -295,8 +291,30 @@ def test_write_cuts_streams_chunks_of_lines(monkeypatch):
 
     out = Recorder()
     write_cuts(q, out)
-    assert out.getvalue() == whole == "".join(name + "\n" for name in names)
+    return out.getvalue(), writes
+
+
+def _cycle_of(length):
+    names = [f"x{i}" for i in range(length)]
+    arrows = [Arrow(name, str(i), str((i + 1) % length)) for i, name in enumerate(names)]
+    return names, qwc([str(i) for i in range(length)], arrows, [Cycle(tuple(names))])
+
+
+def test_write_cuts_streams_chunks_of_lines(monkeypatch):
+    # a single cycle of 10 arrows has 10 one-arrow cuts; chunks of 3 lines give the same text in 4 writes
+    names, q = _cycle_of(10)
+    whole = written(write_cuts, q)
+    text, writes = _recorded_writes(q, 3, monkeypatch)
+    assert text == whole == "".join(name + "\n" for name in names)
     assert len(writes) == 4
+
+
+def test_write_cuts_writes_whole_lines_and_no_empty_chunk(monkeypatch):
+    # 9 one-arrow cuts in chunks of 3: three writes of three whole lines, none empty after the last
+    names, q = _cycle_of(9)
+    text, writes = _recorded_writes(q, 3, monkeypatch)
+    assert text == "".join(name + "\n" for name in names)
+    assert writes == ["x0\nx1\nx2\n", "x3\nx4\nx5\n", "x6\nx7\nx8\n"]
 
 
 def test_deep_cut_needs_no_recursion():
@@ -371,6 +389,22 @@ def test_count_e6e6_without_listing():
     # 1,505,721 was found by listing every cut; the DAG counts them without a list
     left = dynkin_quiver(parse_dynkin_spec("E6"))
     assert count_cuts(tensor_qwc(left, left).qwc) == 1505721
+
+
+def test_long_cycle_counts_in_linear_memory():
+    # one 50,000-arrow cycle has a one-state DAG; holding each arrow as a one-bit
+    # int as wide as its bit position made counting it peak at 187 MB traced
+    n = 50000
+    names = [f"a{i:05d}" for i in range(n)]
+    arrows = tuple(Arrow(name, str(i), str((i + 1) % n)) for i, name in enumerate(names))
+    q = QuiverWithCycles(Quiver(tuple(map(str, range(n))), arrows), (Cycle(tuple(names)),))
+    tracemalloc.start()
+    try:
+        assert count_cuts(q) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40_000_000
 
 
 def _names_reversed(q):

@@ -156,6 +156,12 @@ def _joined_triangles():
     )
 
 
+def _undeclared_endpoints():
+    # the cycle runs through "9" and the free arrow w points to "7"; neither is declared, so neither mutates
+    arrows = (Arrow("u", "1", "2"), Arrow("v", "2", "9"), Arrow("x", "9", "1"), Arrow("w", "1", "7"))
+    return QuiverWithCycles(Quiver(("1", "2"), arrows), (Cycle(("u", "v", "x")),))
+
+
 def test_loop_vertex_has_no_moves():
     # the loop is a cycle of its own, so it lies in every cut, and its
     # vertex "a" is never strict: the loop would have to be in and out
@@ -218,18 +224,23 @@ def test_mutation_graph_nodes_sorted(a3b2):
 
 
 @pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
-@pytest.mark.parametrize("name", ["b2b2_split", "a3b2", "joined_triangles", "parallel_two_cycles"])
+@pytest.mark.parametrize(
+    "name", ["b2b2_split", "a3b2", "joined_triangles", "parallel_two_cycles", "undeclared_endpoints"]
+)
 def test_mask_mutation_matches_frozenset_oracle(name, request):
     if name == "joined_triangles":
         q = _joined_triangles()
     elif name == "parallel_two_cycles":
         q = _parallel_two_cycles()
+    elif name == "undeclared_endpoints":
+        q = _undeclared_endpoints()
     else:
         q = request.getfixturevalue(name).qwc
     cuts = enumerate_cuts(q)
     graph = mutation_graph(q)
     assert graph.nodes == tuple(cuts)
     assert graph.edges == tuple(oracle_mutation_edges(q, cuts))
+    assert {v for _, _, v, _ in graph.edges} <= set(q.quiver.vertices)
     # off the enumerated cuts, free arrows count in the strictness test
     free = frozenset(a.name for a in q.quiver.arrows) - q.cycle_arrows
     for members in [frozenset(cut) for cut in cuts] + [frozenset(cut) | free for cut in cuts]:
