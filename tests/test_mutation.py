@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from support import oracle_mutate, oracle_mutation_edges, oracle_strict_vertices
 
@@ -188,6 +190,62 @@ def test_moves_reaching_one_cut_are_ordered_by_vertex():
     graph = mutation_graph(q)
     assert graph.edges == ((0, 1, "a", "+"), (0, 1, "b", "-"), (1, 0, "a", "-"), (1, 0, "b", "+"))
     assert graph.edges == tuple(oracle_mutation_edges(q, cuts))
+
+
+def test_quiver_without_cuts_has_an_empty_graph():
+    # the cycle runs through p and r twice, so no arrow set meets it exactly once
+    q = QuiverWithCycles(
+        Quiver(("a", "b"), (Arrow("p", "a", "b"), Arrow("r", "b", "a"))), (Cycle(("p", "r", "p", "r")),)
+    )
+    assert enumerate_cuts(q) == []
+    graph = mutation_graph(q)
+    assert graph.nodes == () and graph.edges == ()
+    assert graph.edges == tuple(oracle_mutation_edges(q, []))
+    assert graph.component_count() == 0
+
+
+def test_vertex_with_arrows_in_two_mask_bytes():
+    # three triangles through the hub "0": nine arrows fill two mask bytes, the hub's
+    # outgoing x1 lies in the top one and its incoming z3 in the other
+    arrows = []
+    for k in "123":
+        arrows += [Arrow(f"x{k}", "0", f"{k}a"), Arrow(f"y{k}", f"{k}a", f"{k}b"), Arrow(f"z{k}", f"{k}b", "0")]
+    vertices = ("0",) + tuple(f"{k}{end}" for k in "123" for end in "ab")
+    cycles = tuple(Cycle((f"x{k}", f"y{k}", f"z{k}")) for k in "123")
+    q = QuiverWithCycles(Quiver(vertices, tuple(arrows)), cycles)
+    at = q.cut_space.at
+    assert (at["x1"] >> 3, at["z3"] >> 3) == (1, 0)
+    cuts = enumerate_cuts(q)
+    assert len(cuts) == 27
+    graph = mutation_graph(q)
+    assert graph.edges == tuple(oracle_mutation_edges(q, cuts))
+    # the hub is a strict source only of the cut of its incoming arrows, and a strict sink only of the other
+    source, sink = cuts.index(("z1", "z2", "z3")), cuts.index(("x1", "x2", "x3"))
+    assert [(i, j, d) for i, j, v, d in graph.edges if v == "0"] == [(sink, source, "-"), (source, sink, "+")]
+
+
+def _long_cycle(n: int) -> QuiverWithCycles:
+    names = [f"a{i:05d}" for i in range(n)]
+    vertices = [f"v{i:05d}" for i in range(n)]
+    arrows = tuple(Arrow(names[i], vertices[i], vertices[(i + 1) % n]) for i in range(n))
+    return QuiverWithCycles(Quiver(tuple(vertices), arrows), (Cycle(tuple(names)),))
+
+
+def test_mutation_on_a_long_cycle_takes_memory_linear_in_its_arrows():
+    # a cut of the cycle is one arrow, and the vertex it enters is its one strict source
+    n = 12_500
+    q = _long_cycle(n)
+    q.cut_space  # the quiver's own masks, built before tracing
+    tracemalloc.start()
+    try:
+        assert strict_sources(q, ["a00007"]) == {"v00008"}
+        assert mutate_plus(q, ["a00007"], "v00008") == ("a00008",)
+        assert mutate_minus(q, ["a00008"], "v00008") == ("a00007",)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two masks as wide as the quiver for every vertex would take about 59 MB here
+    assert peak < 1000 * n
 
 
 def test_non_transitive_instance():
