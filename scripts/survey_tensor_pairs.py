@@ -12,7 +12,7 @@ import time
 
 from quivercuts.canvas import euler_characteristic, is_simply_connected
 from quivercuts.cuts import count_cuts, is_covered, is_fully_compatible
-from quivercuts.mutation import mutation_graph
+from quivercuts.mutation import is_transitive
 from quivercuts.tensor import dynkin_quiver, morita_split, parse_dynkin_spec, tensor_qwc
 
 DEFAULT_CATALOG = ["A2", "A3:1<2>3", "B2:2>1", "C2", "G2", "A4", "D4", "F4"]
@@ -33,7 +33,7 @@ def survey_pair(left_text: str, right_text: str, split: bool) -> dict:
         "cycles": len(q.cycles),
         "chi": euler_characteristic(q),
         "cuts": count_cuts(q),
-        "connected": mutation_graph(q).is_connected,
+        "connected": is_transitive(q),
         "covered": is_covered(q),
         "fully_compatible": is_fully_compatible(q),
         "simply_connected": is_simply_connected(q).status,

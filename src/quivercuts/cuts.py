@@ -6,8 +6,8 @@ and rotating each distinguished cycle through a cut arrow yields the
 relation paths of the truncated presentation.  Two cuts are *compatible*
 when they give every cyclic walk the same degree (arrows of the cut count
 1 forwards and -1 backwards); it suffices to compare them on a cycle-space
-basis, one closed walk per spanning-forest chord, each held as a pair of
-arrow masks.
+basis, one closed walk per spanning-forest chord, each held as the sign
+of each arrow it crosses.
 
 Cuts form an exact-one hitting problem over the cycles: choosing an arrow
 satisfies every cycle through it and forbids all other arrows of those
@@ -21,7 +21,8 @@ index.  Only listing visits every cut: one pass down the table gives each
 state the integer masks of the paths below it, in the one layout of
 :class:`~quivercuts.model.CutSpace`, where the least name takes the top
 bit, so that descending masks are ascending name tuples; names are built
-only at the end, by ``CutSpace.decode``.  :func:`enumerate_cuts`
+only at the end, by ``CutSpace.decode`` on the masks' one byte table.
+:func:`enumerate_cuts`
 returns the tuples, :func:`write_cuts` streams the ``cuts`` lines, and the
 mutation graph reads the same masks.  Arrows lying in no distinguished
 cycle lie in no cut; counting or listing the cuts of a quiver with such
@@ -81,7 +82,7 @@ def _warn_if_uncovered(q: QuiverWithCycles) -> None:
     if is_covered(q):
         return
     space = q.cut_space
-    free = list(sum(next(space.decode([space.declared & ~space.cycle_mask], tuple)), ()))
+    free = [name for name in space.arrows if not space.cycles_of[space.at[name]]]
     message = f"arrows outside every distinguished cycle are excluded from cuts: {free}"
     if not q.cycles:
         message = "quiver has no distinguished cycles; the empty cut is the only cut"
@@ -147,17 +148,17 @@ def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
 
     The cuts are the root-to-sink paths of the cut-state DAG (see
     :func:`count_cuts`), gathered as integer masks whose descending order is
-    this order (see ``_cut_masks``), and decoded a byte at a time by
-    :meth:`~quivercuts.model.CutSpace.decode`: a cut is the sum of its
-    bytes' name tuples, at most ``nb`` of them.  An arrow occurring twice in
-    one cycle lies in no cut.
+    this order (see ``_cut_masks``), laid out once by ``CutSpace.table`` and
+    decoded a row at a time by :meth:`~quivercuts.model.CutSpace.decode`: a
+    cut is the sum of its row's ``nb`` name tuples, one per byte.  An arrow
+    occurring twice in one cycle lies in no cut.
 
     Arrows lying in no cycle are excluded from every cut; when such arrows
     exist an :class:`UncoveredQuiverWarning` is emitted.
     """
     _warn_if_uncovered(q)
     space = q.cut_space
-    return [sum(parts, ()) for parts in space.decode(_cut_masks(space), tuple)]
+    return [sum(parts, ()) for parts in space.decode(space.table(_cut_masks(space)), tuple)]
 
 
 _ROWS = 4096  # cuts written per write
@@ -166,7 +167,7 @@ _ROWS = 4096  # cuts written per write
 def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
     """Write the cuts of ``q`` to ``out`` in :func:`enumerate_cuts` order, each a line of comma-joined names.
 
-    Lines are decoded from the same masks as :func:`enumerate_cuts`, each
+    Lines are decoded from the same table as :func:`enumerate_cuts`, each
     byte to its names as text, each after a comma, rather than to a tuple: a
     line is its bytes' texts less the first comma.  Lines are written
     ``_ROWS`` at a time, so neither a tuple per cut nor the whole text is
@@ -181,7 +182,7 @@ def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
     """
     _warn_if_uncovered(q)
     space = q.cut_space
-    decoded = space.decode(_cut_masks(space), lambda names: ",".join(("", *names)))
+    decoded = space.decode(space.table(_cut_masks(space)), lambda names: ",".join(("", *names)))
     rows = [""] * (_ROWS + 1)
     n = _ROWS
     while n == _ROWS:
@@ -200,53 +201,58 @@ def has_enough_cuts(q: QuiverWithCycles) -> bool:
     return len(used) == len(q.cut_space.arrows)
 
 
-def _basis_masks(q: QuiverWithCycles) -> list[tuple[int, int]]:
-    """``(plus, minus)`` arrow masks of a cycle-space basis: one closed walk per chord of the spanning forest.
+def _basis_walks(q: QuiverWithCycles) -> list[dict[int, int]]:
+    """A cycle-space basis, one closed walk per chord of the spanning forest, each as ``{arrow position: ±1}``.
 
-    The forest gives every vertex the masks ``(P, M)`` of the arrows its tree
-    path from its component's root follows forwards and backwards.  The walk
-    of a chord ``c`` from ``s`` to ``t`` follows ``c`` and returns through the
-    tree; the stretch the paths to ``s`` and ``t`` share cancels, so it crosses
-    each arrow at most once and the cut ``m`` grades it
-    ``popcount(m & plus) - popcount(m & minus)``.  Degree is linear on walks, so cuts
-    that agree on the basis agree on every cyclic walk.
+    The walk of a chord from ``s`` to ``t`` returns through the tree, found
+    by climbing from the deeper end until the two meet, so it crosses each
+    arrow at most once: a tree arrow counts its direction on the side of
+    ``s`` and the opposite on the side of ``t``.  A cut grades a walk by the
+    sum over its arrows.  Degree is linear on walks, so cuts that agree on
+    the basis agree on every cyclic walk.
     """
     at = q.cut_space.at
     tree = q.quiver.forest
-    paths = dict.fromkeys(tree.root.values(), (0, 0))
-    for v, (parent, arrow, direction) in tree.parents.items():  # parents first
-        p, m = paths[parent]
-        paths[v] = (p | 1 << at[arrow.name], m) if direction == 1 else (p, m | 1 << at[arrow.name])
+    depth = dict.fromkeys(tree.root.values(), 0)
+    for v, (parent, _, _) in tree.parents.items():  # parents first
+        depth[v] = depth[parent] + 1
     basis = []
     for a in tree.chords:
-        (ps, ms), (pt, mt) = paths[a.source], paths[a.target]
-        basis.append((1 << at[a.name] | (ps & ~pt) | (mt & ~ms), (pt & ~ps) | (ms & ~mt)))
+        walk, s, t = {at[a.name]: 1}, a.source, a.target
+        while s != t:
+            if depth[s] >= depth[t]:
+                s, arrow, direction = tree.parents[s]
+                walk[at[arrow.name]] = direction
+            else:
+                t, arrow, direction = tree.parents[t]
+                walk[at[arrow.name]] = -direction
+        basis.append(walk)
     return basis
-
-
-def _signature(basis: list[tuple[int, int]], m: int) -> tuple[int, ...]:
-    return tuple((m & plus).bit_count() - (m & minus).bit_count() for plus, minus in basis)
 
 
 def are_compatible(q: QuiverWithCycles, first: Iterable[ArrowId], second: Iterable[ArrowId]) -> bool:
     """True iff both cuts grade every cyclic walk identically."""
-    m1, m2 = _cut_mask(q, first), _cut_mask(q, second)
-    basis = _basis_masks(q)
-    return _signature(basis, m1) == _signature(basis, m2)
+    at, basis = q.cut_space.at, _basis_walks(q)
+    grades = []
+    for cut in map(frozenset, (first, second)):
+        _cut_mask(q, cut)  # raises unless a cut
+        grades.append([sum(walk.get(at[name], 0) for name in cut) for walk in basis])
+    return grades[0] == grades[1]
 
 
 def is_fully_compatible(q: QuiverWithCycles) -> bool:
     """True iff all cuts of ``q`` are pairwise compatible.
 
-    Signatures add up along a DAG path, so each state has the set of
+    Each arrow's signature, its grade on each basis walk, is read off the
+    walks.  Signatures add up along a DAG path, so each state has the set of
     signatures of the paths below it, the sink the empty path's zeros; all
     cuts agree iff no state has two, which is decided children first.  Every
     state with an edge lies on a root-to-sink path, since its child has a cut
     below it and so does every state above it.
     """
-    basis = _basis_masks(q)
+    basis = _basis_walks(q)
     space = q.cut_space
-    of_arrow = {p: _signature(basis, 1 << p) for p in space.at.values()}
+    of_arrow = {p: tuple(walk.get(p, 0) for walk in basis) for p in space.at.values()}
     below: list[tuple[int, ...]] = []
     for _, edges in space.dag:
         signatures = {tuple(map(add, of_arrow[p], below[j])) for p, j in edges}

@@ -26,6 +26,7 @@ The mutation-graph writers (JSON and DOT) write to a text stream, such as
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from typing import Any, Callable, Mapping, Sequence, TextIO
 
@@ -104,6 +105,8 @@ def parse_quiver_document(text: str) -> LabeledQuiverWithCycles:
         raise DocumentSyntaxError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise DocumentSyntaxError("nesting too deep") from None
+    except ValueError:  # an integer longer than int() converts
+        raise DocumentSyntaxError(f"number longer than {sys.get_int_max_str_digits()} digits") from None
     if not isinstance(data, dict):
         raise DocumentSchemaError("document root must be an object")
     _expect_keys(data, "document", {"format_version", "vertices"}, {"arrows", "cycles"})
@@ -269,14 +272,22 @@ def quiver_to_dot(value: LabeledQuiverWithCycles | QuiverWithCycles, cut: Cut | 
 _ROWS = 4096  # nodes or edges rendered per write
 
 
-def _write_rows(out: TextIO, rows: Sequence, render: Callable[[Sequence, int], list[str]], sep: str) -> None:
-    """Write every row of ``rows``, rendered and joined by ``sep``, ``_ROWS`` rows at a time.
+def _write_rows(out: TextIO, rows: Sequence, fill: Callable[[list[str], Sequence, int], None], sep: str) -> None:
+    """Write the text of every row of ``rows``, ``_ROWS`` rows at a time.
 
-    ``render(chunk, offset)`` gives the text of each row in ``chunk``, the
-    slice of ``rows`` that starts at ``offset``.
+    ``fill(texts, chunk, offset)`` stores the text of each row of ``chunk``,
+    the slice of ``rows`` that starts at ``offset``, at its index in
+    ``chunk``, led by ``sep``, which the first row drops.  Each write joins
+    the one list ``texts``, refilled in place as in ``cuts.write_cuts``.
     """
+    texts = [""] * min(_ROWS, len(rows))
     for offset in range(0, len(rows), _ROWS):
-        out.write((sep if offset else "") + sep.join(render(rows[offset : offset + _ROWS], offset)))
+        chunk = rows[offset : offset + _ROWS]
+        fill(texts, chunk, offset)
+        del texts[len(chunk) :]  # only the last write is short
+        if not offset:
+            texts[0] = texts[0][len(sep) :]
+        out.write("".join(texts))
 
 
 def mutation_graph_to_dot(graph: MutationGraph, out: TextIO, directed: bool = False) -> None:
@@ -293,24 +304,18 @@ def mutation_graph_to_dot(graph: MutationGraph, out: TextIO, directed: bool = Fa
     labels = {
         d: _Memo(lambda v, d=d: f" [label={_dot_quote(f'mu{d} {v}' if directed else v)}];\n") for d in "+-"
     }
+
+    def nodes(texts: list[str], chunk: Sequence[Cut], offset: int) -> None:
+        for i, node in enumerate(chunk, offset):
+            texts[i - offset] = f'  n{numbers[i]} [label="{",".join(map(escaped.__getitem__, node))}"];\n'
+
+    def edges(texts: list[str], chunk: Sequence[tuple], _: int) -> None:
+        for k, (i, j, v, d) in enumerate(chunk):
+            texts[k] = f"  n{numbers[i]} {joiner} n{numbers[j]}{labels[d][v]}" if directed or i < j else ""
+
     out.write(f'{kind} "mutations" {{\n')
-    _write_rows(
-        out,
-        graph.nodes,
-        lambda chunk, offset: [
-            f'  n{i} [label="{",".join(map(escaped.__getitem__, node))}"];\n'
-            for i, node in enumerate(chunk, offset)
-        ],
-        "",
-    )
-    _write_rows(
-        out,
-        graph.edges,
-        lambda chunk, _: [
-            f"  n{numbers[i]} {joiner} n{numbers[j]}{labels[d][v]}" for i, j, v, d in chunk if directed or i < j
-        ],
-        "",
-    )
+    _write_rows(out, graph.nodes, nodes, "")
+    _write_rows(out, graph.edges, edges, "")
     out.write("}\n")
 
 
@@ -327,23 +332,18 @@ def mutation_graph_to_json(graph: MutationGraph, out: TextIO) -> None:
         d: _Memo(lambda v, d=d: f',\n      "vertex": {_quote(v)},\n      "direction": {_quote(d)}\n    }}')
         for d in "+-"
     }
+
+    def nodes(texts: list[str], chunk: Sequence[Cut], _: int) -> None:
+        for k, node in enumerate(chunk):
+            names = ",\n      ".join(map(quoted.__getitem__, node))
+            texts[k] = ",\n    [\n      " + names + "\n    ]" if node else ",\n    []"
+
+    def edges(texts: list[str], chunk: Sequence[tuple], _: int) -> None:
+        for k, (i, j, v, d) in enumerate(chunk):
+            texts[k] = f',\n    {{\n      "source": {numbers[i]},\n      "target": {numbers[j]}{tails[d][v]}'
+
     out.write('{\n  "nodes": [')
-    _write_rows(
-        out,
-        graph.nodes,
-        lambda chunk, _: [
-            "\n    [\n      " + ",\n      ".join(map(quoted.__getitem__, node)) + "\n    ]" if node else "\n    []"
-            for node in chunk
-        ],
-        ",",
-    )
+    _write_rows(out, graph.nodes, nodes, ",")
     out.write('\n  ],\n  "edges": [' if graph.nodes else '],\n  "edges": [')
-    _write_rows(
-        out,
-        graph.edges,
-        lambda chunk, _: [
-            f'\n    {{\n      "source": {numbers[i]},\n      "target": {numbers[j]}{tails[d][v]}' for i, j, v, d in chunk
-        ],
-        ",",
-    )
+    _write_rows(out, graph.edges, edges, ",")
     out.write("\n  ]\n}\n" if graph.edges else "]\n}\n")

@@ -4,10 +4,11 @@ A quiver is a finite directed graph (vertices ``Q0``, arrows ``Q1``).  A
 quiver with cycles carries in addition a set ``Q2`` of directed cycles,
 recording the support of a potential.  Cycles are kept in a canonical
 rotation so that two choices of starting vertex compare equal.
-``CutSpace`` is the one bit-mask view of a quiver's arrows: it gives each
-arrow its bit position, the one value held per arrow, turns name sets into
-masks and masks back into names, and holds the cut-state DAG, a node table
-that every cut computation reads.  One BFS spanning forest per quiver,
+``CutSpace`` is the one bit-mask view of a quiver's arrows and the one
+codec of its masks: it gives each arrow its bit position, the one value held
+per arrow, turns name sets into masks, lays masks out as a byte table read
+as rows of names and as columns of bits, and holds the cut-state DAG, a node
+table that every cut computation reads.  One BFS spanning forest per quiver,
 ``Quiver.forest``, rooted at each component's least vertex, gives the
 components that :func:`validate` counts, the chords of the cycle-space
 basis of compatibility and the fundamental-group presentation of each
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import getitem, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -148,19 +149,21 @@ class _Memo(dict):
 
 
 _BITS = [[x >> k & 1 for k in range(7, -1, -1)] for x in range(256)]  # a byte's bits, most significant first
+_BIT = [bytes(x >> k & 1 for x in range(256)) for k in range(8)]  # ``bytes.translate`` tables: a byte to its bit k
 
 
 @dataclass(frozen=True)
 class CutSpace:
     """Arrow sets as integer bit masks: ``arrows[i]`` sits at bit ``8 * nb - 1 - i``.
 
-    ``arrows`` holds every arrow in name order and ``nb`` is the number of
-    bytes they fill, so the least name takes the top bit, byte ``j`` of a
-    mask holds ``arrows[8j:8j + 8]`` most significant bit first, and
-    descending masks of cuts are ascending name tuples.  An arrow is held
-    only as its bit position, which ``at`` maps its name to; the one-bit int
-    ``1 << p`` is made only where a mask is built.  :meth:`mask` and
-    :meth:`decode` are the ways between name sets and masks.
+    ``arrows`` holds every arrow in name order and ``nb``, at least 1, is the
+    number of bytes they fill, so the least name takes the top bit, byte
+    ``j`` of a mask holds ``arrows[8j:8j + 8]`` most significant bit first,
+    and descending masks of cuts are ascending name tuples.  An arrow is
+    held only as its bit position, which ``at`` maps its name to.
+    :meth:`mask` is the one encoder of name sets, and :meth:`table` lays
+    many masks out as rows of bytes, read back whole by :meth:`decode` and
+    a bit position at a time by :meth:`column` and :meth:`swaps`.
     ``cycle_mask`` holds the cycle arrows, ``declared`` the arrows the
     quiver declares, ``members`` each cycle's arrows, ``cycles_of`` the
     cycles through the arrow at each bit position (bit ``c`` for
@@ -180,28 +183,44 @@ class CutSpace:
         """The bit mask of ``names``; raises ``ValueError`` on an unknown arrow."""
         members = frozenset(names)
         try:
-            return sum(1 << p for p in map(self.at.__getitem__, members))  # distinct names have distinct bits
+            return sum(map((1).__lshift__, map(self.at.__getitem__, members)))  # distinct names have distinct bits
         except KeyError:
             raise ValueError(f"unknown arrow {min(members - self.at.keys())!r}") from None
 
-    def decode(self, masks: Iterable[int], render: Callable[[Iterator[ArrowId]], object]) -> Iterator[Iterator]:
-        """Per mask, an iterator over ``render`` of each of its bytes' names, in name order.
+    def table(self, masks: Iterable[int]) -> bytes:
+        """``masks`` laid out as rows of ``nb`` bytes, most significant first, so row ``i`` is ``masks[i]``."""
+        return b"".join(map(int.to_bytes, masks, repeat(len(self.cycles_of) >> 3), repeat("big")))
+
+    def decode(self, table: bytes, render: Callable[[Iterator[ArrowId]], object]) -> Iterator[Iterator]:
+        """Per row of ``table``, an iterator over ``render`` of each of its bytes' names, in name order.
 
         Byte ``j`` has its own table over arrows ``8j`` to ``8j + 7`` that
-        keeps what ``render`` gives for each byte value on first use.  Only
-        the bytes from the mask's first nonzero byte to its last are looked up:
-        the ``k`` bytes from the first to the end come from the bit length
-        and pair with the last ``k`` tables, and the zero bytes below the
-        last set bit are stripped.  A zero byte between two set bits is
-        looked up like any other and renders no name.
+        keeps what ``render`` gives for each byte value on first use.
         """
         tables = [
             _Memo(lambda x, names=self.arrows[j : j + 8]: render(compress(names, _BITS[x])))
             for j in range(0, len(self.cycles_of), 8)
         ]
-        for m in masks:
-            k = (m.bit_length() + 7) >> 3  # 0 only for the empty mask
-            yield map(getitem, tables[-k:], m.to_bytes(k, "big").rstrip(b"\0"))
+        nb = len(tables)
+        return (map(getitem, tables, table[i : i + nb]) for i in range(0, len(table), nb))
+
+    def column(self, table: bytes, p: int) -> bytes:
+        """Bit ``p`` of every row of ``table``, one byte per row: a strided slice of its byte, through ``translate``."""
+        nb = len(self.cycles_of) >> 3
+        return table[nb - 1 - (p >> 3) :: nb].translate(_BIT[p & 7])
+
+    def swaps(self, table: bytes, drop: Iterable[int], add: Iterable[int]) -> tuple[bytes, bytes]:
+        """A byte per row of ``table``, 1 where it holds every bit of ``drop`` and none of ``add``; then the reverse."""
+        n = len(table) // (len(self.cycles_of) >> 3)  # rows; each column is read as an int with a byte per row
+        all_drop = all_add = int.from_bytes(b"\1" * n, "big")
+        any_drop = any_add = 0
+        for p in drop:
+            bits = int.from_bytes(self.column(table, p), "big")
+            all_drop, any_drop = all_drop & bits, any_drop | bits
+        for p in add:
+            bits = int.from_bytes(self.column(table, p), "big")
+            all_add, any_add = all_add & bits, any_add | bits
+        return (all_drop & ~any_add).to_bytes(n, "big"), (all_add & ~any_drop).to_bytes(n, "big")
 
     @cached_property
     def dag(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -277,7 +296,7 @@ class QuiverWithCycles:
     def cut_space(self) -> CutSpace:
         """The bit-mask view of the arrows, built once per quiver with cycles."""
         arrows = sorted(self.cycle_arrows.union(a.name for a in self.quiver.arrows))
-        width = (len(arrows) + 7) // 8 * 8  # 8 * nb
+        width = max(8, (len(arrows) + 7) // 8 * 8)  # 8 * nb: a row of a table has a byte even with no arrow
         at = {name: width - 1 - i for i, name in enumerate(arrows)}
         members, cycles_of, never = [], [0] * width, 0
         for ci, cycle in enumerate(self.cycles):

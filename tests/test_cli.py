@@ -114,6 +114,13 @@ def test_validate_deeply_nested_json(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: nesting too deep\n")
 
 
+def test_validate_overlong_number(tmp_path, capsys):
+    long = tmp_path / "long.json"
+    long.write_text('{"format_version": 1, "vertices": [], "arrows": [' + "9" * 5000 + "]}")
+    code, out, err = run(capsys, "validate", str(long))
+    assert (code, out, err) == (1, "", f"error: number longer than {sys.get_int_max_str_digits()} digits\n")
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -350,6 +357,11 @@ def test_mutate_errors(capsys):
     assert code == 1 and "not a cut" in err
     code, _, err = run(capsys, "mutate", B2B2, "--cut", "d,e", "--vertex", "1", "--dir", "minus")
     assert code == 1 and "strict sink" in err
+
+
+def test_mutate_unknown_vertex(capsys):
+    code, out, err = run(capsys, "mutate", B2B2, "--cut", "d,e", "--vertex", "nope", "--dir", "minus")
+    assert (code, out, err) == (1, "", "error: unknown vertex 'nope'\n")
 
 
 @pytest.mark.parametrize("command", [["mutate", "--vertex", "3", "--dir", "plus"], ["truncate"]])

@@ -207,12 +207,23 @@ AROUND_THE_COMMA = ("a", "a b", "a+", "a,", "a-", "ab", "b", "a,b")
 NAMES_AROUND_THE_COMMA = st.lists(st.sampled_from(AROUND_THE_COMMA), min_size=1, max_size=2).map("".join)
 
 
-@given(st.lists(NAMES_AROUND_THE_COMMA, min_size=1, max_size=16, unique=True), st.data())
-def test_decode_inverts_mask(names, data):
-    # 1 to 16 loops, so up to two mask bytes, named around the comma, and any subset of them
+@given(
+    st.one_of(
+        st.lists(NAMES_AROUND_THE_COMMA, min_size=1, max_size=16, unique=True),
+        st.sampled_from([0, 1, 7, 8, 9, 15, 16, 17, 24, 40]).map(lambda n: [f"x{i:02}" for i in range(n)]),
+    ),
+    st.data(),
+)
+def test_table_rows_decode_and_columns_read_bits(names, data):
+    # no arrow, one, counts across byte boundaries and past two bytes, or up to 16 named around the comma;
+    # any subsets of them laid out as a table are read back as their sorted names and, a bit at a time, as columns
     space = qwc(["v"], [Arrow(name, "v", "v") for name in names]).cut_space
-    subset = data.draw(st.lists(st.sampled_from(names), unique=True))
-    assert sum(next(space.decode([space.mask(subset)], tuple)), ()) == tuple(sorted(subset))
+    subsets = data.draw(st.lists(st.lists(st.sampled_from(names), unique=True) if names else st.just([])))
+    masks = list(map(space.mask, subsets))
+    table = space.table(masks)
+    assert [sum(parts, ()) for parts in space.decode(table, tuple)] == [tuple(sorted(s)) for s in subsets]
+    for p in range(len(space.cycles_of)):
+        assert list(space.column(table, p)) == [m >> p & 1 for m in masks]
 
 
 def _renamed(q, names):
@@ -405,6 +416,24 @@ def test_long_cycle_counts_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40_000_000
+
+
+def test_compatibility_on_a_long_cycle_takes_memory_linear_in_its_arrows():
+    # the one basis walk goes once round the cycle, so every one-arrow cut grades it alike
+    n = 12_500
+    names = [f"a{i:05d}" for i in range(n)]
+    arrows = tuple(Arrow(name, str(i), str((i + 1) % n)) for i, name in enumerate(names))
+    q = QuiverWithCycles(Quiver(tuple(map(str, range(n))), arrows), (Cycle(tuple(names)),))
+    q.cut_space.dag, q.quiver.forest  # built before tracing
+    tracemalloc.start()
+    try:
+        assert are_compatible(q, ["a00007"], ["a00008"])
+        assert is_fully_compatible(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a tree-path mask as wide as the quiver for every vertex took about 14 MB here
+    assert peak < 500 * n
 
 
 def _names_reversed(q):

@@ -73,6 +73,11 @@ def test_syntax_error_carries_position():
         parse_quiver_document("{nope")
 
 
+def test_overlong_number_is_a_syntax_error():
+    with pytest.raises(DocumentSyntaxError, match=r"^number longer than \d+ digits$"):
+        parse_quiver_document('{"format_version": ' + "1" * 5000 + ', "vertices": []}')
+
+
 @pytest.mark.parametrize("text", ["[" * 200_000, '{"a": ' * 200_000])
 def test_deep_nesting_is_a_syntax_error(text):
     with pytest.raises(DocumentSyntaxError, match="nesting too deep"):

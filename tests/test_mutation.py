@@ -55,6 +55,13 @@ def test_mutation_requires_strictness(b2b2_split):
         mutate_plus(q, frozenset({"a"}), "3")
 
 
+def test_mutation_at_an_unknown_vertex_names_it(b2b2_split):
+    q = b2b2_split.qwc
+    for mutate in (mutate_plus, mutate_minus):
+        with pytest.raises(ValueError, match="^unknown vertex 'nope'$"):
+            mutate(q, frozenset({"c", "f"}), "nope")
+
+
 def test_mutation_involution_and_cut_preservation(b2b2_split, a3b2):
     for q in (b2b2_split.qwc, a3b2.qwc):
         for cut in enumerate_cuts(q):
