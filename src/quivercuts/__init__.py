@@ -22,7 +22,6 @@ from .cuts import (
     is_fully_compatible,
     truncated_presentation,
     truncated_quiver,
-    write_cuts,
 )
 from .docio import (
     DocumentError,
@@ -34,6 +33,7 @@ from .docio import (
     parse_quiver_document,
     quiver_to_dot,
     serialize_quiver_document,
+    write_cuts,
 )
 from .model import (
     Arrow,

@@ -20,7 +20,6 @@ from .cuts import (
     is_covered,
     is_fully_compatible,
     truncated_presentation,
-    write_cuts,
 )
 from .docio import (
     DisconnectedQuiverWarning,
@@ -28,6 +27,7 @@ from .docio import (
     mutation_graph_to_json,
     parse_quiver_document,
     serialize_quiver_document,
+    write_cuts,
 )
 from .mutation import mutate_minus, mutate_plus, mutation_graph
 from .tensor import LabeledQuiverWithCycles, dynkin_quiver, morita_split, parse_dynkin_spec, tensor_qwc
@@ -128,7 +128,7 @@ def _cmd_truncate(args: argparse.Namespace) -> int:
         print(f"arrow {a.name}: {a.source} -> {a.target}")
     for name, entries in presentation.relations.items():
         terms = " ".join(f"{'+' if sign > 0 else '-'}{'.'.join(path) if path else '()'}" for sign, path in entries)
-        print(f"relation {name}: {terms}")
+        print(f"relation {name}: {terms or 0}")  # an arrow in no distinguished cycle: the zero relation
     return 0
 
 

@@ -23,10 +23,10 @@ state the integer masks of the paths below it, in the one layout of
 bit, so that descending masks are ascending name tuples; names are built
 only at the end, by ``CutSpace.decode`` on the masks' one byte table.
 :func:`enumerate_cuts`
-returns the tuples, :func:`write_cuts` streams the ``cuts`` lines, and the
-mutation graph reads the same masks.  Arrows lying in no distinguished
-cycle lie in no cut; counting or listing the cuts of a quiver with such
-arrows triggers :class:`UncoveredQuiverWarning`.
+returns the tuples; ``docio.write_cuts`` streams the ``cuts`` lines and
+the mutation graph reads the same masks.  This module does no I/O.  Arrows
+lying in no distinguished cycle lie in no cut; counting or listing the cuts
+of a quiver with such arrows triggers :class:`UncoveredQuiverWarning`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Mapping
 
 from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, _iter_bits
 
@@ -74,7 +74,7 @@ def is_covered(q: QuiverWithCycles) -> bool:
 
 
 # modules whose public functions list cuts on behalf of their caller
-_LISTING_MODULES = frozenset({__name__, f"{__package__}.mutation"})
+_LISTING_MODULES = frozenset({__name__, f"{__package__}.mutation", f"{__package__}.docio"})
 
 
 def _warn_if_uncovered(q: QuiverWithCycles) -> None:
@@ -159,40 +159,6 @@ def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
     _warn_if_uncovered(q)
     space = q.cut_space
     return [sum(parts, ()) for parts in space.decode(space.table(_cut_masks(space)), tuple)]
-
-
-_ROWS = 4096  # cuts written per write
-
-
-def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
-    """Write the cuts of ``q`` to ``out`` in :func:`enumerate_cuts` order, each a line of comma-joined names.
-
-    Lines are decoded from the same table as :func:`enumerate_cuts`, each
-    byte to its names as text, each after a comma, rather than to a tuple: a
-    line is its bytes' texts less the first comma.  Lines are written
-    ``_ROWS`` at a time, so neither a tuple per cut nor the whole text is
-    built.  Every write joins the one list ``rows``, made before the first
-    and refilled in place, whose last entry ``""`` gives the final newline:
-    one allocation per write.  A list grown line by line for each write
-    would pass through small sizes between the written chunks, and the
-    small blocks that the C allocator keeps cached once they are freed
-    would split the space the chunks leave, so a listing's peak memory
-    would depend on what ran before it in the process.  Warns like
-    :func:`enumerate_cuts` when arrows lie in no distinguished cycle.
-    """
-    _warn_if_uncovered(q)
-    space = q.cut_space
-    decoded = space.decode(space.table(_cut_masks(space)), lambda names: ",".join(("", *names)))
-    rows = [""] * (_ROWS + 1)
-    n = _ROWS
-    while n == _ROWS:
-        n = 0
-        for n, parts in zip(range(1, _ROWS + 1), decoded):
-            rows[n - 1] = "".join(parts)[1:]
-        if n < _ROWS:
-            rows[n:] = [""]  # the last, short write
-        if n:
-            out.write("\n".join(rows))
 
 
 def has_enough_cuts(q: QuiverWithCycles) -> bool:

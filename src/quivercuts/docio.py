@@ -18,9 +18,11 @@ component.
 
 DOT export renders quivers as digraphs (cut arrows dashed) and mutation
 graphs as undirected graphs by default, matching mutation-lattice figures.
-The mutation-graph writers (JSON and DOT) write to a text stream, such as
-``sys.stdout`` or an open file, a chunk of rows at a time, and return
-``None``; they never hold the whole text.
+The streamed writers, :func:`write_cuts` for the ``cuts`` lines and the
+mutation-graph writers (JSON and DOT), write to a text stream, such as
+``sys.stdout`` or an open file, and return ``None``; they never hold the
+whole text.  Each passes a generator of row texts to ``_write_rows``, the
+one loop that writes them a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from __future__ import annotations
 import json
 import sys
 import warnings
-from typing import Any, Callable, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Mapping, TextIO
 
-from .cuts import Cut
-from .model import Arrow, Cycle, Quiver, QuiverWithCycles, _Memo, validate
+from .cuts import Cut, _cut_masks, _warn_if_uncovered
+from .model import Arrow, Cycle, Quiver, QuiverWithCycles, validate
 from .mutation import MutationGraph
 from .tensor import DivisionLabel, LabeledQuiverWithCycles
 
@@ -269,53 +271,83 @@ def quiver_to_dot(value: LabeledQuiverWithCycles | QuiverWithCycles, cut: Cut | 
     return "\n".join(lines) + "\n"
 
 
-_ROWS = 4096  # nodes or edges rendered per write
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``, so ``make`` runs once per key."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
-def _write_rows(out: TextIO, rows: Sequence, fill: Callable[[list[str], Sequence, int], None], sep: str) -> None:
-    """Write the text of every row of ``rows``, ``_ROWS`` rows at a time.
+_ROWS = 4096  # rows written per write
 
-    ``fill(texts, chunk, offset)`` stores the text of each row of ``chunk``,
-    the slice of ``rows`` that starts at ``offset``, at its index in
-    ``chunk``, led by ``sep``, which the first row drops.  Each write joins
-    the one list ``texts``, refilled in place as in ``cuts.write_cuts``.
+
+def _write_rows(out: TextIO, texts: Iterable[str], sep: str = "") -> None:
+    """Write ``texts`` to ``out``, ``_ROWS`` at a time, the first without its leading ``sep``.
+
+    Every write joins the one list ``rows``, made before the first and
+    refilled in place: one allocation per write, and no write after the
+    last row.  A list grown row by row for each write would pass through
+    small sizes between the written chunks, and the small blocks that the C
+    allocator keeps cached once they are freed would split the space the
+    chunks leave, so a writer's peak memory would depend on what ran before
+    it in the process.
     """
-    texts = [""] * min(_ROWS, len(rows))
-    for offset in range(0, len(rows), _ROWS):
-        chunk = rows[offset : offset + _ROWS]
-        fill(texts, chunk, offset)
-        del texts[len(chunk) :]  # only the last write is short
-        if not offset:
-            texts[0] = texts[0][len(sep) :]
-        out.write("".join(texts))
+    rows = [""] * _ROWS
+    n, drop = _ROWS, len(sep)
+    while n == _ROWS:
+        n = 0
+        for n, text in zip(range(1, _ROWS + 1), texts):
+            rows[n - 1] = text
+        if n < _ROWS:
+            del rows[n:]  # the last, short write
+        if n:
+            rows[0], drop = rows[0][drop:], 0
+            out.write("".join(rows))
+
+
+def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
+    """Write the cuts of ``q`` to ``out`` in ``enumerate_cuts`` order, each a line of comma-joined names.
+
+    Lines are decoded from the same table as ``enumerate_cuts``, each byte
+    to its names as text, each after a comma, rather than to a tuple: a line
+    is its bytes' texts less the first comma.  Neither a tuple per cut nor
+    the whole text is built.  Warns like ``enumerate_cuts`` when arrows lie
+    in no distinguished cycle.
+    """
+    _warn_if_uncovered(q)
+    space = q.cut_space
+    decoded = space.decode(space.table(_cut_masks(space)), lambda names: ",".join(("", *names)))
+    _write_rows(out, ("".join(parts)[1:] + "\n" for parts in decoded))
 
 
 def mutation_graph_to_dot(graph: MutationGraph, out: TextIO, directed: bool = False) -> None:
     """Write the DOT export of a mutation graph to ``out``, a chunk of rows at a time.
 
     The default undirected view collapses each mutation and its inverse
-    into one edge labelled by the mutation vertex; ``directed`` keeps both
-    labelled directions.  Each arrow name is escaped once, and each
-    ``(vertex, direction)`` label is built once.
+    into one edge labelled by the mutation vertex, and renders the other
+    direction as an empty row; ``directed`` keeps both labelled directions.
+    Each node's label is escaped once, and each ``(vertex, direction)``
+    label is built once.
     """
     kind, joiner = ("digraph", "->") if directed else ("graph", "--")
     numbers = list(map(str, range(len(graph.nodes))))
-    escaped = _Memo(_dot_escape)
     labels = {
         d: _Memo(lambda v, d=d: f" [label={_dot_quote(f'mu{d} {v}' if directed else v)}];\n") for d in "+-"
     }
-
-    def nodes(texts: list[str], chunk: Sequence[Cut], offset: int) -> None:
-        for i, node in enumerate(chunk, offset):
-            texts[i - offset] = f'  n{numbers[i]} [label="{",".join(map(escaped.__getitem__, node))}"];\n'
-
-    def edges(texts: list[str], chunk: Sequence[tuple], _: int) -> None:
-        for k, (i, j, v, d) in enumerate(chunk):
-            texts[k] = f"  n{numbers[i]} {joiner} n{numbers[j]}{labels[d][v]}" if directed or i < j else ""
-
     out.write(f'{kind} "mutations" {{\n')
-    _write_rows(out, graph.nodes, nodes, "")
-    _write_rows(out, graph.edges, edges, "")
+    _write_rows(out, (f"  n{i} [label={_dot_quote(','.join(node))}];\n" for i, node in zip(numbers, graph.nodes)))
+    _write_rows(
+        out,
+        (
+            f"  n{numbers[i]} {joiner} n{numbers[j]}{labels[d][v]}" if directed or i < j else ""
+            for i, j, v, d in graph.edges
+        ),
+    )
     out.write("}\n")
 
 
@@ -332,18 +364,22 @@ def mutation_graph_to_json(graph: MutationGraph, out: TextIO) -> None:
         d: _Memo(lambda v, d=d: f',\n      "vertex": {_quote(v)},\n      "direction": {_quote(d)}\n    }}')
         for d in "+-"
     }
-
-    def nodes(texts: list[str], chunk: Sequence[Cut], _: int) -> None:
-        for k, node in enumerate(chunk):
-            names = ",\n      ".join(map(quoted.__getitem__, node))
-            texts[k] = ",\n    [\n      " + names + "\n    ]" if node else ",\n    []"
-
-    def edges(texts: list[str], chunk: Sequence[tuple], _: int) -> None:
-        for k, (i, j, v, d) in enumerate(chunk):
-            texts[k] = f',\n    {{\n      "source": {numbers[i]},\n      "target": {numbers[j]}{tails[d][v]}'
-
     out.write('{\n  "nodes": [')
-    _write_rows(out, graph.nodes, nodes, ",")
+    _write_rows(
+        out,
+        (
+            ",\n    [\n      " + ",\n      ".join(map(quoted.__getitem__, node)) + "\n    ]" if node else ",\n    []"
+            for node in graph.nodes
+        ),
+        ",",
+    )
     out.write('\n  ],\n  "edges": [' if graph.nodes else '],\n  "edges": [')
-    _write_rows(out, graph.edges, edges, ",")
+    _write_rows(
+        out,
+        (
+            f',\n    {{\n      "source": {numbers[i]},\n      "target": {numbers[j]}{tails[d][v]}'
+            for i, j, v, d in graph.edges
+        ),
+        ",",
+    )
     out.write("\n  ]\n}\n" if graph.edges else "]\n}\n")

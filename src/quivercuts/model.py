@@ -136,18 +136,6 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)``, so ``make`` runs once per key."""
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 _BITS = [[x >> k & 1 for k in range(7, -1, -1)] for x in range(256)]  # a byte's bits, most significant first
 _BIT = [bytes(x >> k & 1 for x in range(256)) for k in range(8)]  # ``bytes.translate`` tables: a byte to its bit k
 
@@ -194,14 +182,15 @@ class CutSpace:
     def decode(self, table: bytes, render: Callable[[Iterator[ArrowId]], object]) -> Iterator[Iterator]:
         """Per row of ``table``, an iterator over ``render`` of each of its bytes' names, in name order.
 
-        Byte ``j`` has its own table over arrows ``8j`` to ``8j + 7`` that
-        keeps what ``render`` gives for each byte value on first use.
+        Byte ``j`` has its own table over arrows ``8j`` to ``8j + 7``, built
+        before the first row, holding what ``render`` gives for each byte
+        value that occurs at ``j`` in ``table``: one call per such value.
         """
+        nb = len(self.cycles_of) >> 3
         tables = [
-            _Memo(lambda x, names=self.arrows[j : j + 8]: render(compress(names, _BITS[x])))
-            for j in range(0, len(self.cycles_of), 8)
+            {x: render(compress(names, _BITS[x])) for x in set(table[j::nb])}
+            for j, names in enumerate(self.arrows[k : k + 8] for k in range(0, 8 * nb, 8))
         ]
-        nb = len(tables)
         return (map(getitem, tables, table[i : i + nb]) for i in range(0, len(table), nb))
 
     def column(self, table: bytes, p: int) -> bytes:

@@ -479,6 +479,28 @@ def test_truncate(capsys):
     assert "relation e: +h.c -g.f" in lines
 
 
+def test_truncate_prints_the_zero_relation_of_a_free_arrow(tmp_path, capsys):
+    # f lies in no distinguished cycle, so a cut may hold it and its relation is zero
+    document = tmp_path / "free.json"
+    document.write_text(
+        json.dumps(
+            {
+                "format_version": 1,
+                "vertices": [{"id": "1"}, {"id": "2"}],
+                "arrows": [
+                    {"id": "a", "source": "1", "target": "2"},
+                    {"id": "b", "source": "2", "target": "1"},
+                    {"id": "f", "source": "1", "target": "2"},
+                ],
+                "cycles": [{"arrows": ["a", "b"]}],
+            }
+        )
+    )
+    code, out, err = run(capsys, "truncate", str(document), "--cut", "a,f")
+    assert (code, err) == (0, "")
+    assert out == "vertices: 1,2\narrow b: 2 -> 1\nrelation a: +b\nrelation f: 0\n"
+
+
 def test_truncate_rejects_non_cut(capsys):
     code, _, err = run(capsys, "truncate", B2B2, "--cut", "a,b")
     assert code == 1

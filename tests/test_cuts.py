@@ -40,8 +40,8 @@ from quivercuts.cuts import (
     is_fully_compatible,
     truncated_presentation,
     truncated_quiver,
-    write_cuts,
 )
+from quivercuts.docio import write_cuts
 from quivercuts.model import Arrow, Cycle, CutSpace, Quiver, QuiverWithCycles, spanning_tree
 from quivercuts.mutation import (
     is_transitive,
@@ -226,6 +226,31 @@ def test_table_rows_decode_and_columns_read_bits(names, data):
         assert list(space.column(table, p)) == [m >> p & 1 for m in masks]
 
 
+def test_decode_renders_each_byte_value_in_the_table_once():
+    # 20 arrows fill three bytes; 200 random subsets repeat byte values at every position and leave
+    # some values out, and the empty byte value renders once at each position where it occurs
+    names = [f"x{i:02}" for i in range(20)]
+    space = qwc(["v"], [Arrow(name, "v", "v") for name in names]).cut_space
+    rng = random.Random(5)
+    subsets = [rng.sample(names, rng.randrange(4)) for _ in range(200)]
+    table = space.table(map(space.mask, subsets))
+    rendered = []
+
+    def render(byte_names):
+        rendered.append(tuple(byte_names))
+        return rendered[-1]
+
+    assert [sum(parts, ()) for parts in space.decode(table, render)] == [tuple(sorted(s)) for s in subsets]
+    nb = len(space.cycles_of) // 8
+    occurring = [
+        tuple(name for k, name in enumerate(names[8 * j : 8 * j + 8]) if x >> 7 - k & 1)
+        for j in range(nb)
+        for x in set(table[j::nb])
+    ]
+    assert sorted(rendered) == sorted(occurring)
+    assert len(occurring) < 256 * nb
+
+
 def _renamed(q, names):
     """``q`` with its arrows renamed, in declaration order, to ``names``."""
     new = dict(zip((a.name for a in q.quiver.arrows), names))
@@ -292,7 +317,7 @@ def test_two_byte_masks_match_the_backtracking_oracles(seed):
 
 
 def _recorded_writes(q, rows, monkeypatch):
-    monkeypatch.setattr("quivercuts.cuts._ROWS", rows)
+    monkeypatch.setattr("quivercuts.docio._ROWS", rows)
     writes = []
 
     class Recorder(io.StringIO):
