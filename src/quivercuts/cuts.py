@@ -25,8 +25,11 @@ only at the end, by ``CutSpace.decode`` on the masks' one byte table.
 :func:`enumerate_cuts`
 returns the tuples; ``docio.write_cuts`` streams the ``cuts`` lines and
 the mutation graph reads the same masks.  This module does no I/O.  Arrows
-lying in no distinguished cycle lie in no cut; counting or listing the cuts
-of a quiver with such arrows triggers :class:`UncoveredQuiverWarning`.
+lying in no distinguished cycle lie in no cut; counting the cuts of a quiver
+with such arrows, or listing them in ``_cut_masks``, which every listing
+calls, triggers :class:`UncoveredQuiverWarning`, attributed to the first
+caller outside the ``quivercuts`` package.  A single cut is checked, and
+its names gathered, by ``_cut_members``.
 """
 
 from __future__ import annotations
@@ -50,13 +53,12 @@ def _is_cut_mask(space: CutSpace, m: int) -> bool:
     return not m & space.never and all((m & c).bit_count() == 1 for c in space.members)
 
 
-def _cut_mask(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> int:
-    """The bit mask of ``cut``; raises ``ValueError`` unless it is a cut."""
+def _cut_members(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> frozenset[ArrowId]:
+    """The names in ``cut``; raises ``ValueError`` unless they form a cut."""
     members = frozenset(cut)
-    m = q.cut_space.mask(members)
-    if not _is_cut_mask(q.cut_space, m):
+    if not _is_cut_mask(q.cut_space, q.cut_space.mask(members)):
         raise ValueError(f"not a cut: {sorted(members)}")
-    return m
+    return members
 
 
 def is_cut(q: QuiverWithCycles, arrows: Iterable[ArrowId]) -> bool:
@@ -73,12 +75,8 @@ def is_covered(q: QuiverWithCycles) -> bool:
     return q.cut_space.declared == q.cut_space.cycle_mask
 
 
-# modules whose public functions list cuts on behalf of their caller
-_LISTING_MODULES = frozenset({__name__, f"{__package__}.mutation", f"{__package__}.docio"})
-
-
 def _warn_if_uncovered(q: QuiverWithCycles) -> None:
-    """Warn, at the first caller outside the listing modules, that free arrows lie in no cut."""
+    """Warn, at the first caller outside the ``quivercuts`` package, that free arrows lie in no cut."""
     if is_covered(q):
         return
     space = q.cut_space
@@ -87,7 +85,7 @@ def _warn_if_uncovered(q: QuiverWithCycles) -> None:
     if not q.cycles:
         message = "quiver has no distinguished cycles; the empty cut is the only cut"
     frame, level = sys._getframe(1), 2
-    while frame.f_back is not None and frame.f_globals.get("__name__") in _LISTING_MODULES:
+    while frame.f_back is not None and frame.f_globals.get("__name__", "").startswith(f"{__package__}."):
         frame, level = frame.f_back, level + 1
     warnings.warn(message, UncoveredQuiverWarning, stacklevel=level)
 
@@ -101,8 +99,11 @@ def count_cuts(q: QuiverWithCycles) -> int:
     return q.cut_space.dag[-1][0]
 
 
-def _cut_masks(space: CutSpace) -> list[int]:
-    """Every cut as a mask over ``space``, in descending order.
+def _cut_masks(q: QuiverWithCycles) -> list[int]:
+    """Every cut of ``q`` as a mask over its ``CutSpace``, in descending order.
+
+    Every listing comes through here, so here ``_warn_if_uncovered`` warns
+    when arrows lie in no distinguished cycle.
 
     One pass over the cut-state DAG, children first, gives each state the
     masks of the paths below it as ``(bits, base)``, the masks ``bits | s``
@@ -121,7 +122,8 @@ def _cut_masks(space: CutSpace) -> list[int]:
     smaller.  ``d`` is the top bit of ``A ^ B`` and lies in ``A``, so ``A``'s
     mask is the larger.
     """
-    dag = space.dag
+    _warn_if_uncovered(q)
+    dag = q.cut_space.dag
     uses = [0] * len(dag)  # live edges into each state not yet followed
     for _, edges in dag:
         for _, j in edges:
@@ -156,9 +158,8 @@ def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
     Arrows lying in no cycle are excluded from every cut; when such arrows
     exist an :class:`UncoveredQuiverWarning` is emitted.
     """
-    _warn_if_uncovered(q)
     space = q.cut_space
-    return [sum(parts, ()) for parts in space.decode(space.table(_cut_masks(space)), tuple)]
+    return [sum(parts, ()) for parts in space.decode(space.table(_cut_masks(q)), tuple)]
 
 
 def has_enough_cuts(q: QuiverWithCycles) -> bool:
@@ -200,9 +201,9 @@ def are_compatible(q: QuiverWithCycles, first: Iterable[ArrowId], second: Iterab
     """True iff both cuts grade every cyclic walk identically."""
     at, basis = q.cut_space.at, _basis_walks(q)
     grades = []
-    for cut in map(frozenset, (first, second)):
-        _cut_mask(q, cut)  # raises unless a cut
-        grades.append([sum(walk.get(at[name], 0) for name in cut) for walk in basis])
+    for cut in (first, second):
+        members = _cut_members(q, cut)
+        grades.append([sum(walk.get(at[name], 0) for name in members) for walk in basis])
     return grades[0] == grades[1]
 
 
@@ -230,8 +231,7 @@ def is_fully_compatible(q: QuiverWithCycles) -> bool:
 
 def truncated_quiver(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> Quiver:
     """The quiver with the cut arrows removed."""
-    members = frozenset(cut)
-    _cut_mask(q, members)
+    members = _cut_members(q, cut)
     return Quiver(q.quiver.vertices, tuple(a for a in q.quiver.arrows if a.name not in members))
 
 

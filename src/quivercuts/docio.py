@@ -32,7 +32,7 @@ import sys
 import warnings
 from typing import Any, Callable, Iterable, Mapping, TextIO
 
-from .cuts import Cut, _cut_masks, _warn_if_uncovered
+from .cuts import Cut, _cut_masks
 from .model import Arrow, Cycle, Quiver, QuiverWithCycles, validate
 from .mutation import MutationGraph
 from .tensor import DivisionLabel, LabeledQuiverWithCycles
@@ -150,6 +150,8 @@ def parse_quiver_document(text: str) -> LabeledQuiverWithCycles:
             raise DocumentSchemaError(f"{where}: expected an object")
         _expect_keys(entry, where, {"id", "source", "target"}, set())
         aid = _expect_str(entry["id"], f"{where}.id")
+        if "," in aid:  # the CLI's --cut option and the cuts lines separate names by commas
+            raise DocumentSchemaError(f"{where}.id: arrow id {aid!r} contains ','")
         if aid in seen_arrows:
             raise DocumentSchemaError(f"{where}: duplicate arrow id {aid!r}")
         seen_arrows.add(aid)
@@ -247,12 +249,8 @@ def serialize_quiver_document(value: LabeledQuiverWithCycles | QuiverWithCycles)
     )
 
 
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def _dot_quote(text: str) -> str:
-    return '"' + _dot_escape(text) + '"'
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def quiver_to_dot(value: LabeledQuiverWithCycles | QuiverWithCycles, cut: Cut | None = None) -> str:
@@ -319,9 +317,8 @@ def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
     the whole text is built.  Warns like ``enumerate_cuts`` when arrows lie
     in no distinguished cycle.
     """
-    _warn_if_uncovered(q)
     space = q.cut_space
-    decoded = space.decode(space.table(_cut_masks(space)), lambda names: ",".join(("", *names)))
+    decoded = space.decode(space.table(_cut_masks(q)), lambda names: ",".join(("", *names)))
     _write_rows(out, ("".join(parts)[1:] + "\n" for parts in decoded))
 
 

@@ -83,9 +83,6 @@ class Cycle:
             raise ValueError(f"cycle sign must be +1, -1 or None, got {self.sign!r}")
         object.__setattr__(self, "arrows", _least_rotation(tuple(self.arrows)))
 
-    def __len__(self) -> int:
-        return len(self.arrows)
-
 
 @dataclass(frozen=True)
 class Quiver:

@@ -25,7 +25,7 @@ from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Iterable
 
-from .cuts import Cut, _cut_mask, _cut_masks, _warn_if_uncovered
+from .cuts import Cut, _cut_masks, _cut_members
 from .model import ArrowId, QuiverWithCycles, VertexId
 
 
@@ -50,8 +50,7 @@ def _sides(q: QuiverWithCycles, cycles_only: bool) -> list[tuple[VertexId, list[
 
 def _strict(q: QuiverWithCycles, cut: Iterable[ArrowId], direction: str) -> dict[VertexId, tuple[list, list]]:
     """Each vertex where ``cut`` mutates in ``direction``, mapped to the arrows the mutation drops and adds."""
-    members = frozenset(cut)
-    _cut_mask(q, members)  # raises unless a cut
+    members = _cut_members(q, cut)
     strict = {}
     for v, ins, outs in _sides(q, False):
         drop, add = (ins, outs) if direction == "+" else (outs, ins)
@@ -157,9 +156,8 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
     arrows, and the vertex and direction order those.  A stable sort by
     source then gives sorted edges.
     """
-    _warn_if_uncovered(q)
     space = q.cut_space
-    masks = _cut_masks(space)
+    masks = _cut_masks(q)
     table = space.table(masks)
     indices = list(range(len(masks)))  # one int object per cut, shared by all its edges
     plus, minus = repeat("+"), repeat("-")  # endless, so every run can share them

@@ -30,10 +30,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cuts import Cut, _cut_mask
+from .cuts import Cut, _cut_members
 from .model import Arrow, ArrowId, Cycle, Quiver, QuiverWithCycles, VertexId
-
-DYNKIN_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ class LabeledDynkinSpec:
     orientation: frozenset[tuple[VertexId, VertexId]]
 
     def __post_init__(self) -> None:
-        if self.family not in DYNKIN_FAMILIES:
+        if self.family not in _RANK_RULES:
             raise ValueError(f"unknown Dynkin family {self.family!r}")
         if not _RANK_RULES[self.family](self.rank):
             raise ValueError(f"illegal rank {self.rank} for family {self.family}")
@@ -248,7 +246,7 @@ def standard_cuts(t: LabeledQuiverWithCycles) -> tuple[Cut, Cut, Cut]:
         classes[prefix].append(a.name)
     cuts = tuple(tuple(names) for names in classes.values())
     for cut in cuts:
-        _cut_mask(t.qwc, cut)
+        _cut_members(t.qwc, cut)
     return cuts
 
 

@@ -15,7 +15,8 @@ import quivercuts
 from quivercuts import cli
 from quivercuts.cli import build_parser, main
 from quivercuts.cuts import UncoveredQuiverWarning
-from quivercuts.docio import DisconnectedQuiverWarning
+from quivercuts.docio import DisconnectedQuiverWarning, parse_quiver_document
+from quivercuts.mutation import strict_sinks, strict_sources
 
 B2B2 = str(FIXTURES / "b2b2_split.json")
 CIRCLE = str(FIXTURES / "circle.json")
@@ -127,8 +128,9 @@ def test_validate_overlong_number(tmp_path, capsys):
         ({"arrows": 5}, "arrows must be an array"),
         ({"cycles": None}, "cycles must be an array"),
         ({"cycles": [{"arrows": ["a"], "sign": True}]}, "cycles[0].sign: expected 1 or -1, got True"),
+        ({"arrows": [{"id": "a,b", "source": "1", "target": "1"}]}, "arrows[0].id: arrow id 'a,b' contains ','"),
     ],
-    ids=["arrows-number", "cycles-null", "sign-bool"],
+    ids=["arrows-number", "cycles-null", "sign-bool", "comma-in-arrow-id"],
 )
 def test_validate_schema_error_is_one_line(tmp_path, capsys, fields, message):
     bad = tmp_path / "bad.json"
@@ -499,6 +501,28 @@ def test_truncate_prints_the_zero_relation_of_a_free_arrow(tmp_path, capsys):
     code, out, err = run(capsys, "truncate", str(document), "--cut", "a,f")
     assert (code, err) == (0, "")
     assert out == "vertices: 1,2\narrow b: 2 -> 1\nrelation a: +b\nrelation f: 0\n"
+
+
+def test_every_printed_cut_is_read_back(tmp_path, capsys):
+    # A3 x B2: each line of cuts is a --cut that truncate takes, and mutate prints another line
+    assert main(["tensor", "--left", "A3:1<2>3", "--right", "B2:1>2"]) == 0
+    document = tmp_path / "a3b2.json"
+    document.write_text(capsys.readouterr().out)
+    code, out, _ = run(capsys, "cuts", str(document))
+    lines = out.splitlines()
+    assert code == 0 and len(lines) > 1
+    q = parse_quiver_document(document.read_text()).qwc
+    mutations = 0
+    for line in lines:
+        assert run(capsys, "truncate", str(document), "--cut", line)[::2] == (0, "")
+        cut = line.split(",")
+        for direction, vertices in (("plus", strict_sources(q, cut)), ("minus", strict_sinks(q, cut))):
+            for vertex in sorted(vertices):
+                argv = ["mutate", str(document), "--cut", line, "--vertex", vertex, "--dir", direction]
+                code, out, err = run(capsys, *argv)
+                assert (code, err) == (0, "") and out[:-1] in lines
+                mutations += 1
+    assert mutations
 
 
 def test_truncate_rejects_non_cut(capsys):

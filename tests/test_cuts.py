@@ -384,6 +384,10 @@ def test_uncovered_warning_points_at_the_caller():
     assert [w.category for w in caught] == [UncoveredQuiverWarning] * 5
     assert len({str(w.message) for w in caught}) == 1
     assert [w.filename for w in caught] == [__file__] * 5
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        main(["cuts", "--count-only", str(Path(__file__).parent / "fixtures" / "circle.json")])
+    assert [(w.category, w.filename) for w in caught] == [(UncoveredQuiverWarning, __file__)]
 
 
 def test_one_dag_build_per_quiver(monkeypatch, tmp_path, capsys):

@@ -122,6 +122,17 @@ def test_deep_nesting_is_a_syntax_error(text):
         (doc(cycles=[["a"]]), r"cycles\[0\]: expected an object"),
         (doc(vertices=[{"id": ""}]), r"vertices\[0\]\.id: expected a non-empty string"),
         (doc(arrows=[{"id": 5, "source": "1", "target": "1"}]), r"arrows\[0\]\.id: expected a non-empty string"),
+        (
+            doc(
+                vertices=[{"id": "1"}, {"id": "2"}],
+                arrows=[
+                    {"id": "c", "source": "2", "target": "1"},
+                    {"id": "a,b", "source": "1", "target": "2"},
+                ],
+                cycles=[{"arrows": ["a,b", "c"]}],
+            ),
+            r"arrows\[1\]\.id: arrow id 'a,b' contains ','",
+        ),
     ],
     ids=[
         "unknown-field",
@@ -150,6 +161,7 @@ def test_deep_nesting_is_a_syntax_error(text):
         "cycle-not-object",
         "empty-id",
         "non-string-id",
+        "comma-in-arrow-id",
     ],
 )
 def test_schema_errors_are_named(text, match):
