@@ -21,15 +21,16 @@ index.  Only listing visits every cut: one pass down the table gives each
 state the integer masks of the paths below it, in the one layout of
 :class:`~quivercuts.model.CutSpace`, where the least name takes the top
 bit, so that descending masks are ascending name tuples; names are built
-only at the end, by ``CutSpace.decode`` on the masks' one byte table.
-:func:`enumerate_cuts`
-returns the tuples; ``docio.write_cuts`` streams the ``cuts`` lines and
-the mutation graph reads the same masks.  This module does no I/O.  Arrows
-lying in no distinguished cycle lie in no cut; counting the cuts of a quiver
-with such arrows, or listing them in ``_cut_masks``, which every listing
-calls, triggers :class:`UncoveredQuiverWarning`, attributed to the first
-caller outside the ``quivercuts`` package.  A single cut is checked, and
-its names gathered, by ``_cut_members``.
+only at the end, by ``CutSpace.decode`` on the masks' one byte table, a
+byte column at a time, each byte value rendered once.
+:func:`enumerate_cuts` returns the tuples; ``docio.write_cuts`` streams
+the ``cuts`` lines and the mutation graph reads the same masks.  This
+module does no I/O.  Arrows lying in no distinguished cycle lie in no cut;
+counting the cuts of a quiver with such arrows, or listing them in
+``_cut_masks``, which every listing calls, triggers
+:class:`UncoveredQuiverWarning`, attributed to the first caller outside
+the ``quivercuts`` package.  A single cut is checked, and its names
+gathered, by ``_cut_members``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from operator import add
 from typing import Iterable, Mapping
 
@@ -151,15 +153,15 @@ def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
     The cuts are the root-to-sink paths of the cut-state DAG (see
     :func:`count_cuts`), gathered as integer masks whose descending order is
     this order (see ``_cut_masks``), laid out once by ``CutSpace.table`` and
-    decoded a row at a time by :meth:`~quivercuts.model.CutSpace.decode`: a
-    cut is the sum of its row's ``nb`` name tuples, one per byte.  An arrow
-    occurring twice in one cycle lies in no cut.
+    decoded by :meth:`~quivercuts.model.CutSpace.decode` into rows of ``nb``
+    name tuples, one per byte: a cut is the sum of its row, taken by a
+    ``map`` of ``sum``.  An arrow occurring twice in one cycle lies in no cut.
 
     Arrows lying in no cycle are excluded from every cut; when such arrows
     exist an :class:`UncoveredQuiverWarning` is emitted.
     """
     space = q.cut_space
-    return [sum(parts, ()) for parts in space.decode(space.table(_cut_masks(q)), tuple)]
+    return list(map(sum, space.decode(space.table(_cut_masks(q)), tuple), repeat(())))
 
 
 def has_enough_cuts(q: QuiverWithCycles) -> bool:

@@ -21,8 +21,9 @@ graphs as undirected graphs by default, matching mutation-lattice figures.
 The streamed writers, :func:`write_cuts` for the ``cuts`` lines and the
 mutation-graph writers (JSON and DOT), write to a text stream, such as
 ``sys.stdout`` or an open file, and return ``None``; they never hold the
-whole text.  Each passes a generator of row texts to ``_write_rows``, the
-one loop that writes them a chunk of rows at a time.
+whole text.  Each passes an iterator of row texts to ``_write_rows``, the
+one loop that writes them a chunk of rows at a time: ``write_cuts`` a chain
+of ``map`` objects over the decoded rows, the graph writers generators.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from __future__ import annotations
 import json
 import sys
 import warnings
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, TextIO
 
 from .cuts import Cut, _cut_masks
@@ -298,9 +301,10 @@ def _write_rows(out: TextIO, texts: Iterable[str], sep: str = "") -> None:
     rows = [""] * _ROWS
     n, drop = _ROWS, len(sep)
     while n == _ROWS:
-        n = 0
-        for n, text in zip(range(1, _ROWS + 1), texts):
-            rows[n - 1] = text
+        n = -1
+        for n, rows[n] in zip(range(_ROWS), texts):  # the loop's own target stores each row, with no body
+            pass
+        n += 1
         if n < _ROWS:
             del rows[n:]  # the last, short write
         if n:
@@ -313,13 +317,15 @@ def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
 
     Lines are decoded from the same table as ``enumerate_cuts``, each byte
     to its names as text, each after a comma, rather than to a tuple: a line
-    is its bytes' texts less the first comma.  Neither a tuple per cut nor
+    is its bytes' texts joined, less the first comma, plus a newline.  Those
+    three steps are chained ``map`` objects over the decoded rows, so no
+    line runs Python code of its own.  Neither a tuple of names per cut nor
     the whole text is built.  Warns like ``enumerate_cuts`` when arrows lie
     in no distinguished cycle.
     """
     space = q.cut_space
-    decoded = space.decode(space.table(_cut_masks(q)), lambda names: ",".join(("", *names)))
-    _write_rows(out, ("".join(parts)[1:] + "\n" for parts in decoded))
+    rows = space.decode(space.table(_cut_masks(q)), lambda names: ",".join(("", *names)))
+    _write_rows(out, map(str.__add__, map(itemgetter(slice(1, None)), map("".join, rows)), repeat("\n")))
 
 
 def mutation_graph_to_dot(graph: MutationGraph, out: TextIO, directed: bool = False) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, repeat
-from operator import getitem, or_
+from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 VertexId = str
@@ -176,19 +176,22 @@ class CutSpace:
         """``masks`` laid out as rows of ``nb`` bytes, most significant first, so row ``i`` is ``masks[i]``."""
         return b"".join(map(int.to_bytes, masks, repeat(len(self.cycles_of) >> 3), repeat("big")))
 
-    def decode(self, table: bytes, render: Callable[[Iterator[ArrowId]], object]) -> Iterator[Iterator]:
-        """Per row of ``table``, an iterator over ``render`` of each of its bytes' names, in name order.
+    def decode(self, table: bytes, render: Callable[[Iterator[ArrowId]], object]) -> Iterator[tuple]:
+        """Per row of ``table``, a tuple of ``nb`` parts: ``render`` of each of its bytes' names, in name order.
 
         Byte ``j`` has its own table over arrows ``8j`` to ``8j + 7``, built
         before the first row, holding what ``render`` gives for each byte
         value that occurs at ``j`` in ``table``: one call per such value.
+        Each byte column of ``table``, a strided slice, is looked up in its
+        table by a ``map``, and ``zip`` joins the columns into rows, so no
+        row runs Python code of its own.
         """
         nb = len(self.cycles_of) >> 3
         tables = [
             {x: render(compress(names, _BITS[x])) for x in set(table[j::nb])}
             for j, names in enumerate(self.arrows[k : k + 8] for k in range(0, 8 * nb, 8))
         ]
-        return (map(getitem, tables, table[i : i + nb]) for i in range(0, len(table), nb))
+        return zip(*[map(tables[j].__getitem__, table[j::nb]) for j in range(nb)])
 
     def column(self, table: bytes, p: int) -> bytes:
         """Bit ``p`` of every row of ``table``, one byte per row: a strided slice of its byte, through ``translate``."""

@@ -175,7 +175,7 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
     edges = list(chain.from_iterable(map(itemgetter(1), runs)))
     del runs  # and the cut bytes they select by, before the sort takes its keys
     edges.sort(key=itemgetter(0))
-    nodes = tuple(sum(parts, ()) for parts in space.decode(table, tuple))
+    nodes = tuple(map(sum, space.decode(table, tuple), repeat(())))
     return MutationGraph(nodes, tuple(edges))
 
 

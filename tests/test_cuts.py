@@ -240,15 +240,19 @@ def test_decode_renders_each_byte_value_in_the_table_once():
         rendered.append(tuple(byte_names))
         return rendered[-1]
 
-    assert [sum(parts, ()) for parts in space.decode(table, render)] == [tuple(sorted(s)) for s in subsets]
+    rows = space.decode(table, render)
     nb = len(space.cycles_of) // 8
     occurring = [
         tuple(name for k, name in enumerate(names[8 * j : 8 * j + 8]) if x >> 7 - k & 1)
         for j in range(nb)
         for x in set(table[j::nb])
     ]
-    assert sorted(rendered) == sorted(occurring)
+    assert sorted(rendered) == sorted(occurring)  # every render happened before the first row is drawn
     assert len(occurring) < 256 * nb
+    rows = list(rows)
+    assert all(type(parts) is tuple and len(parts) == nb for parts in rows)
+    assert [sum(parts, ()) for parts in rows] == [tuple(sorted(s)) for s in subsets]
+    assert sorted(rendered) == sorted(occurring)  # and none while the rows were drawn
 
 
 def _renamed(q, names):
@@ -351,6 +355,30 @@ def test_write_cuts_writes_whole_lines_and_no_empty_chunk(monkeypatch):
     text, writes = _recorded_writes(q, 3, monkeypatch)
     assert text == "".join(name + "\n" for name in names)
     assert writes == ["x0\nx1\nx2\n", "x3\nx4\nx5\n", "x6\nx7\nx8\n"]
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_write_cuts_lines_across_three_mask_bytes(monkeypatch, rows):
+    # 24 loops x00..x23 fill three mask bytes, and each cycle takes one loop from each byte, so a cut's
+    # first name, and the comma dropped before it, lies in byte 0, 1 or 2, and the last cut has only byte 2
+    names = [f"x{i:02}" for i in range(24)]
+    q = qwc(["v"], [Arrow(name, "v", "v") for name in names], [Cycle(names[i::8]) for i in range(8)])
+    if rows:
+        monkeypatch.setattr("quivercuts.docio._ROWS", rows)
+    cuts = enumerate_cuts(q)
+    assert len(cuts) == 3**8
+    assert {int(cut[0][1:]) // 8 for cut in cuts} == {0, 1, 2}  # the byte of the first name
+    assert cuts[-1] == tuple(names[16:])
+    assert written(write_cuts, q) == "".join(",".join(cut) + "\n" for cut in cuts)
+
+
+def test_write_cuts_lists_the_empty_cut_as_an_empty_line():
+    # no distinguished cycle: the one cut is empty, and its line is a bare newline
+    q = qwc(["1", "2"], [Arrow("a", "1", "2")])
+    with pytest.warns(UncoveredQuiverWarning, match="no distinguished cycles"):
+        assert enumerate_cuts(q) == [()]
+    with pytest.warns(UncoveredQuiverWarning, match="no distinguished cycles"):
+        assert written(write_cuts, q) == "\n"
 
 
 def test_deep_cut_needs_no_recursion():
