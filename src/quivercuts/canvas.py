@@ -84,20 +84,13 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
     A row whose one nonzero entry is a unit comes first and gives a 1: row
     operations clear its column in the other rows and change nothing else,
     so the row and its column drop out, and clearing may leave more such
-    rows.  The given rows are told apart by list scans and only the others
-    are read entry by entry, so one-letter relators cost no pivot search;
-    the rows and columns that remain go through the dense loop.
+    rows.  Every row is read entry by entry into a worklist that clears
+    these, so one-letter relators cost no pivot search; the rows and
+    columns that remain go through the dense loop.
     """
     n_cols = len(matrix[0]) if matrix else 0
     cleared: set[int] = set()
-    others = []
-    for row in matrix:
-        unit = sum(row)  # the one nonzero entry, when there is one
-        if unit in (1, -1) and row.count(0) == n_cols - 1:
-            cleared.add(row.index(unit))  # a second unit row of a cleared column is cleared to zero
-        else:
-            others.append(row)
-    entries = [{j: row[j] for j in compress(range(n_cols), row) if j not in cleared} for row in others]
+    entries = [{j: row[j] for j in compress(range(n_cols), row)} for row in matrix]
     holders: dict[int, list[int]] = {}  # column -> the rows with an entry there
     for k, row_entries in enumerate(entries):
         for j in row_entries:

@@ -22,8 +22,10 @@ Definition order (HLT).  Cosets are scanned in definition order.  From each
 coset that is still live, every relator is traced in turn, defining a new
 coset at each undefined cell, and its end is merged with the start; the
 scan of a coset stops once it is merged into an earlier one.  A coset that
-is still live after its relators is completed: each undefined column of its
-row, in column order, gets a new coset.
+is still live after its relators is completed by tracing the one-letter
+word of each column, in column order, without closing: each undefined
+column of its row gets a new coset.  A row the relators left complete
+skips these words, which would define nothing.
 
 Coincidences are processed from a stack, and their order cannot change
 ``(closed, live_cosets, defined_cosets)``.  Merging defines no coset, and
@@ -56,20 +58,6 @@ def _find(label: list[int], c: int) -> int:
     while label[c] != root:
         label[c], c = root, label[c]
     return root
-
-
-def _define(
-    table: list[int], label: list[int], mask: list[int], blank: list[int], width: int, c: int, column: int
-) -> int:
-    """Define ``d``, the next coset, as ``c`` times ``column``, and ``c`` as ``d`` times its inverse."""
-    d = len(label)
-    label.append(d)
-    table.extend(blank)
-    table[c * width + column] = d
-    table[d * width + (column ^ 1)] = c
-    mask[c] |= 1 << column
-    mask.append(1 << (column ^ 1))
-    return d
 
 
 def _unify(table: list[int], label: list[int], mask: list[int], width: int, a: int, b: int) -> int:
@@ -134,10 +122,15 @@ def enumerate_trivial_subgroup(
     mask = [0]
     live = defined = 1
     scanned = 0
+    # the relators close on their start; the one-letter words after them complete the row
+    plan = [(word, True) for word in words] + [((column,), False) for column in range(width)]
+    full = (1 << width) - 1
     while scanned < defined:
         if label[scanned] == scanned:
-            for word in words:
-                # trace the relator from the live coset 'scanned', defining as needed
+            for word, closes in plan:
+                if not closes and mask[scanned] == full:
+                    break  # the row is complete: the one-letter words would define nothing
+                # trace the word from the live coset 'scanned', defining as needed
                 at = scanned
                 for column in word:
                     if label[at] != at:
@@ -147,7 +140,6 @@ def enumerate_trivial_subgroup(
                     if entry == _SENT:
                         if defined >= max_cosets:
                             return EnumerationResult(False, live, defined)
-                        # _define, inlined: calling it here costs about a tenth of the run
                         entry = defined
                         defined += 1
                         live += 1
@@ -158,21 +150,13 @@ def enumerate_trivial_subgroup(
                         mask[at] |= 1 << column
                         mask.append(1 << (column ^ 1))
                     at = entry
+                if not closes:
+                    continue
                 if label[at] != at:
                     at = _find(label, at)
                 if at != scanned:
                     live -= _unify(table, label, mask, width, at, scanned)
                     if label[scanned] != scanned:
                         break  # merged into an earlier, already scanned coset
-            if label[scanned] == scanned:
-                # complete the row so every (coset, generator) product exists
-                row = scanned * width
-                for column in range(width):
-                    if table[row + column] == _SENT:
-                        if defined >= max_cosets:
-                            return EnumerationResult(False, live, defined)
-                        _define(table, label, mask, blank, width, scanned, column)
-                        defined += 1
-                        live += 1
         scanned += 1
     return EnumerationResult(True, live, defined)

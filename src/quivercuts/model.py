@@ -105,16 +105,6 @@ class Quiver:
         return {a.name: a for a in self.arrows}
 
     @cached_property
-    def incident(self) -> Mapping[VertexId, tuple[Arrow, ...]]:
-        """Arrows touching each vertex, either end, sorted by name."""
-        inc: dict[VertexId, list[Arrow]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            inc.setdefault(a.source, []).append(a)
-            if a.target != a.source:
-                inc.setdefault(a.target, []).append(a)
-        return {v: tuple(arrows) for v, arrows in inc.items()}
-
-    @cached_property
     def forest(self) -> SpanningTree:
         """The BFS spanning forest of :func:`spanning_tree`, built once per quiver."""
         return spanning_tree(self)
@@ -142,7 +132,8 @@ class CutSpace:
     """Arrow sets as integer bit masks: ``arrows[i]`` sits at bit ``8 * nb - 1 - i``.
 
     ``arrows`` holds every arrow in name order and ``nb``, at least 1, is the
-    number of bytes they fill, so the least name takes the top bit, byte
+    number of bytes they fill, set once here as the length of every table
+    row the methods read, so the least name takes the top bit, byte
     ``j`` of a mask holds ``arrows[8j:8j + 8]`` most significant bit first,
     and descending masks of cuts are ascending name tuples.  An arrow is
     held only as its bit position, which ``at`` maps its name to.
@@ -157,6 +148,7 @@ class CutSpace:
     """
 
     arrows: tuple[ArrowId, ...]
+    nb: int
     at: Mapping[ArrowId, int]  # name -> its bit position
     cycle_mask: int
     declared: int
@@ -174,7 +166,7 @@ class CutSpace:
 
     def table(self, masks: Iterable[int]) -> bytes:
         """``masks`` laid out as rows of ``nb`` bytes, most significant first, so row ``i`` is ``masks[i]``."""
-        return b"".join(map(int.to_bytes, masks, repeat(len(self.cycles_of) >> 3), repeat("big")))
+        return b"".join(map(int.to_bytes, masks, repeat(self.nb), repeat("big")))
 
     def decode(self, table: bytes, render: Callable[[Iterator[ArrowId]], object]) -> Iterator[tuple]:
         """Per row of ``table``, a tuple of ``nb`` parts: ``render`` of each of its bytes' names, in name order.
@@ -186,7 +178,7 @@ class CutSpace:
         table by a ``map``, and ``zip`` joins the columns into rows, so no
         row runs Python code of its own.
         """
-        nb = len(self.cycles_of) >> 3
+        nb = self.nb
         tables = [
             {x: render(compress(names, _BITS[x])) for x in set(table[j::nb])}
             for j, names in enumerate(self.arrows[k : k + 8] for k in range(0, 8 * nb, 8))
@@ -195,12 +187,12 @@ class CutSpace:
 
     def column(self, table: bytes, p: int) -> bytes:
         """Bit ``p`` of every row of ``table``, one byte per row: a strided slice of its byte, through ``translate``."""
-        nb = len(self.cycles_of) >> 3
+        nb = self.nb
         return table[nb - 1 - (p >> 3) :: nb].translate(_BIT[p & 7])
 
     def swaps(self, table: bytes, drop: Iterable[int], add: Iterable[int]) -> tuple[bytes, bytes]:
         """A byte per row of ``table``, 1 where it holds every bit of ``drop`` and none of ``add``; then the reverse."""
-        n = len(table) // (len(self.cycles_of) >> 3)  # rows; each column is read as an int with a byte per row
+        n = len(table) // self.nb  # rows; each column is read as an int with a byte per row
         all_drop = all_add = int.from_bytes(b"\1" * n, "big")
         any_drop = any_add = 0
         for p in drop:
@@ -277,15 +269,11 @@ class QuiverWithCycles:
         object.__setattr__(self, "cycles", ordered)
 
     @cached_property
-    def cycle_arrows(self) -> frozenset[ArrowId]:
-        """Arrows appearing in at least one distinguished cycle."""
-        return frozenset(a for c in self.cycles for a in c.arrows)
-
-    @cached_property
     def cut_space(self) -> CutSpace:
         """The bit-mask view of the arrows, built once per quiver with cycles."""
-        arrows = sorted(self.cycle_arrows.union(a.name for a in self.quiver.arrows))
-        width = max(8, (len(arrows) + 7) // 8 * 8)  # 8 * nb: a row of a table has a byte even with no arrow
+        arrows = sorted({a for c in self.cycles for a in c.arrows}.union(a.name for a in self.quiver.arrows))
+        nb = max(1, (len(arrows) + 7) // 8)  # a row of a table has a byte even with no arrow
+        width = 8 * nb
         at = {name: width - 1 - i for i, name in enumerate(arrows)}
         members, cycles_of, never = [], [0] * width, 0
         for ci, cycle in enumerate(self.cycles):
@@ -296,7 +284,7 @@ class QuiverWithCycles:
                 cycles_of[p] |= 1 << ci
             members.append(m)
         declared = sum(1 << at[name] for name in {a.name for a in self.quiver.arrows})
-        return CutSpace(tuple(arrows), at, reduce(or_, members, 0), declared, tuple(members), tuple(cycles_of), never)
+        return CutSpace(tuple(arrows), nb, at, reduce(or_, members, 0), declared, tuple(members), tuple(cycles_of), never)
 
 
 def validate(q: QuiverWithCycles) -> list[str]:
@@ -374,6 +362,11 @@ def spanning_tree(quiver: Quiver) -> SpanningTree:
     Neighbours are explored in arrow-name order, which pins the forest (and
     everything derived from it) uniquely.
     """
+    incident: dict[VertexId, list[Arrow]] = {}  # arrows touching each vertex, either end, in name order
+    for a in quiver.arrows:
+        incident.setdefault(a.source, []).append(a)
+        if a.target != a.source:
+            incident.setdefault(a.target, []).append(a)
     root: dict[VertexId, VertexId] = {}
     parents: dict[VertexId, tuple[VertexId, Arrow, int]] = {}
     for r in quiver.vertices:
@@ -382,7 +375,7 @@ def spanning_tree(quiver: Quiver) -> SpanningTree:
         root[r] = r
         queue = [r]
         for v in queue:  # grows as the search reaches new vertices
-            for a in quiver.incident.get(v, ()):
+            for a in incident.get(v, ()):
                 other = a.target if a.source == v else a.source
                 if other not in root:
                     root[other] = r

@@ -10,12 +10,17 @@ a plain ``(source, target, vertex, direction)`` tuple.  Transitivity of
 cut-mutation is connectivity of this graph.
 Free arrows (arrows in no distinguished cycle) never belong to enumerated
 cuts, so graph edges are computed in the subquiver spanned by cycle arrows;
-for covered quivers this changes nothing.  A vertex is held as the names
-of its incoming and outgoing arrows, and one cut is mutated as a set of
-names.  The graph lays all cuts out as one table of the quiver's
-:class:`~quivercuts.model.CutSpace` and reads a vertex's arrows from it as
-columns, which find all the cuts where it is a strict source or sink;
-mutation pairs the two in order.
+for covered quivers this changes nothing.  The operations on one cut,
+:func:`strict_sources`, :func:`strict_sinks` and the two mutations, judge
+strictness on the whole quiver instead, so on an uncovered quiver the two
+rules disagree: on two triangles joined by a free arrow ``join``, 12 of the
+graph's 36 directed edges differ from the one-cut operations, which refuse
+6 of them and take the other 6 to a set holding ``join``, which is no node.
+A vertex is held as the names of its incoming and outgoing arrows, and one
+cut is mutated as a set of names.  The graph lays all cuts out as one table
+of the quiver's :class:`~quivercuts.model.CutSpace` and reads a vertex's
+arrows from it as columns, which find all the cuts where it is a strict
+source or sink; mutation pairs the two in order.
 """
 
 from __future__ import annotations
@@ -37,9 +42,10 @@ def _sides(q: QuiverWithCycles, cycles_only: bool) -> list[tuple[VertexId, list[
     declared end.  A vertex without arrows is left out, and so is one with a
     loop, which lies on both sides: it would have to be in the cut and out.
     """
+    space = q.cut_space
     sides: dict[VertexId, tuple[list[ArrowId], list[ArrowId]]] = {v: ([], []) for v in q.quiver.vertices}
     for a in q.quiver.arrows:
-        if cycles_only and a.name not in q.cycle_arrows:
+        if cycles_only and not space.cycles_of[space.at[a.name]]:
             continue
         if a.target in sides:
             sides[a.target][0].append(a.name)

@@ -10,16 +10,17 @@ full-compatibility oracles judge a list of all the cuts, apart from the
 cut-state DAG the library reads.  The mutation-graph component count is a
 breadth-first search over the oracle's directed edges, apart from the
 union-find over the undirected view the library runs.  The component
-oracle rebuilds a quiver with cycles per component by depth-first search,
-apart from the one spanning forest the library reads components off.  The
-Morita lift oracle tries every copy assignment of a cycle's stations, apart
-from the arrow-by-arrow extension the library makes.  The coset oracle keeps a
-Python list per row and scans every column on a coincidence, apart from the
+oracle rebuilds a quiver with cycles per component by depth-first search
+over the arrows it gathers per vertex, apart from the one spanning forest
+the library reads components off.  The Morita lift oracle tries every copy
+assignment of a cycle's stations, apart from the arrow-by-arrow extension
+the library makes.  The coset oracle keeps a Python
+list per row and scans every column on a coincidence, apart from the
 flat table and defined-column masks of the library.  The listing oracle is
 a memo-free backtracking search on frozensets of names, apart from the
 cut-state DAG, the integer masks and the byte tables the library lists
 through.  The Smith oracle is the dense pivot loop alone, without the
-library's first pass over unit rows.  The document oracle builds the
+library's worklist over unit rows.  The document oracle builds the
 document as nested dicts and lists and hands it to ``json.dumps(indent=2)``,
 apart from the text the library writes directly; it shares only the label
 collapse.
@@ -87,6 +88,20 @@ def incoming(quiver: Quiver, v: str) -> list[Arrow]:
     return [a for a in quiver.arrows if a.target == v]
 
 
+def touching(quiver: Quiver) -> dict[str, list[Arrow]]:
+    """The arrows at each vertex, either end, in name order; a loop once."""
+    arrows: dict[str, list[Arrow]] = {}
+    for a in quiver.arrows:
+        for v in {a.source, a.target}:
+            arrows.setdefault(v, []).append(a)
+    return arrows
+
+
+def cycle_arrows(q: QuiverWithCycles) -> frozenset[str]:
+    """The arrows on at least one distinguished cycle."""
+    return frozenset(name for cycle in q.cycles for name in cycle.arrows)
+
+
 def is_acyclic(quiver: Quiver) -> bool:
     """True iff the directed graph has no directed cycle (Kahn's criterion)."""
     indeg = {v: len(incoming(quiver, v)) for v in quiver.vertices}
@@ -113,6 +128,7 @@ def oracle_split_components(q: QuiverWithCycles) -> list[QuiverWithCycles]:
     Components come in the order of their least declared vertex, each holding
     the arrows whose source it holds and the cycles all of whose arrows it holds.
     """
+    at = touching(q.quiver)
     seen: set[str] = set()
     parts = []
     for root in q.quiver.vertices:
@@ -122,7 +138,7 @@ def oracle_split_components(q: QuiverWithCycles) -> list[QuiverWithCycles]:
         comp, stack = [root], [root]
         while stack:
             v = stack.pop()
-            for a in q.quiver.incident.get(v, ()):
+            for a in at.get(v, ()):
                 for w in (a.source, a.target):
                     if w not in seen:
                         seen.add(w)
@@ -271,7 +287,8 @@ def oracle_mutation_edges(q: QuiverWithCycles, cuts: Iterable[Iterable[str]]) ->
     Edges are computed in the subquiver spanned by cycle arrows, since free
     arrows lie in no enumerated cut.
     """
-    core = Quiver(q.quiver.vertices, tuple(a for a in q.quiver.arrows if a.name in q.cycle_arrows))
+    on_cycles = cycle_arrows(q)
+    core = Quiver(q.quiver.vertices, tuple(a for a in q.quiver.arrows if a.name in on_cycles))
     members = [frozenset(cut) for cut in cuts]
     index = {cut: i for i, cut in enumerate(members)}
     edges = set()
@@ -390,12 +407,13 @@ def random_cyclic_walk(rng: random.Random, quiver: Quiver, max_steps: int = 40) 
     """A random walk in the doubled quiver that happens to close up."""
     if not quiver.arrows:
         return None
+    arrows_at = touching(quiver)
     start = rng.choice(quiver.vertices)
     at = start
     steps = []
     for _ in range(max_steps):
         options = []
-        for a in quiver.incident.get(at, ()):
+        for a in arrows_at.get(at, ()):
             if a.source == at:
                 options.append((a.name, 1, a.target))
             if a.target == at:

@@ -183,6 +183,37 @@ def test_wide_presentation_closes():
     assert oracle_enumerate_trivial_subgroup(n, relators, 10**6) == expected
 
 
+# The one-vertex canvases of the benchmark's inspect catalogue: ``(closed,
+# live, defined)`` with the relators in the catalogue's order, then in the
+# order of the canonical cycles that ``check`` reads.  The definition order
+# fixes every count below the budget, which the verdict text does not show.
+CATALOGUE_CANVASES = [
+    ("xy", ("xx", "yyy", "xy" * 5), 5000, (True, 60, 161), (True, 60, 160)),
+    ("xy", ("xx", "yyy", "xy" * 5), 100000, (True, 60, 161), (True, 60, 160)),
+    ("xy", ("xx", "yyy", "xy" * 7), 5000, (False, 3075, 5000), (False, 3079, 5000)),
+    ("xy", ("xx", "yyy", "xy" * 7), 100000, (False, 61052, 100000), (False, 61055, 100000)),
+    ("xy", ("xxx", "yyyy", "xy" * 5), 5000, (False, 3383, 5000), (False, 3411, 5000)),
+    ("xy", ("xxx", "yyyy", "xy" * 5), 100000, (False, 67591, 100000), (False, 68177, 100000)),
+    ("xyz", ("xx", "yyy", "zzzzz", "xyz" * 7), 5000, (False, 4092, 5000), (False, 4095, 5000)),
+    ("xyz", ("xx", "yyy", "zzzzz", "xyz" * 7), 100000, (False, 81745, 100000), (False, 81934, 100000)),
+]
+
+
+@pytest.mark.parametrize("generators, relators, budget, as_listed, as_checked", CATALOGUE_CANVASES)
+def test_coset_enumeration_pins_the_catalogue_canvases(generators, relators, budget, as_listed, as_checked):
+    words = [[generators.index(letter) + 1 for letter in word] for word in relators]
+    assert enumerate_trivial_subgroup(len(generators), words, budget) == EnumerationResult(*as_listed)
+    q = qwc(["o"], [Arrow(g, "o", "o") for g in generators], [Cycle(tuple(word)) for word in relators])
+    presentation = pi1_presentation(q)
+    assert presentation.generators == tuple(generators)
+    words = [[generators.index(letter) + 1 for letter in word] for word in presentation.relators]
+    assert enumerate_trivial_subgroup(len(generators), words, budget) == EnumerationResult(*as_checked)
+    verdict = is_simply_connected(q, budget)
+    closed, live, defined = as_checked
+    evidence = f"coset table closed with {live} cosets" if closed else f"budget exhausted at {defined} cosets"
+    assert verdict.evidence == evidence
+
+
 def test_coset_enumeration_rejects_bad_letters():
     with pytest.raises(ValueError):
         enumerate_trivial_subgroup(1, [[0]], 10)
