@@ -16,16 +16,24 @@ of one flat list, laid end to end in definition order; column ``2g`` holds
 undefined cell holds ``-1``.  Coincident cosets are kept in a union-find
 ``label`` list, and ``mask[c]`` has bit ``k`` set iff column ``k`` of row
 ``c`` is defined, so a merge visits only the defined columns of the row it
-retires.
+retires.  A coset that dies as it is defined (see below) takes no row, so
+coset numbers are row numbers and skip it; they keep definition order, which
+is all the union-find compares.
 
 Definition order (HLT).  Cosets are scanned in definition order.  From each
 coset that is still live, every relator is traced in turn, defining a new
 coset at each undefined cell, and its end is merged with the start; the
-scan of a coset stops once it is merged into an earlier one.  A coset that
-is still live after its relators is completed by tracing the one-letter
-word of each column, in column order, without closing: each undefined
-column of its row gets a new coset.  A row the relators left complete
-skips these words, which would define nothing.
+scan of a coset stops once it is merged into an earlier one.  The closing
+letter is a deduction: where its cell is undefined, the coset it would
+define equals the start at once, so the cell is set to the start and the
+start's inverse cell to the coset before, or, if that inverse cell is
+already set, the two cosets it names are merged.  The deduction still
+counts as a definition against the budget and in ``defined_cosets``.  A
+trace that reads a dead coset writes its class root back into the cell.  A
+coset that is still live after its relators is completed by tracing the
+one-letter word of each column, in column order, without closing: each
+undefined column of its row gets a new coset.  A row the relators left
+complete skips these words, which would define nothing.
 
 Coincidences are processed from a stack, and their order cannot change
 ``(closed, live_cosets, defined_cosets)``.  Merging defines no coset, and
@@ -70,7 +78,10 @@ def _unify(table: list[int], label: list[int], mask: list[int], width: int, a: i
     pending = [(a, b)]
     while pending:
         a, b = pending.pop()
-        a, b = _find(label, a), _find(label, b)
+        if label[a] != a:
+            a = _find(label, a)
+        if label[b] != b:
+            b = _find(label, b)
         if a == b:
             continue
         if b < a:
@@ -89,7 +100,7 @@ def _unify(table: list[int], label: list[int], mask: list[int], width: int, a: i
             if mask_a & low:
                 pending.append((table[row_a + column], other))
             else:
-                # stale back-references into b are resolved through _find()
+                # stale back-references into b are resolved through _find(), and traces write the root back
                 table[row_a + column] = other
     return died
 
@@ -120,27 +131,27 @@ def enumerate_trivial_subgroup(
     table = list(blank)
     label = [0]
     mask = [0]
-    live = defined = 1
+    live = defined = rows = 1
     scanned = 0
-    # the relators close on their start; the one-letter words after them complete the row
-    plan = [(word, True) for word in words] + [((column,), False) for column in range(width)]
+    # each relator is traced up to its last letter, which closes it on its start; the
+    # one-letter words after them (last letter -1) complete the row; an empty relator says nothing
+    plan = [(word[:-1], word[-1]) for word in words if word] + [((column,), -1) for column in range(width)]
     full = (1 << width) - 1
-    while scanned < defined:
+    while scanned < rows:
         if label[scanned] == scanned:
-            for word, closes in plan:
-                if not closes and mask[scanned] == full:
+            for prefix, last in plan:
+                if last < 0 and mask[scanned] == full:
                     break  # the row is complete: the one-letter words would define nothing
-                # trace the word from the live coset 'scanned', defining as needed
+                # trace the prefix from the live coset 'scanned', defining as needed; 'at' stays live
                 at = scanned
-                for column in word:
-                    if label[at] != at:
-                        at = _find(label, at)
+                for column in prefix:
                     cell = at * width + column
                     entry = table[cell]
                     if entry == _SENT:
                         if defined >= max_cosets:
                             return EnumerationResult(False, live, defined)
-                        entry = defined
+                        entry = rows
+                        rows += 1
                         defined += 1
                         live += 1
                         label.append(entry)
@@ -149,14 +160,34 @@ def enumerate_trivial_subgroup(
                         table[entry * width + (column ^ 1)] = at
                         mask[at] |= 1 << column
                         mask.append(1 << (column ^ 1))
+                    elif label[entry] != entry:
+                        entry = table[cell] = _find(label, entry)
                     at = entry
-                if not closes:
+                if last < 0:
                     continue
-                if label[at] != at:
-                    at = _find(label, at)
-                if at != scanned:
-                    live -= _unify(table, label, mask, width, at, scanned)
-                    if label[scanned] != scanned:
-                        break  # merged into an earlier, already scanned coset
+                cell = at * width + last
+                entry = table[cell]
+                if entry == _SENT:
+                    # the closing letter: the coset it would define equals 'scanned' at once,
+                    # so it is counted but takes no row, and the cell points at 'scanned'
+                    if defined >= max_cosets:
+                        return EnumerationResult(False, live, defined)
+                    defined += 1
+                    table[cell] = scanned
+                    mask[at] |= 1 << last
+                    back = scanned * width + (last ^ 1)
+                    if table[back] == _SENT:
+                        table[back] = at
+                        mask[scanned] |= 1 << (last ^ 1)
+                        continue
+                    live -= _unify(table, label, mask, width, table[back], at)
+                else:
+                    if label[entry] != entry:
+                        entry = table[cell] = _find(label, entry)
+                    if entry == scanned:
+                        continue
+                    live -= _unify(table, label, mask, width, entry, scanned)
+                if label[scanned] != scanned:
+                    break  # merged into an earlier, already scanned coset
         scanned += 1
     return EnumerationResult(True, live, defined)

@@ -472,7 +472,11 @@ class _OracleBudget(Exception):
 
 
 class _OracleCosetTable:
-    """One Python list per row, every column scanned on each coincidence."""
+    """One Python list per row, every column scanned on each coincidence.
+
+    The independent, slower oracle for the library's closing-step deduction:
+    it defines a coset at the closing letter too, then merges it.
+    """
 
     def __init__(self, n_generators: int, max_cosets: int):
         self.columns = 2 * n_generators

@@ -158,7 +158,7 @@ def test_coset_enumeration_perfect_group():
 def presentations(draw):
     n = draw(st.integers(1, 4))
     letters = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
-    relators = draw(st.lists(st.lists(letters, min_size=1, max_size=10), max_size=6))
+    relators = draw(st.lists(st.lists(letters, min_size=0, max_size=10), max_size=6))
     return n, relators, draw(st.integers(1, 5000))
 
 
@@ -169,6 +169,29 @@ def test_coset_enumeration_matches_oracle(presentation):
     result = enumerate_trivial_subgroup(n, relators, budget)
     assert result == oracle_enumerate_trivial_subgroup(n, relators, budget)
     assert result.defined_cosets <= budget
+
+
+# Each branch of the closing step, where the relator's last cell is undefined:
+# ``(generators, relators, budget)`` and the ``(closed, live, defined)`` the
+# oracle also gives, which defines a coset there and merges it.
+CLOSING_STEPS = [
+    # x^3: the start's inverse cell is free, so the step sets it
+    (1, [[1, 1, 1]], 100, (True, 3, 4)),
+    # x^2 sets the start's inverse cell for x, then y x^-1 closes on that column: a coincidence
+    (2, [[1, 1], [2, -1]], 100, (True, 2, 8)),
+    # x^3 with a budget of three: the budget runs out exactly at the closing letter
+    (1, [[1, 1, 1]], 3, (False, 3, 3)),
+    # x: a one-letter relator closes on the coset it starts from
+    (1, [[1]], 100, (True, 1, 2)),
+    # x x^-1: the definition of the first letter already set the closing cell
+    (1, [[1, -1]], 20, (False, 20, 20)),
+]
+
+
+@pytest.mark.parametrize("n, relators, budget, expected", CLOSING_STEPS)
+def test_coset_enumeration_closing_steps_match_oracle(n, relators, budget, expected):
+    result = enumerate_trivial_subgroup(n, relators, budget)
+    assert result == oracle_enumerate_trivial_subgroup(n, relators, budget) == EnumerationResult(*expected)
 
 
 def test_wide_presentation_closes():
