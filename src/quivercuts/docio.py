@@ -84,14 +84,11 @@ def _parse_label(obj: Any, where: str) -> DivisionLabel:
     if not isinstance(obj, dict):
         raise DocumentSchemaError(f"{where}: label must be an object")
     _expect_keys(obj, where, {"kind"}, {"split_count"})
-    kind = obj["kind"]
-    if kind not in ("Base", "Ext"):
-        raise DocumentSchemaError(f"{where}: label kind must be 'Base' or 'Ext', got {kind!r}")
     split_count = obj.get("split_count", 1)
-    if not isinstance(split_count, int) or isinstance(split_count, bool) or split_count < 1:
+    if not isinstance(split_count, int) or isinstance(split_count, bool):
         raise DocumentSchemaError(f"{where}: split_count must be a positive integer")
     try:
-        return DivisionLabel(kind, split_count)
+        return DivisionLabel(obj["kind"], split_count)
     except ValueError as exc:
         raise DocumentSchemaError(f"{where}: {exc}") from None
 

@@ -1,26 +1,22 @@
 """Cut-mutation and the mutation graph over all cuts.
 
-A vertex is a strict source of ``(Q, C)`` when all its incoming arrows lie
-in ``C`` and none of its outgoing arrows do; mutation at a strict source
-swaps that incidence (remove incoming, add outgoing), and dually at strict
-sinks.  Both operations send cuts to cuts and are mutually inverse.
+Strictness is judged on the cycle arrows alone.  A vertex is a strict
+source of ``(Q, C)`` when all its incoming cycle arrows lie in ``C`` and
+none of its outgoing ones do; mutation at a strict source swaps that
+incidence (remove incoming, add outgoing), and dually at strict sinks.
+Free arrows (arrows in no distinguished cycle) are inert: they lie in no
+enumerated cut, and a set that holds them keeps them through mutation.
+Both operations send cuts to cuts and are mutually inverse.
 
 The mutation graph has one node per cut and one edge per single mutation,
 a plain ``(source, target, vertex, direction)`` tuple.  Transitivity of
-cut-mutation is connectivity of this graph.
-Free arrows (arrows in no distinguished cycle) never belong to enumerated
-cuts, so graph edges are computed in the subquiver spanned by cycle arrows;
-for covered quivers this changes nothing.  The operations on one cut,
-:func:`strict_sources`, :func:`strict_sinks` and the two mutations, judge
-strictness on the whole quiver instead, so on an uncovered quiver the two
-rules disagree: on two triangles joined by a free arrow ``join``, 12 of the
-graph's 36 directed edges differ from the one-cut operations, which refuse
-6 of them and take the other 6 to a set holding ``join``, which is no node.
-A vertex is held as the names of its incoming and outgoing arrows, and one
-cut is mutated as a set of names.  The graph lays all cuts out as one table
-of the quiver's :class:`~quivercuts.model.CutSpace` and reads a vertex's
-arrows from it as columns, which find all the cuts where it is a strict
-source or sink; mutation pairs the two in order.
+cut-mutation is connectivity of this graph, and the operations on one cut
+take every node along its edges.
+A vertex is held as the names of its incoming and outgoing cycle arrows,
+and one cut is mutated as a set of names.  The graph lays all cuts out as
+one table of the quiver's :class:`~quivercuts.model.CutSpace` and reads a
+vertex's arrows from it as columns, which find all the cuts where it is a
+strict source or sink; mutation pairs the two in order.
 """
 
 from __future__ import annotations
@@ -34,18 +30,18 @@ from .cuts import Cut, _cut_masks, _cut_members
 from .model import ArrowId, QuiverWithCycles, VertexId
 
 
-def _sides(q: QuiverWithCycles, cycles_only: bool) -> list[tuple[VertexId, list[ArrowId], list[ArrowId]]]:
-    """``(vertex, incoming, outgoing)`` arrow names of every declared vertex that can mutate.
+def _sides(q: QuiverWithCycles) -> list[tuple[VertexId, list[ArrowId], list[ArrowId]]]:
+    """``(vertex, incoming, outgoing)`` cycle arrow names of every declared vertex that can mutate.
 
-    One pass over the arrows, skipping those in no cycle when
-    ``cycles_only``.  An arrow to an undeclared vertex counts only at its
-    declared end.  A vertex without arrows is left out, and so is one with a
-    loop, which lies on both sides: it would have to be in the cut and out.
+    One pass over the arrows, skipping those in no cycle.  An arrow to an
+    undeclared vertex counts only at its declared end.  A vertex without
+    cycle arrows is left out, and so is one with a loop, which lies on both
+    sides: it would have to be in the cut and out.
     """
     space = q.cut_space
     sides: dict[VertexId, tuple[list[ArrowId], list[ArrowId]]] = {v: ([], []) for v in q.quiver.vertices}
     for a in q.quiver.arrows:
-        if cycles_only and not space.cycles_of[space.at[a.name]]:
+        if not space.cycles_of[space.at[a.name]]:
             continue
         if a.target in sides:
             sides[a.target][0].append(a.name)
@@ -58,7 +54,7 @@ def _strict(q: QuiverWithCycles, cut: Iterable[ArrowId], direction: str) -> dict
     """Each vertex where ``cut`` mutates in ``direction``, mapped to the arrows the mutation drops and adds."""
     members = _cut_members(q, cut)
     strict = {}
-    for v, ins, outs in _sides(q, False):
+    for v, ins, outs in _sides(q):
         drop, add = (ins, outs) if direction == "+" else (outs, ins)
         if members.issuperset(drop) and members.isdisjoint(add):
             strict[v] = (drop, add)
@@ -78,12 +74,12 @@ def _mutate(q: QuiverWithCycles, cut: Iterable[ArrowId], vertex: VertexId, direc
 
 
 def strict_sources(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> frozenset[VertexId]:
-    """Vertices whose incoming arrows all lie in the cut and outgoing all outside."""
+    """Vertices whose incoming cycle arrows all lie in the cut and outgoing ones all outside."""
     return frozenset(_strict(q, cut, "+"))
 
 
 def strict_sinks(q: QuiverWithCycles, cut: Iterable[ArrowId]) -> frozenset[VertexId]:
-    """Vertices whose outgoing arrows all lie in the cut and incoming all outside."""
+    """Vertices whose outgoing cycle arrows all lie in the cut and incoming ones all outside."""
     return frozenset(_strict(q, cut, "-"))
 
 
@@ -168,7 +164,7 @@ def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
     indices = list(range(len(masks)))  # one int object per cut, shared by all its edges
     plus, minus = repeat("+"), repeat("-")  # endless, so every run can share them
     runs = []  # ((drop - add, vertex, direction), the mutation's edges)
-    for v, ins, outs in _sides(q, True):
+    for v, ins, outs in _sides(q):
         sources, sinks = space.swaps(table, map(space.at.__getitem__, ins), map(space.at.__getitem__, outs))
         if sources.count(1) != sinks.count(1):
             raise RuntimeError(f"mutation at {v!r} pairs {sources.count(1)} strict sources with {sinks.count(1)} sinks")

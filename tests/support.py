@@ -102,6 +102,12 @@ def cycle_arrows(q: QuiverWithCycles) -> frozenset[str]:
     return frozenset(name for cycle in q.cycles for name in cycle.arrows)
 
 
+def cycle_core(q: QuiverWithCycles) -> Quiver:
+    """``q``'s quiver restricted to its cycle arrows, on all its vertices."""
+    on_cycles = cycle_arrows(q)
+    return Quiver(q.quiver.vertices, tuple(a for a in q.quiver.arrows if a.name in on_cycles))
+
+
 def is_acyclic(quiver: Quiver) -> bool:
     """True iff the directed graph has no directed cycle (Kahn's criterion)."""
     indeg = {v: len(incoming(quiver, v)) for v in quiver.vertices}
@@ -284,11 +290,10 @@ def oracle_mutate(quiver: Quiver, cut: frozenset[str], vertex: str, direction: s
 def oracle_mutation_edges(q: QuiverWithCycles, cuts: Iterable[Iterable[str]]) -> list[tuple[int, int, str, str]]:
     """Directed edges ``(source, target, vertex, direction)`` among ``cuts``, sorted.
 
-    Edges are computed in the subquiver spanned by cycle arrows, since free
-    arrows lie in no enumerated cut.
+    Edges are computed in the subquiver spanned by cycle arrows, where
+    strictness is judged.
     """
-    on_cycles = cycle_arrows(q)
-    core = Quiver(q.quiver.vertices, tuple(a for a in q.quiver.arrows if a.name in on_cycles))
+    core = cycle_core(q)
     members = [frozenset(cut) for cut in cuts]
     index = {cut: i for i, cut in enumerate(members)}
     edges = set()

@@ -366,6 +366,15 @@ def test_mutate_unknown_vertex(capsys):
     assert (code, out, err) == (1, "", "error: unknown vertex 'nope'\n")
 
 
+def test_mutate_ignores_free_arrows(tmp_path, capsys):
+    # A1 x A2 has no cycles, so its one arrow is free and no vertex is strict under the empty cut
+    assert main(["tensor", "--left", "A1", "--right", "A2"]) == 0
+    document = tmp_path / "a1a2.json"
+    document.write_text(capsys.readouterr().out)
+    code, out, err = run(capsys, "mutate", str(document), "--cut", "", "--vertex", "1,1", "--dir", "plus")
+    assert (code, out, err) == (1, "", "error: vertex '1,1' is not a strict source of the cut\n")
+
+
 @pytest.mark.parametrize("command", [["mutate", "--vertex", "3", "--dir", "plus"], ["truncate"]])
 def test_unknown_cut_arrow(capsys, command):
     code, out, err = run(capsys, command[0], B2B2, "--cut", "zz", *command[1:])
