@@ -77,16 +77,35 @@ def pi1_presentation(q: QuiverWithCycles) -> GroupPresentation:
     return presentations[q.quiver.vertices[0]]
 
 
+def _add_multiple(row: dict[int, int], factor: int, other: dict[int, int]) -> None:
+    """``row += factor * other`` on ``{column: entry}`` rows; an entry that reaches 0 is dropped."""
+    for j, x in other.items():
+        y = row.get(j, 0) + factor * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
 def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form of an integer matrix.
 
     Entries are positive and each divides the next; their count is the rank.
-    A row whose one nonzero entry is a unit comes first and gives a 1: row
-    operations clear its column in the other rows and change nothing else,
-    so the row and its column drop out, and clearing may leave more such
-    rows.  Every row is read entry by entry into a worklist that clears
-    these, so one-letter relators cost no pivot search; the rows and
-    columns that remain go through the dense loop.
+    Every row is read once into a ``{column: entry}`` dict, and the
+    elimination runs on these rows alone.  A worklist first clears each row
+    whose one nonzero entry is a unit: it gives a 1, row operations clear
+    its column in the other rows and change nothing else, so the row and
+    its column drop out, and clearing may leave more such rows.
+
+    The rest is reduced one pivot at a time, on an entry of least absolute
+    value.  Row operations reduce its column; a remainder there is smaller
+    than the pivot and becomes the next one.  Once the pivot is alone in its
+    column and divides its row, column operations would clear the row and
+    touch no other, so if it also divides every entry left it is recorded
+    and its row dropped.  Otherwise, a row holding an entry it does not
+    divide is first added to its row.  Column operations then leave a
+    remainder in the pivot's row.  So each pass records a pivot or leaves a
+    smaller least entry, and the loop ends.
     """
     n_cols = len(matrix[0]) if matrix else 0
     cleared: set[int] = set()
@@ -107,58 +126,28 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
         for k in holders[c]:
             if entries[k].pop(c, 0):
                 work.append(k)
-    kept = [j for j in range(n_cols) if j not in cleared]
-    m = [[row_entries.get(j, 0) for j in kept] for row_entries in entries if row_entries]
-    n_rows, n_cols = len(m), len(kept)
     diagonal = [1] * len(cleared)
-    t = 0
-    while t < n_rows and t < n_cols:
-        best = None
-        for i in range(t, n_rows):
-            for j in range(t, n_cols):
-                v = m[i][j]
-                if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-            if best is not None and abs(m[best[0]][best[1]]) == 1:
-                break  # no pivot is smaller than a unit
-        if best is None:
-            break
-        bi, bj = best
-        m[t], m[bi] = m[bi], m[t]
-        if bj != t:
-            for row in m:
-                row[t], row[bj] = row[bj], row[t]
-        pivot = m[t][t]
-        dirty = False
-        for i in range(t + 1, n_rows):
-            if m[i][t]:
-                factor = m[i][t] // pivot
-                m[i] = [a - factor * b for a, b in zip(m[i], m[t])]
-                if m[i][t]:
-                    dirty = True  # remainder smaller than the pivot appeared
-        for j in range(t + 1, n_cols):
-            if m[t][j]:
-                factor = m[t][j] // pivot
-                for row in m:
-                    row[j] -= factor * row[t]
-                if m[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        offender = None
-        for i in range(t + 1, n_rows if abs(pivot) != 1 else 0):  # a unit divides everything
-            for j in range(t + 1, n_cols):
-                if m[i][j] % pivot != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
+    rows = [row_entries for row_entries in entries if row_entries]
+    while rows:
+        _, k, c = min((abs(x), k, j) for k, row_entries in enumerate(rows) for j, x in row_entries.items())
+        pivot_row = rows.pop(k)
+        pivot = pivot_row[c]
+        for row_entries in rows:
+            if c in row_entries:
+                _add_multiple(row_entries, -(row_entries[c] // pivot), pivot_row)
+        rows = [row_entries for row_entries in rows if row_entries]
+        if any(c in row_entries for row_entries in rows):
+            rows.append(pivot_row)
+            continue  # a remainder in the column is the next pivot
+        if all(x % pivot == 0 for x in pivot_row.values()):
+            offender = next((row_entries for row_entries in rows for x in row_entries.values() if x % pivot), None)
+            if offender is None:
+                diagonal.append(abs(pivot))
+                continue
             # mix the offending row in so the pivot can shrink to the gcd
-            m[t] = [a + b for a, b in zip(m[t], m[offender])]
-            continue
-        diagonal.append(abs(pivot))
-        t += 1
+            _add_multiple(pivot_row, 1, offender)
+        # the pivot is alone in its column, so column operations change its row alone
+        rows.append({j: x if j == c else x % pivot for j, x in pivot_row.items() if j == c or x % pivot})
     return diagonal
 
 
@@ -181,8 +170,6 @@ def _words(presentation: GroupPresentation) -> list[list[int]]:
 
 
 def _abelianised(n_generators: int, words: list[list[int]]) -> AbelianGroup:
-    if not n_generators or not words:
-        return AbelianGroup(n_generators, ())
     matrix = [[0] * n_generators for _ in words]
     for row, word in zip(matrix, words):
         for g in word:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +132,13 @@ def test_smith_diagonal_drops_unit_rows_in_chains():
     assert smith_diagonal(chain) == oracle_smith_diagonal(chain) == [1] * n
     assert smith_diagonal([[1, 0], [1, 0], [2, 4]]) == oracle_smith_diagonal([[1, 0], [1, 0], [2, 4]]) == [1, 4]
     assert smith_diagonal([[-1, 3], [0, 2]]) == [1, 2]
+    # sparse square matrices past the hypothesis sizes: pivots leave remainders, and rows must be mixed in
+    rng = random.Random(0)
+    for _ in range(8):
+        n = rng.randint(20, 60)
+        rows = [[rng.choice((1, 2, 3, 4, 6, -1, -2, -3, -4, -6)) if rng.random() < 0.08 else 0 for _ in range(n)] for _ in range(n)]
+        assert smith_diagonal(rows) == oracle_smith_diagonal(rows)
+    assert smith_diagonal([[2 * (i == j) for j in range(400)] for i in range(400)]) == [2] * 400
 
 
 def test_coset_enumeration_known_groups():

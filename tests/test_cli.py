@@ -13,6 +13,7 @@ from conftest import FIXTURES
 
 import quivercuts
 from quivercuts import cli
+from quivercuts.canvas import AbelianGroup, h1
 from quivercuts.cli import build_parser, main
 from quivercuts.cuts import UncoveredQuiverWarning
 from quivercuts.docio import DisconnectedQuiverWarning, parse_quiver_document
@@ -203,6 +204,29 @@ def test_deep_cut_document(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert out.splitlines()[:3] == ["covered: yes", "enough-cuts: yes", "fully-compatible: yes"]
     assert out.splitlines()[3].startswith("simply-connected: Yes")
+
+
+def test_loops_of_order_two_check_in_time(tmp_path, capsys):
+    # one vertex with 1500 loops, each bounding the 2-cycle (a, a): H1 is (Z/2)^1500;
+    # the dense Smith pivot loop was cubic in the loops: 42 s at 1000 on a 2-core host
+    names = [f"a{i:04d}" for i in range(1500)]
+    document = tmp_path / "loops2.json"
+    document.write_text(
+        json.dumps(
+            {
+                "format_version": 1,
+                "vertices": [{"id": "v"}],
+                "arrows": [{"id": name, "source": "v", "target": "v"} for name in names],
+                "cycles": [{"arrows": [name, name]} for name in names],
+            }
+        )
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(document))
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3] == "simply-connected: No (H1 rank 0, torsion " + "x".join(["2"] * 1500) + ")"
+    assert h1(parse_quiver_document(document.read_text()).qwc) == AbelianGroup(0, (2,) * 1500)
 
 
 
