@@ -51,20 +51,25 @@ def main() -> None:
     pairs = [(a, b) for i, a in enumerate(args.specs) for b in args.specs[i:]]
     if args.with_e6f4:
         pairs.append(("E6", "F4"))
-    header = f"{'pair':28} {'V':>3} {'A':>3} {'C':>3} {'chi':>3} {'cuts':>6} conn cov comp sc {'time':>7}"
-    print(header)
-    print("-" * len(header))
-    for left, right in pairs:
-        row = survey_pair(left, right, args.split)
-        print(
-            f"{row['pair']:28} {row['vertices']:>3} {row['arrows']:>3} {row['cycles']:>3}"
-            f" {row['chi']:>3} {row['cuts']:>6}"
-            f" {'yes' if row['connected'] else 'NO ':>4}"
-            f" {'yes' if row['covered'] else 'NO ':>3}"
-            f" {'yes' if row['fully_compatible'] else 'NO ':>4}"
-            f" {row['simply_connected']:>3}"
-            f" {row['seconds']:>6.2f}s"
-        )
+    try:
+        for text in args.specs:  # a bad spec ends the run before the header
+            parse_dynkin_spec(text)
+        header = f"{'pair':28} {'V':>3} {'A':>3} {'C':>3} {'chi':>3} {'cuts':>6} conn cov comp sc {'time':>7}"
+        print(header)
+        print("-" * len(header))
+        for left, right in pairs:
+            row = survey_pair(left, right, args.split)
+            print(
+                f"{row['pair']:28} {row['vertices']:>3} {row['arrows']:>3} {row['cycles']:>3}"
+                f" {row['chi']:>3} {row['cuts']:>6}"
+                f" {'yes' if row['connected'] else 'NO ':>4}"
+                f" {'yes' if row['covered'] else 'NO ':>3}"
+                f" {'yes' if row['fully_compatible'] else 'NO ':>4}"
+                f" {row['simply_connected']:>3}"
+                f" {row['seconds']:>6.2f}s"
+            )
+    except ValueError as exc:  # a bad spec, or a product past the size bound
+        parser.exit(1, f"error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Subcommands operate on quiver documents (files or stdin via ``-``) and
 print deterministic text: two runs on the same input are byte-identical.
-Domain failures exit with status 1 and a diagnostic on stderr; usage
-errors exit with status 2.
+Domain failures, and a subcommand that runs out of memory, exit with
+status 1 and a one-line diagnostic on stderr; usage errors exit with
+status 2.
 """
 
 from __future__ import annotations
@@ -214,6 +215,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # reported below, once the exception and the frames it holds, with what they built, are gone
+    print(f"error: {args.command} ran out of memory", file=sys.stderr)
+    return 1
 
 
 def entrypoint() -> None:

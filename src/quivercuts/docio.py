@@ -11,7 +11,10 @@ The interchange format is a strict JSON document::
 
 Unknown fields are rejected, identifiers are strings, and serialisation is
 canonical (sorted, indented, newline-terminated), so parse and serialize
-round-trip byte-for-byte.  Error classes distinguish malformed JSON, schema
+round-trip byte-for-byte.  A tensor product's vertices carry pairs of
+factor labels; the rule that writes each pair as one label is
+``tensor._product_label``, so this module decides nothing about what the
+pairs mean.  Error classes distinguish malformed JSON, schema
 violations and structural invariant violations; a disconnected but otherwise
 sound quiver parses with a warning, since several operations work per
 component.
@@ -38,7 +41,7 @@ from typing import Any, Callable, Iterable, Mapping, TextIO
 from .cuts import Cut, _cut_masks
 from .model import Arrow, Cycle, Quiver, QuiverWithCycles, validate
 from .mutation import MutationGraph
-from .tensor import DivisionLabel, LabeledQuiverWithCycles
+from .tensor import DivisionLabel, LabeledQuiverWithCycles, _product_label
 
 FORMAT_VERSION = 1
 
@@ -68,10 +71,10 @@ class DisconnectedQuiverWarning(UserWarning):
 def _expect_keys(obj: Mapping[str, Any], where: str, required: set[str], optional: set[str]) -> None:
     unknown = set(obj) - required - optional
     if unknown:
-        raise DocumentSchemaError(f"{where}: unknown field(s) " + ", ".join(sorted(unknown)))
+        raise DocumentSchemaError(f"{where}: unknown field(s) " + ", ".join(map(repr, sorted(unknown))))
     missing = required - set(obj)
     if missing:
-        raise DocumentSchemaError(f"{where}: missing field(s) " + ", ".join(sorted(missing)))
+        raise DocumentSchemaError(f"{where}: missing field(s) " + ", ".join(map(repr, sorted(missing))))
 
 
 def _expect_str(value: Any, where: str) -> str:
@@ -186,17 +189,6 @@ def parse_quiver_document(text: str) -> LabeledQuiverWithCycles:
     return LabeledQuiverWithCycles(qwc, labels)
 
 
-def _collapse_label(pair: tuple[DivisionLabel, ...]) -> DivisionLabel:
-    if len(pair) == 1:
-        return pair[0]
-    kinds = {lab.kind for lab in pair}
-    if kinds == {"Base"}:
-        return DivisionLabel("Base")
-    if kinds == {"Ext"}:
-        return DivisionLabel("Ext", pair[0].split_count)
-    return DivisionLabel("Ext", 1)  # one Ext factor keeps the product a division algebra
-
-
 def _array(items: list[str], indent: str) -> str:
     """The rendered ``items`` as a JSON array laid out as ``json.dumps(indent=2)`` lays it out at ``indent``."""
     if not items:
@@ -209,8 +201,9 @@ def serialize_quiver_document(value: LabeledQuiverWithCycles | QuiverWithCycles)
     """Canonical JSON for a quiver with cycles.
 
     Tensor vertices carry a pair of factor labels in memory; those collapse
-    to the single label describing the vertex algebra, so pair structure is
-    not preserved across a round trip (documents carry single labels only).
+    to the single label describing the vertex algebra, by the rule
+    ``tensor._product_label`` states, so pair structure is not preserved
+    across a round trip (documents carry single labels only).
 
     The text is what ``json.dumps(doc, indent=2)`` writes, byte for byte,
     plus a final newline.  It is written here because ``indent`` forces the
@@ -226,7 +219,7 @@ def serialize_quiver_document(value: LabeledQuiverWithCycles | QuiverWithCycles)
     vertices = []
     for v in qwc.quiver.vertices:
         if v in labels:
-            label = _collapse_label(labels[v])
+            label = _product_label(labels[v])
             split = f',\n        "split_count": {label.split_count}' if label.split_count != 1 else ""
             box = f'{{\n        "kind": {_quote(label.kind)}{split}\n      }}'
             vertices.append(f'{{\n      "id": {_quote(v)},\n      "label": {box}\n    }}')

@@ -22,13 +22,24 @@ many simple blocks the extension's self-product decomposes.  Splitting a
 product vertex labelled Ext-Ext into that many copies, keeping only the
 diagonal copies of arrows between split vertices, is the Morita reduction
 of the product to a basic one.
+
+The Dynkin catalogue lives in one table, ``_FAMILIES``: each family's legal
+ranks and Ext vertices (B at 2..n, C at 1, F at 1 and 2, G at 1), read at
+the one check, ``_check_spec``, that every spec passes before its edges
+or default orientation are built.  The rule that collapses a product
+vertex's pair of factor labels into the one label of its algebra is
+``_product_label``, next to :func:`morita_split`, the other reader of pair
+labels; documents are written through it.  ``MAX_CELLS`` bounds the
+vertices, arrows and cycles of a spec, a product and a split, each checked
+from the counts it is built from before anything of that size is built.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from math import inf
+from typing import Iterable, Mapping
 
 from .cuts import Cut, _cut_members
 from .model import Arrow, ArrowId, Cycle, Quiver, QuiverWithCycles, VertexId
@@ -50,38 +61,55 @@ class DivisionLabel:
 
 BASE = DivisionLabel("Base")
 
-# Vertex labels per vertex position, by family.  Unlisted families are all Base.
-_EXT_VERTICES = {
-    "B": lambda rank: set(range(2, rank + 1)),
-    "C": lambda rank: {1},
-    "F": lambda rank: {1, 2},
-    "G": lambda rank: {1},
+# The most vertices, arrows and cycles, together, that a Dynkin spec, a product or a Morita split may
+# have, each checked before anything of that size is built.  A product this size takes about 80 MB to
+# build and write; A16 x A16 has 1,411.
+MAX_CELLS = 100_000
+_TOO_LARGE = f"{{}} is too large: more than {MAX_CELLS} vertices, arrows and cycles"
+
+# The Dynkin catalogue, each family once: its least and greatest legal rank,
+# and its Ext vertex positions at rank r (every other vertex is Base).
+_FAMILIES = {
+    "A": (1, inf, lambda r: ()),
+    "B": (2, inf, lambda r: range(2, r + 1)),
+    "C": (2, inf, lambda r: (1,)),
+    "D": (4, inf, lambda r: ()),
+    "E": (6, 8, lambda r: ()),
+    "F": (4, 4, lambda r: (1, 2)),
+    "G": (2, 2, lambda r: (1,)),
 }
 
-_RANK_RULES = {
-    "A": lambda r: r >= 1,
-    "B": lambda r: r >= 2,
-    "C": lambda r: r >= 2,
-    "D": lambda r: r >= 4,
-    "E": lambda r: r in (6, 7, 8),
-    "F": lambda r: r == 4,
-    "G": lambda r: r == 2,
-}
+
+def _bound(what: str, cells: int) -> None:
+    if cells > MAX_CELLS:
+        raise ValueError(_TOO_LARGE.format(what))
+
+
+def _check_spec(family: str, rank: int) -> Iterable[int]:
+    """The Ext positions of a spec, after the one check of its family and rank every spec passes.
+
+    Raises ``ValueError`` for a family not in ``_FAMILIES``, a rank the
+    family does not have, or a diagram of more than ``MAX_CELLS`` vertices
+    and arrows, before anything of the diagram's size is built.
+    """
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown Dynkin family {family!r}")
+    least, most, ext = _FAMILIES[family]
+    if not least <= rank <= most:
+        raise ValueError(f"illegal rank {rank} for family {family}")
+    _bound(f"{family}{rank}", 2 * rank - 1)
+    return ext(rank)
 
 
 def diagram_edges(family: str, rank: int) -> list[tuple[VertexId, VertexId]]:
-    """Undirected diagram edges as (low, high) vertex-name pairs."""
-    if family in ("A", "B", "C", "F", "G"):
-        return [(str(i), str(i + 1)) for i in range(1, rank)]
+    """Undirected diagram edges as (low, high) vertex-name pairs, after the family and rank check."""
+    _check_spec(family, rank)
+    edges = [(str(i), str(i + 1)) for i in range(1, rank)]
     if family == "D":
-        edges = [("1", "3"), ("2", "3")]
-        edges += [(str(i), str(i + 1)) for i in range(3, rank)]
-        return edges
-    if family == "E":
-        edges = [(str(i), str(i + 1)) for i in range(1, rank - 1)]
-        edges.append(("3", str(rank)))
-        return edges
-    raise ValueError(f"unknown Dynkin family {family!r}")
+        edges[0] = ("1", "3")  # both tines, 1 and 2, meet the branch vertex 3
+    elif family == "E":
+        edges[-1] = ("3", str(rank))  # the last vertex hangs off the branch vertex 3
+    return edges
 
 
 def default_orientation(family: str, rank: int) -> frozenset[tuple[VertexId, VertexId]]:
@@ -93,13 +121,9 @@ def default_orientation(family: str, rank: int) -> frozenset[tuple[VertexId, Ver
     of the worked tensor examples; tensor cut counts are sensitive to this
     choice on forked diagrams.
     """
-    arrows = []
-    for u, v in diagram_edges(family, rank):
-        if family == "E" and v != str(rank) and int(u) >= 3:
-            arrows.append((v, u))  # the long arm: ... -> 4 -> 3
-        else:
-            arrows.append((u, v))
-    return frozenset(arrows)
+    return frozenset(  # E's long arm runs ... -> 4 -> 3
+        (v, u) if family == "E" and v != str(rank) and int(u) >= 3 else (u, v) for u, v in diagram_edges(family, rank)
+    )
 
 
 @dataclass(frozen=True)
@@ -109,10 +133,6 @@ class LabeledDynkinSpec:
     orientation: frozenset[tuple[VertexId, VertexId]]
 
     def __post_init__(self) -> None:
-        if self.family not in _RANK_RULES:
-            raise ValueError(f"unknown Dynkin family {self.family!r}")
-        if not _RANK_RULES[self.family](self.rank):
-            raise ValueError(f"illegal rank {self.rank} for family {self.family}")
         undirected = {frozenset(e) for e in diagram_edges(self.family, self.rank)}
         oriented = {frozenset(e) for e in self.orientation}
         if len(oriented) != len(self.orientation):
@@ -129,7 +149,8 @@ def dynkin_spec(
     return LabeledDynkinSpec(family, rank, frozenset(orientation))
 
 
-_SPEC_RE = re.compile(r"^([A-G])(\d+)(?::(.+))?$")
+_SPEC_RE = re.compile(r"([A-G])(\d+)(?::(.+))?")
+_CHAIN_RE = re.compile(r"\d+(?:[<>]\d+)*")
 
 
 def parse_dynkin_spec(text: str) -> LabeledDynkinSpec:
@@ -139,22 +160,22 @@ def parse_dynkin_spec(text: str) -> LabeledDynkinSpec:
     where ``i>j`` directs the edge from i to j and ``i<j`` from j to i.
     Omitting it selects the default orientation.
     """
-    m = _SPEC_RE.match(text.strip())
+    m = _SPEC_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"cannot parse Dynkin spec {text!r} (expected e.g. 'A3' or 'B2:1>2')")
-    family, rank = m.group(1), int(m.group(2))
-    if m.group(3) is None:
+    family, digits, chains = m.groups()
+    try:
+        rank = int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ValueError(_TOO_LARGE.format(f"{family} of a {len(digits)}-digit rank")) from None
+    if chains is None:
         return dynkin_spec(family, rank)
     arrows: set[tuple[VertexId, VertexId]] = set()
-    for chain in m.group(3).split(","):
-        tokens = re.findall(r"\d+|[<>]|[^\d<>]+", chain)
-        if not tokens or len(tokens) % 2 == 0 or any(
-            (t in "<>") != (i % 2 == 1) for i, t in enumerate(tokens)
-        ):
+    for chain in chains.split(","):
+        if not _CHAIN_RE.fullmatch(chain):
             raise ValueError(f"malformed orientation chain {chain!r}")
-        for i in range(1, len(tokens), 2):
-            u, op, v = tokens[i - 1], tokens[i], tokens[i + 1]
-            arrows.add((u, v) if op == ">" else (v, u))
+        parts = re.split("([<>])", chain)  # vertex, sign, vertex, ..., vertex
+        arrows.update((u, v) if op == ">" else (v, u) for u, op, v in zip(parts[::2], parts[1::2], parts[2::2]))
     return dynkin_spec(family, rank, frozenset(arrows))
 
 
@@ -174,7 +195,7 @@ def dynkin_quiver(spec: LabeledDynkinSpec, split_count: int = 2) -> LabeledQuive
     extension) and only matters once products are Morita-split.
     """
     vertices = tuple(str(i) for i in range(1, spec.rank + 1))
-    ext = {str(i) for i in _EXT_VERTICES.get(spec.family, lambda r: set())(spec.rank)}
+    ext = {str(i) for i in _check_spec(spec.family, spec.rank)}
     labels = {v: DivisionLabel("Ext", split_count) if v in ext else BASE for v in vertices}
     ordered = sorted(spec.orientation, key=lambda e: (int(e[0]), int(e[1])))
     arrows = tuple(Arrow(f"{u}-{v}", u, v) for u, v in ordered)
@@ -203,8 +224,12 @@ def tensor_qwc(left: LabeledQuiver, right: LabeledQuiver) -> LabeledQuiverWithCy
     """The tensor-product quiver with cycles of two labelled quivers.
 
     Arrow counts follow the product structure:
-    ``|Q1| = |L0||R1| + |L1||R0| + |L1||R1|`` and ``|Q2| = 2 |L1||R1]``.
+    ``|Q1| = |L0||R1| + |L1||R0| + |L1||R1|`` and ``|Q2| = 2 |L1||R1|``.
+    Raises ``ValueError``, before building anything, when the product
+    would exceed ``MAX_CELLS``.
     """
+    (nl, al), (nr, ar) = [(len(f.quiver.vertices), len(f.quiver.arrows)) for f in (left, right)]
+    _bound("the product", nl * nr + nl * ar + al * nr + 3 * al * ar)
     vertices = tuple(_pair(i, j) for i in left.quiver.vertices for j in right.quiver.vertices)
     arrows: list[Arrow] = []
     for i in left.quiver.vertices:
@@ -250,6 +275,17 @@ def standard_cuts(t: LabeledQuiverWithCycles) -> tuple[Cut, Cut, Cut]:
     return cuts
 
 
+def _product_label(labels: tuple[DivisionLabel, ...]) -> DivisionLabel:
+    """The one label of a vertex's algebra: a pair of factor labels collapses, a single label stands.
+
+    Base with Base is Base; Ext with Ext is Ext, keeping the left factor's
+    split count; one Ext factor keeps the product a division algebra, so
+    the mixed pair is an Ext that never splits.
+    """
+    kinds = {lab.kind for lab in labels}
+    return labels[0] if len(kinds) == 1 else DivisionLabel("Ext")
+
+
 def morita_split(t: LabeledQuiverWithCycles) -> LabeledQuiverWithCycles:
     """Split every Ext-Ext product vertex into its simple-block copies.
 
@@ -259,13 +295,10 @@ def morita_split(t: LabeledQuiverWithCycles) -> LabeledQuiverWithCycles:
     every closed chain of arrow copies, keeping their signs; the lifts grow
     an arrow at a time along the copies that exist, so the work follows the
     number of lifts rather than of copy assignments.  Without Ext-Ext
-    vertices the value is returned unchanged.
+    vertices the value is returned unchanged.  Raises ``ValueError`` when
+    the split would exceed ``MAX_CELLS``, before any copy is built.
     """
-    split = {
-        v: lab
-        for v, lab in t.labels.items()
-        if len(lab) == 2 and lab[0].kind == "Ext" and lab[1].kind == "Ext"
-    }
+    split = {v: lab for v, lab in t.labels.items() if len(lab) == 2 and lab[0].kind == lab[1].kind == "Ext"}
     counts = sorted({lab.split_count for pair in split.values() for lab in pair})
     if len(counts) > 1:
         raise ValueError(f"inconsistent split counts among Ext-Ext vertices: {counts}")
@@ -274,37 +307,36 @@ def morita_split(t: LabeledQuiverWithCycles) -> LabeledQuiverWithCycles:
         return t
 
     quiver = t.qwc.quiver
-    multiplicity = {v: n if v in split else 1 for v in quiver.vertices}
 
-    def copy_vertex(v: VertexId, k: int) -> VertexId:
-        return f"{v}.{k}" if v in split else v
+    def lift_count(cycle: Cycle) -> int:  # n to the number of runs of split stations around the cycle
+        marks = [quiver.arrow(name).source in split for name in cycle.arrows]
+        return n ** max(sum(m > p for m, p in zip(marks, marks[-1:] + marks[:-1])), all(marks))
 
-    vertices = tuple(
-        copy_vertex(v, k) for v in quiver.vertices for k in range(1, multiplicity[v] + 1)
-    )
-    labels = {
-        copy_vertex(v, k): t.labels[v]
-        for v in quiver.vertices
-        if v in t.labels
-        for k in range(1, multiplicity[v] + 1)
-    }
+    copied = len(split) + sum(a.source in split or a.target in split for a in quiver.arrows)  # n copies each
+    cells = len(quiver.vertices) + len(quiver.arrows) + (n - 1) * copied + sum(map(lift_count, t.qwc.cycles))
+    _bound(f"the split into {n} copies", cells)
+
+    copies = {v: [f"{v}.{k}" for k in range(1, n + 1)] if v in split else [v] for v in quiver.vertices}
+    vertices = tuple(c for v in quiver.vertices for c in copies[v])
+    labels = {c: t.labels[v] for v in quiver.vertices if v in t.labels for c in copies[v]}
 
     arrows: list[Arrow] = []
     lifts: dict[tuple[ArrowId, int], list[tuple[int, ArrowId]]] = {}  # (arrow, source copy) -> its copies
     for a in quiver.arrows:
-        ms, mt = multiplicity[a.source], multiplicity[a.target]
-        both_split = a.source in split and a.target in split
-        for k in range(1, ms + 1):
-            for k2 in (k,) if both_split else range(1, mt + 1):  # the off-diagonal blocks vanish
-                name = a.name if ms == 1 and mt == 1 else f"{a.name}.{k}.{k2}"
-                arrows.append(Arrow(name, copy_vertex(a.source, k), copy_vertex(a.target, k2)))
+        sources, targets = copies[a.source], copies[a.target]
+        for k, source in enumerate(sources, 1):
+            # the off-diagonal blocks between two split vertices vanish
+            ends = [(k, targets[k - 1])] if len(sources) == len(targets) == n else enumerate(targets, 1)
+            for k2, target in ends:
+                name = a.name if len(sources) == len(targets) == 1 else f"{a.name}.{k}.{k2}"
+                arrows.append(Arrow(name, source, target))
                 lifts.setdefault((a.name, k), []).append((k2, name))
 
     cycles: list[Cycle] = []
     for cycle in t.qwc.cycles:
         # (starting copy, copy reached, arrows so far), extended along the arrow copies that exist;
         # starting at a station of fewest copies, every partial lift closes up
-        stations = [multiplicity[quiver.arrow(name).source] for name in cycle.arrows]
+        stations = [len(copies[quiver.arrow(name).source]) for name in cycle.arrows]
         start = stations.index(min(stations))
         partial = [(k, k, ()) for k in range(1, stations[start] + 1)]
         for name in cycle.arrows[start:] + cycle.arrows[:start]:

@@ -23,7 +23,7 @@ through.  The Smith oracle is the dense pivot loop alone, without the
 library's worklist over unit rows.  The document oracle builds the
 document as nested dicts and lists and hands it to ``json.dumps(indent=2)``,
 apart from the text the library writes directly; it shares only the label
-collapse.
+collapse, ``tensor._product_label``.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from itertools import permutations, product
 from typing import Iterable, Sequence
 
 from quivercuts.coset import EnumerationResult
-from quivercuts.docio import FORMAT_VERSION, _collapse_label
+from quivercuts.docio import FORMAT_VERSION
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
-from quivercuts.tensor import BASE, LabeledDynkinSpec, LabeledQuiver, LabeledQuiverWithCycles
+from quivercuts.tensor import BASE, LabeledDynkinSpec, LabeledQuiver, LabeledQuiverWithCycles, _product_label
 
 Step = tuple[str, int]  # (arrow name, +1 along the arrow or -1 against it)
 
@@ -59,7 +59,7 @@ def reference_quiver_document(value: LabeledQuiverWithCycles | QuiverWithCycles)
     for v in qwc.quiver.vertices:
         entry: dict = {"id": v}
         if v in labels:
-            label = _collapse_label(labels[v])
+            label = _product_label(labels[v])
             box: dict = {"kind": label.kind}
             if label.split_count != 1:
                 box["split_count"] = label.split_count

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -597,6 +598,69 @@ def _pipe_count(left, right):
         env=env,
     )
     return counted.stdout
+
+
+def _capped(argv, megabytes, document=None):
+    """Exit code, stderr and wall seconds of ``quivercuts argv`` in a child limited to ``megabytes`` of address space.
+
+    ``RLIMIT_AS`` is set in the child alone, between fork and exec.
+    """
+    cap = megabytes * 2**20
+    started = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-m", "quivercuts", *argv],
+        input=document,
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    return child.returncode, child.stderr, time.perf_counter() - started
+
+
+# the (2,3,7) triangle group on one vertex: infinite and perfect, so its coset table only grows
+VON_DYCK_237 = json.dumps(
+    {
+        "format_version": 1,
+        "vertices": [{"id": "o"}],
+        "arrows": [{"id": g, "source": "o", "target": "o"} for g in "xy"],
+        "cycles": [{"arrows": list(word)} for word in ("xx", "yyy", "xy" * 7)],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "argv, document, megabytes, seconds, message",
+    [
+        (["tensor", "--left", "A99999999999", "--right", "A1"], None, 400, 2, "A99999999999 is too large"),
+        (
+            ["tensor", "--left", "B2", "--right", "B2", "--split", "100000000"],
+            None,
+            400,
+            2,
+            "the split into 100000000 copies is too large",
+        ),
+        # a budget of 10^8 cosets would take about 6 GB; the cap ends the table in about 3.5 s
+        (["check", "--coset-budget", "100000000", "-"], VON_DYCK_237, 200, 20, "check ran out of memory"),
+    ],
+    ids=["huge-rank", "huge-split", "huge-coset-budget"],
+)
+def test_resource_limits_end_in_one_error_line(argv, document, megabytes, seconds, message):
+    code, err, elapsed = _capped(argv, megabytes, document)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), err
+    assert elapsed < seconds
+
+
+def test_out_of_memory_is_one_line_naming_the_subcommand(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "count_cuts", exhausted)
+    assert run(capsys, "cuts", B2B2, "--count-only") == (1, "", "error: cuts ran out of memory\n")
+    monkeypatch.undo()
+    assert run(capsys, "cuts", B2B2, "--count-only") == (0, "7\n", "")
 
 
 def test_pipe_tensor_into_cuts():

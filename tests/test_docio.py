@@ -73,6 +73,17 @@ def test_syntax_error_carries_position():
         parse_quiver_document("{nope")
 
 
+def test_field_names_are_quoted_on_one_line():
+    # a form feed or newline in a key would otherwise split the message across lines
+    document = json.loads(doc())
+    document["\fformat_version"] = document.pop("format_version")
+    with pytest.raises(DocumentSchemaError) as excinfo:
+        parse_quiver_document(json.dumps(document))
+    assert str(excinfo.value) == "document: unknown field(s) '\\x0cformat_version'"
+    with pytest.raises(DocumentSchemaError, match=r"^document: missing field\(s\) 'format_version'$"):
+        parse_quiver_document(json.dumps({"vertices": []}))
+
+
 def test_overlong_number_is_a_syntax_error():
     with pytest.raises(DocumentSyntaxError, match=r"^number longer than \d+ digits$"):
         parse_quiver_document('{"format_version": ' + "1" * 5000 + ', "vertices": []}')

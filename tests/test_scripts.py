@@ -59,3 +59,22 @@ def test_survey_tensor_pairs_rows(args, monkeypatch, capsys):
     assert set(rule) == {"-"}
     # the pair column is 28 characters wide and holds spaces itself
     assert [row[:28].rstrip() + "  " + " ".join(row[28:].split()[:-1]) for row in rows] == SURVEYS[args]
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("A3:1>x", "malformed orientation chain '1>x'"),
+        ("H4", "cannot parse Dynkin spec 'H4'"),
+        ("A99999999999", "A99999999999 is too large"),
+    ],
+)
+def test_survey_tensor_pairs_bad_spec_is_one_error_line(spec, message, monkeypatch, capsys):
+    script = SCRIPTS / "survey_tensor_pairs.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "A2", spec])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(str(script), run_name="__main__")
+    assert excinfo.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")

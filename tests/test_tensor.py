@@ -16,13 +16,17 @@ from quivercuts.cuts import (
 )
 from quivercuts.docio import parse_quiver_document, serialize_quiver_document
 from quivercuts.model import Arrow, Quiver, spanning_tree, validate
+from quivercuts import tensor
 from quivercuts.mutation import is_transitive
+from quivercuts.model import Cycle, QuiverWithCycles
 from quivercuts.tensor import (
     BASE,
+    MAX_CELLS,
     DivisionLabel,
     LabeledQuiver,
     LabeledQuiverWithCycles,
     default_orientation,
+    diagram_edges,
     dynkin_quiver,
     dynkin_spec,
     morita_split,
@@ -85,6 +89,139 @@ def test_rank_legality():
         dynkin_spec("D", 3)
     with pytest.raises(ValueError):
         dynkin_spec("X", 4)
+
+
+# the catalogue as the tensor module docstring and README state it: legal ranks up to 9, and Ext positions
+CATALOGUE = {
+    "A": (range(1, 10), lambda r: set()),
+    "B": (range(2, 10), lambda r: set(range(2, r + 1))),
+    "C": (range(2, 10), lambda r: {1}),
+    "D": (range(4, 10), lambda r: set()),
+    "E": (range(6, 9), lambda r: set()),
+    "F": (range(4, 5), lambda r: {1, 2}),
+    "G": (range(2, 3), lambda r: {1}),
+}
+
+
+@pytest.mark.parametrize("family", list(CATALOGUE))
+def test_catalogue_diagrams_are_trees_with_their_ext_vertices(family):
+    ranks, ext = CATALOGUE[family]
+    for rank in range(0, 10):
+        if rank not in ranks:
+            with pytest.raises(ValueError, match=f"illegal rank {rank} for family {family}"):
+                dynkin_spec(family, rank)
+            continue
+        q = dynkin_quiver(dynkin_spec(family, rank))
+        assert q.quiver.vertices == tuple(str(i) for i in range(1, rank + 1))
+        assert len(q.quiver.arrows) == rank - 1
+        assert len(set(spanning_tree(q.quiver).root.values())) == 1  # connected with rank - 1 arrows: a tree
+        assert {v for v, label in q.labels.items() if label.kind == "Ext"} == {str(i) for i in ext(rank)}
+        edges = {frozenset((a.source, a.target)) for a in q.quiver.arrows}
+        assert edges == set(map(frozenset, diagram_edges(family, rank)))
+
+
+def test_catalogue_default_orientations_are_the_documented_ones():
+    assert default_orientation("E", 6) == parse_dynkin_spec("E6:1>2>3,5>4>3,3>6").orientation
+    assert default_orientation("E", 8) == parse_dynkin_spec("E8:1>2>3,7>6>5>4>3,3>8").orientation
+    for rank in range(4, 9):
+        tail = ",".join(f"{i}>{i + 1}" for i in range(3, rank))
+        assert default_orientation("D", rank) == parse_dynkin_spec(f"D{rank}:1>3,2>3,{tail}").orientation
+    for family in "ABCFG":
+        rank = CATALOGUE[family][0][-1]
+        ascending = ">".join(map(str, range(1, rank + 1)))
+        assert default_orientation(family, rank) == parse_dynkin_spec(f"{family}{rank}:{ascending}").orientation
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("H4", "cannot parse Dynkin spec 'H4'"),
+        ("E9", "illegal rank 9 for family E"),
+        ("D3:1>2>3", "illegal rank 3 for family D"),
+        ("A3:1>x", "malformed orientation chain '1>x'"),
+        ("A3:1-2", "malformed orientation chain '1-2'"),
+        ("A3:1>", "malformed orientation chain '1>'"),
+        ("A3:>2", "malformed orientation chain '>2'"),
+        ("A3:1<>2", "malformed orientation chain '1<>2'"),
+        ("A3:1>2,,2>3", "malformed orientation chain ''"),
+        ("A3:1>2>3,3>2", "both ways"),
+        ("A3:1>2", "every diagram edge"),
+    ],
+)
+def test_bad_specs_raise_one_line(text, message):
+    with pytest.raises(ValueError, match=message) as excinfo:
+        parse_dynkin_spec(text)
+    assert "\n" not in str(excinfo.value)
+
+
+def test_unknown_family_is_refused_before_any_edge():
+    for call in (diagram_edges, default_orientation, dynkin_spec):
+        with pytest.raises(ValueError, match="unknown Dynkin family 'X'"):
+            call("X", 10**12)  # an edge list this long would not fit in memory
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("A99999999999", "A99999999999 is too large"),
+        (f"A{(MAX_CELLS + 2) // 2}", f"A{(MAX_CELLS + 2) // 2} is too large"),
+        ("B" + "9" * 5000, "B of a 5000-digit rank is too large"),  # more digits than int() converts
+    ],
+)
+def test_oversized_specs_are_refused_before_their_edges(text, message):
+    with pytest.raises(ValueError, match=message + f": more than {MAX_CELLS} vertices, arrows and cycles$"):
+        parse_dynkin_spec(text)
+
+
+def test_a_spec_at_the_bound_builds():
+    rank = (MAX_CELLS + 1) // 2  # rank vertices and rank - 1 arrows
+    assert len(dynkin_quiver(parse_dynkin_spec(f"A{rank}")).quiver.arrows) == rank - 1
+
+
+def _cells(t):
+    return len(t.qwc.quiver.vertices) + len(t.qwc.quiver.arrows) + len(t.qwc.cycles)
+
+
+def _square(n):
+    # a 4-cycle whose split stations alternate with unsplit ones: two runs, so n * n lifts
+    ext, base = DivisionLabel("Ext", n), BASE
+    names = [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "1")]
+    quiver = Quiver(("1", "2", "3", "4"), tuple(Arrow(*a) for a in names))
+    labels = {"1": (ext, ext), "2": (base, base), "3": (ext, ext), "4": (base, ext)}
+    return LabeledQuiverWithCycles(QuiverWithCycles(quiver, (Cycle(("a", "b", "c", "d"), 1),)), labels)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _product("A16", "A16"),
+        lambda: _product("B2:2>1", "B2:2>1", 2),
+        lambda: _product("B2:2>1", "B2:2>1", 100),
+        lambda: _product("F4", "G2", 3),
+        lambda: _product("B3", "C3", 4),
+        lambda: morita_split(_square(3)),
+    ],
+    ids=["a16a16", "b2b2-split", "b2b2-split100", "f4g2-split3", "b3c3-split4", "square-split3"],
+)
+def test_size_bounds_count_exactly_what_is_built(build, monkeypatch):
+    size = _cells(build())
+    monkeypatch.setattr(tensor, "MAX_CELLS", size)
+    assert _cells(build()) == size
+    monkeypatch.setattr(tensor, "MAX_CELLS", size - 1)
+    with pytest.raises(ValueError, match="is too large"):
+        build()
+
+
+def test_a16_a16_is_within_the_bound():
+    assert _cells(_product("A16", "A16")) == 1411 <= MAX_CELLS
+
+
+def test_oversized_products_and_splits_are_refused():
+    with pytest.raises(ValueError, match="the product is too large"):
+        _product("A200", "A200")  # 40,000 vertices, 119,201 arrows
+    with pytest.raises(ValueError, match="the split into 100000000 copies is too large"):
+        _product("B2", "B2", 10**8)
+    assert morita_split(_square(3)).qwc.cycles == oracle_morita_cycles(_square(3))
 
 
 def test_orientation_must_cover_every_edge():
