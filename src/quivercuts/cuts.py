@@ -14,6 +14,10 @@ satisfies every cycle through it and forbids all other arrows of those
 cycles.  What remains allowed depends only on which cycles are covered, so
 the search for all cuts folds into a small DAG of covered-cycle states, in
 effect a ZDD of the cut family, whose root-to-sink paths are the cuts.
+Each state branches on its first uncovered cycle in one fixed *frontier*
+order of the cycles, numbered once per quiver so that few cycles lie half
+decided at a time (after Kawahara, Inoue, Iwashita and Minato, IEICE Trans.
+Fundamentals E100-A(9), 2017), and branches meet in shared states.
 Counting, listing, :func:`has_enough_cuts` and :func:`is_fully_compatible`
 all read this DAG, built once per quiver as ``CutSpace.dag``: a node table,
 children first, whose edges carry an arrow's bit position and a child

@@ -127,6 +127,51 @@ _BITS = [[x >> k & 1 for k in range(7, -1, -1)] for x in range(256)]  # a byte's
 _BIT = [bytes(x >> k & 1 for x in range(256)) for k in range(8)]  # ``bytes.translate`` tables: a byte to its bit k
 
 
+# The most states the cut-state DAG may have, checked as each is found, so that a build that would
+# not fit in 2 GiB ends in a ValueError.  A DAG takes about 630 bytes a state: A16 x A16, past the
+# cap with 2,751,747 states, peaks at 1.7 GB when built.
+MAX_DAG_STATES = 2_000_000
+
+
+def _frontier_order(near: Sequence[int]) -> list[int]:
+    """The cycles in the order the cut-state DAG branches on them, given the cycles sharing an arrow with each.
+
+    The *frontier* is the cycles not yet taken that share an arrow with a
+    taken one.  A DAG state whose first uncovered cycle is the ``i``-th
+    covers the ``i`` before it and, of the rest, only frontier cycles, those
+    sharing an arrow with an arrow it chose, so at most ``2 ** width`` states
+    branch on each cycle.  Greedily, the next cycle is the frontier cycle
+    that leaves the fewest frontier cycles, the least index on a tie.  An
+    empty frontier starts the next component at its cycle with the fewest
+    neighbours, again the least index on a tie, the first one left in a
+    list sorted once, so disjoint cycles cost no scan of the rest.  After
+    Kawahara, Inoue, Iwashita and Minato, "Frontier-based search for
+    enumerating all constrained subgraphs with compressed representation",
+    IEICE Trans. Fundamentals E100-A(9), 2017.
+    """
+    starts = iter(sorted(range(len(near)), key=list(map(int.bit_count, near)).__getitem__))
+    left, frontier, order = (1 << len(near)) - 1, 0, []
+    while left:
+        if frontier:
+            outside, rest, fewest = left ^ frontier, frontier, len(near)
+            while rest:  # the frontier's cycles, least index first
+                low = rest & -rest
+                ci = low.bit_length() - 1
+                n = (near[ci] & outside).bit_count()
+                if n < fewest:
+                    c, fewest, bit = ci, n, low
+                rest ^= low
+        else:
+            for c in starts:
+                bit = 1 << c
+                if left & bit:
+                    break
+        order.append(c)
+        left ^= bit
+        frontier = (frontier | near[c]) & left
+    return order
+
+
 @dataclass(frozen=True)
 class CutSpace:
     """Arrow sets as integer bit masks: ``arrows[i]`` sits at bit ``8 * nb - 1 - i``.
@@ -211,16 +256,33 @@ class CutSpace:
         exact-one condition are ``never`` and every arrow of a covered cycle,
         so the state alone fixes what lies below it; they are its parent's and
         those of the cycles it newly covers, joined when it is first reached.
-        Each state branches on the candidates of the uncovered cycle with the
-        fewest of them; an arrow joins the cut and covers every cycle through
-        it.  The sink, all cycles covered, sits at ``[0]`` and counts 1; the
-        root, none covered, at ``[-1]``; a child covers more cycles than its
-        parent and comes before it.  Edges into states with no cut are
-        dropped, so the root-to-sink paths are exactly the cuts, each once,
-        and a state with no cut below has no edge.  Each edge carries its
-        arrow's bit position, the ``at`` value of the arrow's name.
+        The cycles are numbered once, for the build, in the order of
+        ``_frontier_order``, and each state branches on the candidates of its
+        first uncovered cycle, its lowest zero bit, so that branches meet in
+        shared states; an arrow joins the cut and covers every cycle through
+        it.  Past ``MAX_DAG_STATES`` states the build raises ``ValueError``.
+        The sink, all cycles covered, sits at ``[0]`` and counts 1; the root,
+        none covered, at ``[-1]``; a child covers more cycles than its parent
+        and comes before it.  Edges into states with no cut are dropped, so
+        the root-to-sink paths are exactly the cuts, each once, and a state
+        with no cut below has no edge.  Each edge carries its arrow's bit
+        position, the ``at`` value of the arrow's name.
         """
-        members, cycles_of = self.members, self.cycles_of
+        near, arrows_of = [0] * len(self.members), [[] for _ in self.members]  # each cycle's neighbours and arrows
+        for p, cycles in zip(compress(range(len(self.cycles_of)), self.cycles_of), filter(None, self.cycles_of)):
+            rest = cycles
+            while rest:  # its cycles, inline rather than a generator per arrow
+                low = rest & -rest
+                c = low.bit_length() - 1
+                near[c] |= cycles
+                arrows_of[c].append(p)
+                rest ^= low
+        turns = _frontier_order(near)
+        # the cycles renumbered in that order: cycles[turns[i]] is bit i of a state
+        members, cycles_of = list(map(self.members.__getitem__, turns)), [0] * len(self.cycles_of)
+        for bit, c in zip(map((1).__lshift__, range(len(turns))), turns):
+            for p in arrows_of[c]:
+                cycles_of[p] |= bit
         sink = (1 << len(members)) - 1
         branches: dict[int, list[tuple[int, int]]] = {sink: []}
         # what choosing an arrow bans, the arrows of its cycles, once per set of cycles
@@ -230,23 +292,18 @@ class CutSpace:
             covered, newly, banned = stack.pop()
             if covered in branches:
                 continue
+            if len(branches) >= MAX_DAG_STATES:
+                raise ValueError(f"the cut-state DAG is too large: more than {MAX_DAG_STATES} states")
             banned |= conflicts[newly]
-            best_cands, best_n = 0, len(cycles_of) + 1
-            for ci in _iter_bits(sink & ~covered):
-                cands = members[ci] & ~banned
-                n = cands.bit_count()
-                if n < best_n:
-                    best_cands, best_n = cands, n
-                    if n <= 1:
-                        break
-            branches[covered] = [(ai, covered | cycles_of[ai]) for ai in _iter_bits(best_cands)]
-            stack += [(child, cycles_of[ai], banned) for ai, child in branches[covered]]
+            cycle = members[(covered ^ (covered + 1)).bit_length() - 1]  # the first uncovered, at the lowest zero bit
+            edges = branches[covered] = [(ai, covered | cycles_of[ai]) for ai in _iter_bits(cycle ^ (cycle & banned))]
+            stack += [(child, cycles_of[ai], banned) for ai, child in edges]
         order = sorted(branches, key=int.bit_count, reverse=True)  # the sink, covering all, first; the root last
-        at = {covered: i for i, covered in enumerate(order)}
+        at = dict(zip(order, range(len(order))))
         dag = [(1, ())]
         for covered in order[1:]:
-            edges = tuple((ai, at[child]) for ai, child in branches[covered] if dag[at[child]][0])
-            dag.append((sum(dag[j][0] for _, j in edges), edges))
+            edges = tuple([(ai, j) for ai, child in branches[covered] if dag[(j := at[child])][0]])
+            dag.append((sum([dag[j][0] for _, j in edges]), edges))
         return dag
 
 

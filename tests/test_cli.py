@@ -601,7 +601,7 @@ def _pipe_count(left, right):
 
 
 def _capped(argv, megabytes, document=None):
-    """Exit code, stderr and wall seconds of ``quivercuts argv`` in a child limited to ``megabytes`` of address space.
+    """Exit code, stdout, stderr and wall seconds of ``quivercuts argv`` in a child with ``megabytes`` of address space.
 
     ``RLIMIT_AS`` is set in the child alone, between fork and exec.
     """
@@ -615,7 +615,7 @@ def _capped(argv, megabytes, document=None):
         env=_child_env(),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
-    return child.returncode, child.stderr, time.perf_counter() - started
+    return child.returncode, child.stdout, child.stderr, time.perf_counter() - started
 
 
 # the (2,3,7) triangle group on one vertex: infinite and perfect, so its coset table only grows
@@ -646,11 +646,21 @@ VON_DYCK_237 = json.dumps(
     ids=["huge-rank", "huge-split", "huge-coset-budget"],
 )
 def test_resource_limits_end_in_one_error_line(argv, document, megabytes, seconds, message):
-    code, err, elapsed = _capped(argv, megabytes, document)
+    code, _, err, elapsed = _capped(argv, megabytes, document)
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), err
     assert elapsed < seconds
+
+
+def test_a12_squared_counts_within_two_gib(capsys):
+    # 114,675 DAG states in the frontier order; branching each state on the cycle
+    # with the fewest candidates ran out of memory here
+    assert main(["tensor", "--left", "A12", "--right", "A12"]) == 0
+    document = capsys.readouterr().out
+    code, out, err, elapsed = _capped(["cuts", "--count-only", "-"], 2048, document)
+    assert (code, out, err) == (0, "28645789175160296213419\n", "")
+    assert elapsed < 20
 
 
 def test_out_of_memory_is_one_line_naming_the_subcommand(capsys, monkeypatch):

@@ -505,16 +505,43 @@ def _names_reversed(q):
 
 @pytest.mark.parametrize(
     ("left", "right", "count"),
-    [("E6", "E7", 13527313), ("E7", "E7", 166849592), ("E8", "E6", 121450718), ("E8", "E8", 34864900152)],
+    [
+        ("E6", "E7", 13527313),
+        ("E7", "E7", 166849592),
+        ("E8", "E6", 121450718),
+        ("E8", "E8", 34864900152),
+        ("A11", "A11", 10736651986556444032),
+    ],
 )
 def test_big_counts_agree_under_factor_swap_and_renaming(left, right, count):
-    # the swapped product and the renamed arrows give the cut-state DAG other
-    # states (E8xE6: 1291, 4490 and 4665), and all three count the same cuts
+    # the swapped product and the renamed arrows order the cycles differently and
+    # give the cut-state DAG other states (E8xE6: 1318, 5526 and 5166; A11xA11,
+    # its own swap: 52,735 and, renamed, 59,270), and all three count the same cuts
     first, second = dynkin_quiver(parse_dynkin_spec(left)), dynkin_quiver(parse_dynkin_spec(right))
     product = tensor_qwc(first, second).qwc
     assert count_cuts(tensor_qwc(second, first).qwc) == count
     assert count_cuts(_names_reversed(product)) == count
     assert count_cuts(product) == count
+
+
+@pytest.mark.parametrize(("left", "right", "most"), [("D4", "E7", 400), ("A10", "A10", 30_000)])
+def test_frontier_order_keeps_the_dag_small(left, right, most):
+    # branching each state on the uncovered cycle with the fewest candidates made
+    # 827 and 72,708 states; the frontier order makes 277 and 24,579
+    q = tensor_qwc(dynkin_quiver(parse_dynkin_spec(left)), dynkin_quiver(parse_dynkin_spec(right))).qwc
+    assert len(q.cut_space.dag) <= most
+
+
+def test_dag_past_its_state_cap_is_a_one_line_error(monkeypatch, tmp_path, capsys):
+    assert main(["tensor", "--left", "D4", "--right", "D4"]) == 0
+    document = tmp_path / "d4d4.json"
+    document.write_text(capsys.readouterr().out)
+    assert main(["cuts", "--count-only", str(document)]) == 0
+    assert capsys.readouterr() == ("816\n", "")
+    monkeypatch.setattr("quivercuts.model.MAX_DAG_STATES", 10)
+    assert main(["cuts", "--count-only", str(document)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the cut-state DAG is too large: more than 10 states\n"
 
 
 def test_covered(b2b2_split, a3b2):
