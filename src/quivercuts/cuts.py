@@ -7,7 +7,9 @@ relation paths of the truncated presentation.  Two cuts are *compatible*
 when they give every cyclic walk the same degree (arrows of the cut count
 1 forwards and -1 backwards); it suffices to compare them on a cycle-space
 basis, one closed walk per spanning-forest chord, each held as the sign
-of each arrow it crosses.
+of each arrow it crosses.  An arrow's grades on all basis walks are packed
+in one int, a field per walk wide enough that sums of them never carry
+into the next, so a cut's grades are one sum of ints.
 
 Cuts form an exact-one hitting problem over the cycles: choosing an arrow
 satisfies every cycle through it and forbids all other arrows of those
@@ -18,15 +20,16 @@ Each state branches on its first uncovered cycle in one fixed *frontier*
 order of the cycles, numbered once per quiver so that few cycles lie half
 decided at a time (after Kawahara, Inoue, Iwashita and Minato, IEICE Trans.
 Fundamentals E100-A(9), 2017), and branches meet in shared states.
-Counting, listing, :func:`has_enough_cuts` and :func:`is_fully_compatible`
-all read this DAG, built once per quiver as ``CutSpace.dag``: a node table,
-children first, whose edges carry an arrow's bit position and a child
-index.  Only listing visits every cut: one pass down the table gives each
-state the integer masks of the paths below it, in the one layout of
-:class:`~quivercuts.model.CutSpace`, where the least name takes the top
-bit, so that descending masks are ascending name tuples; names are built
-only at the end, by ``CutSpace.decode`` on the masks' one byte table, a
-byte column at a time, each byte value rendered once.
+Counting, listing, :func:`has_enough_cuts` and :func:`is_fully_compatible`,
+which keeps one packed int per state, all read this DAG, built once per
+quiver as ``CutSpace.dag``: a node table, children first, whose edges carry
+an arrow's bit position and a child index.  Only listing visits every cut:
+one pass down the table gives each state the integer masks of the paths
+below it, in the one layout of :class:`~quivercuts.model.CutSpace`, where
+the least name takes the top bit, so that descending masks are ascending
+name tuples; names are built only at the end, by ``CutSpace.decode`` on the
+masks' one byte table, a byte column at a time, each byte value rendered
+once.
 :func:`enumerate_cuts` returns the tuples; ``docio.write_cuts`` streams
 the ``cuts`` lines and the mutation graph reads the same masks.  This
 module does no I/O.  Arrows lying in no distinguished cycle lie in no cut;
@@ -43,7 +46,6 @@ import sys
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add
 from typing import Iterable, Mapping
 
 from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, _iter_bits
@@ -203,35 +205,51 @@ def _basis_walks(q: QuiverWithCycles) -> list[dict[int, int]]:
     return basis
 
 
+def _packed_grades(q: QuiverWithCycles) -> list[int]:
+    """Each arrow's grades on the basis walks packed in one int, indexed by the arrow's bit position.
+
+    Walk ``k`` of :func:`_basis_walks` owns the field of ``w`` bits at
+    ``k * w``, where ``w`` is one more than the bit length of the longest
+    walk, so an arrow's value is the sum of its grades ``g`` times
+    ``2 ** (k * w)``.  A cut, or any part of one, grades a walk by at most
+    the walk's length in absolute value, so every field of a sum of these
+    ints holds a coefficient ``c`` with ``|c| < 2 ** (w - 1)``; in this
+    balanced radix two sums are equal exactly when their grades are equal
+    on every walk.
+    """
+    basis = _basis_walks(q)
+    w = max(map(len, basis), default=0).bit_length() + 1
+    packed = [0] * (8 * q.cut_space.nb)
+    for k, walk in enumerate(basis):
+        for p, grade in walk.items():
+            packed[p] += grade << k * w
+    return packed
+
+
 def are_compatible(q: QuiverWithCycles, first: Iterable[ArrowId], second: Iterable[ArrowId]) -> bool:
-    """True iff both cuts grade every cyclic walk identically."""
-    at, basis = q.cut_space.at, _basis_walks(q)
-    grades = []
-    for cut in (first, second):
-        members = _cut_members(q, cut)
-        grades.append([sum(walk.get(at[name], 0) for name in members) for walk in basis])
-    return grades[0] == grades[1]
+    """True iff both cuts grade every cyclic walk identically: equal sums of their arrows' packed grades."""
+    at, packed = q.cut_space.at, _packed_grades(q)
+    first_grades, second_grades = (sum(packed[at[name]] for name in _cut_members(q, cut)) for cut in (first, second))
+    return first_grades == second_grades
 
 
 def is_fully_compatible(q: QuiverWithCycles) -> bool:
     """True iff all cuts of ``q`` are pairwise compatible.
 
-    Each arrow's signature, its grade on each basis walk, is read off the
-    walks.  Signatures add up along a DAG path, so each state has the set of
-    signatures of the paths below it, the sink the empty path's zeros; all
-    cuts agree iff no state has two, which is decided children first.  Every
-    state with an edge lies on a root-to-sink path, since its child has a cut
-    below it and so does every state above it.
+    Each arrow's grades on the basis walks are packed in one int by
+    ``_packed_grades``.  They add up along a DAG path, so each state has the
+    set of sums of the paths below it, the sink the empty path's 0; all cuts
+    agree iff no state has two, which is decided children first, keeping one
+    int per state.  Every state with an edge lies on a root-to-sink path,
+    since its child has a cut below it and so does every state above it.
     """
-    basis = _basis_walks(q)
-    space = q.cut_space
-    of_arrow = {p: tuple(walk.get(p, 0) for walk in basis) for p in space.at.values()}
-    below: list[tuple[int, ...]] = []
-    for _, edges in space.dag:
-        signatures = {tuple(map(add, of_arrow[p], below[j])) for p, j in edges}
-        if len(signatures) > 1:
+    of_arrow = _packed_grades(q)
+    below: list[int] = []
+    for _, edges in q.cut_space.dag:
+        sums = {of_arrow[p] + below[j] for p, j in edges}
+        if len(sums) > 1:
             return False
-        below.append(signatures.pop() if edges else (0,) * len(basis))
+        below.append(sums.pop() if edges else 0)
     return True
 
 

@@ -252,15 +252,18 @@ class CutSpace:
     def dag(self) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
         """The cut-state DAG as a node table, children first: ``(cut count, live edges (arrow position, child index))``.
 
-        A state is the set of cycles covered so far.  Its arrows banned by the
-        exact-one condition are ``never`` and every arrow of a covered cycle,
-        so the state alone fixes what lies below it; they are its parent's and
-        those of the cycles it newly covers, joined when it is first reached.
-        The cycles are numbered once, for the build, in the order of
-        ``_frontier_order``, and each state branches on the candidates of its
-        first uncovered cycle, its lowest zero bit, so that branches meet in
-        shared states; an arrow joins the cut and covers every cycle through
-        it.  Past ``MAX_DAG_STATES`` states the build raises ``ValueError``.
+        A state is the set of cycles covered so far.  The exact-one condition
+        bans ``never`` and every arrow of a covered cycle, so the state alone
+        fixes what lies below it, and the bans are read off it: an arrow is
+        banned iff it is in ``never`` or one of its cycles is covered.  The
+        cycles are numbered once, for the build, in the order of
+        ``_frontier_order``, and each lists once its candidates, ``(arrow
+        position, the cycles it covers)`` in ascending position with ``never``
+        left out.  Each state branches on the candidates of its first
+        uncovered cycle, its lowest zero bit, that cover no covered cycle, so
+        that branches meet in shared states; an arrow joins the cut and covers
+        every cycle through it.  The search stack holds bare states.  Past
+        ``MAX_DAG_STATES`` states the build raises ``ValueError``.
         The sink, all cycles covered, sits at ``[0]`` and counts 1; the root,
         none covered, at ``[-1]``; a child covers more cycles than its parent
         and comes before it.  Edges into states with no cut are dropped, so
@@ -279,25 +282,28 @@ class CutSpace:
                 rest ^= low
         turns = _frontier_order(near)
         # the cycles renumbered in that order: cycles[turns[i]] is bit i of a state
-        members, cycles_of = list(map(self.members.__getitem__, turns)), [0] * len(self.cycles_of)
+        cycles_of = [0] * len(self.cycles_of)
         for bit, c in zip(map((1).__lshift__, range(len(turns))), turns):
             for p in arrows_of[c]:
                 cycles_of[p] |= bit
-        sink = (1 << len(members)) - 1
+        # each renumbered cycle's candidates (arrow position, cycles it covers), ascending, never left out
+        candidates = [[(p, cycles_of[p]) for p in arrows_of[c] if not self.never >> p & 1] for c in turns]
+        sink = (1 << len(turns)) - 1
         branches: dict[int, list[tuple[int, int]]] = {sink: []}
-        # what choosing an arrow bans, the arrows of its cycles, once per set of cycles
-        conflicts = {cycles: reduce(or_, map(members.__getitem__, _iter_bits(cycles)), 0) for cycles in {0, *cycles_of}}
-        stack = [(0, 0, self.never)]  # (covered, cycles its last arrow covered, parent's banned), depth first
+        stack = [0]  # covered states, depth first
         while stack:
-            covered, newly, banned = stack.pop()
+            covered = stack.pop()
             if covered in branches:
                 continue
             if len(branches) >= MAX_DAG_STATES:
                 raise ValueError(f"the cut-state DAG is too large: more than {MAX_DAG_STATES} states")
-            banned |= conflicts[newly]
-            cycle = members[(covered ^ (covered + 1)).bit_length() - 1]  # the first uncovered, at the lowest zero bit
-            edges = branches[covered] = [(ai, covered | cycles_of[ai]) for ai in _iter_bits(cycle ^ (cycle & banned))]
-            stack += [(child, cycles_of[ai], banned) for ai, child in edges]
+            # the first uncovered cycle, at the lowest zero bit; an arrow through a covered cycle is banned
+            edges = branches[covered] = [
+                (p, covered | cycles)
+                for p, cycles in candidates[(covered ^ (covered + 1)).bit_length() - 1]
+                if not cycles & covered
+            ]
+            stack += [child for _, child in edges]
         order = sorted(branches, key=int.bit_count, reverse=True)  # the sink, covering all, first; the root last
         at = dict(zip(order, range(len(order))))
         dag = [(1, ())]

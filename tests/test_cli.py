@@ -663,6 +663,17 @@ def test_a12_squared_counts_within_two_gib(capsys):
     assert elapsed < 20
 
 
+def test_a12_squared_checks_within_200_mib(capsys):
+    # compatibility keeps one packed int per DAG state; a tuple of its 242 walk
+    # grades per state ran out of memory here
+    assert main(["tensor", "--left", "A12", "--right", "A12"]) == 0
+    document = capsys.readouterr().out
+    code, out, err, elapsed = _capped(["check", "-"], 200, document)
+    verdicts = "covered: yes\nenough-cuts: yes\nfully-compatible: yes\n"
+    assert (code, out, err) == (0, verdicts + "simply-connected: Yes (coset table closed with 1 coset)\n", "")
+    assert elapsed < 20
+
+
 def test_out_of_memory_is_one_line_naming_the_subcommand(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError

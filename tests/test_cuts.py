@@ -33,6 +33,7 @@ from quivercuts.canvas import _presentations, pi1_presentation
 from quivercuts.cli import main
 from quivercuts.cuts import (
     UncoveredQuiverWarning,
+    _basis_walks,
     are_compatible,
     count_cuts,
     enumerate_cuts,
@@ -573,6 +574,41 @@ def test_compatibility_is_an_equivalence(b2b2_split):
         for c2 in cuts:
             assert are_compatible(q, c1, c2) == are_compatible(q, c2, c1)
             assert are_compatible(q, c1, c1)
+
+
+@pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
+def test_packed_grades_exact_near_the_field_bound():
+    # a directed 7-cycle c0..c6 with a 2-cycle (ci, di) hung on each arrow but c3, and a
+    # free arrow c7 beside c0: the first walk, chord c3's, crosses the seven c arrows, so
+    # each field holds |grade| < 8, and the cuts grade it 0 to 6; the next walk, c7's,
+    # is graded -1 by the cuts through c0, so 2-bit fields would confuse a cut through
+    # c0 with one outside it that has four fewer c arrows
+    arrows = [Arrow(f"c{i}", f"v{i}", f"v{(i + 1) % 7}") for i in range(7)] + [Arrow("c7", "v0", "v1")]
+    arrows += [Arrow(f"d{i}", f"v{(i + 1) % 7}", f"v{i}") for i in range(7) if i != 3]
+    q = qwc([f"v{i}" for i in range(7)], arrows, [Cycle((f"c{i}", f"d{i}")) for i in range(7) if i != 3])
+    cuts = enumerate_cuts(q)
+    at, walks = q.cut_space.at, _basis_walks(q)
+    assert [len(walk) for walk in walks[:2]] == [7, 2]
+    assert max(sum(walks[0].get(at[name], 0) for name in cut) for cut in cuts) == 6
+    for first in cuts:
+        for second in cuts:
+            assert are_compatible(q, first, second) == oracle_are_compatible(q, first, second)
+    assert not is_fully_compatible(q) and not oracle_is_fully_compatible(q, cuts)
+
+
+@pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
+def test_dag_predicates_match_oracles_on_seeded_quivers():
+    # a fixed sample, so the not-fully-compatible branch is reached on every run
+    incompatible = 0
+    for seed in range(300):
+        q = random_quiver_with_cycles(random.Random(seed), 5, 9)
+        oracle = brute_force_cuts(q)
+        assert count_cuts(q) == len(oracle), seed
+        assert has_enough_cuts(q) == oracle_has_enough_cuts(q, oracle), seed
+        compatible = oracle_is_fully_compatible(q, oracle)
+        assert is_fully_compatible(q) == compatible, seed
+        incompatible += not compatible
+    assert incompatible >= 10
 
 
 def test_enough_cuts_ignores_dead_branches():
