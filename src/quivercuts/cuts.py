@@ -6,10 +6,10 @@ and rotating each distinguished cycle through a cut arrow yields the
 relation paths of the truncated presentation.  Two cuts are *compatible*
 when they give every cyclic walk the same degree (arrows of the cut count
 1 forwards and -1 backwards); it suffices to compare them on a cycle-space
-basis, one closed walk per spanning-forest chord, each held as the sign
-of each arrow it crosses.  An arrow's grades on all basis walks are packed
-in one int, a field per walk wide enough that sums of them never carry
-into the next, so a cut's grades are one sum of ints.
+basis, one closed walk per chord of the spanning forest.  One pass over the
+forest, children first, packs each arrow's grades on all these walks in one
+int, a field per walk wide enough that sums of them never carry into the
+next, so a cut's grades are one sum of ints.
 
 Cuts form an exact-one hitting problem over the cycles: choosing an arrow
 satisfies every cycle through it and forbids all other arrows of those
@@ -176,53 +176,44 @@ def has_enough_cuts(q: QuiverWithCycles) -> bool:
     return len(used) == len(q.cut_space.arrows)
 
 
-def _basis_walks(q: QuiverWithCycles) -> list[dict[int, int]]:
-    """A cycle-space basis, one closed walk per chord of the spanning forest, each as ``{arrow position: ±1}``.
+def _packed_grades(q: QuiverWithCycles) -> list[int]:
+    """Each arrow's grades on the chord walks of the spanning forest packed in one int, indexed by bit position.
 
-    The walk of a chord from ``s`` to ``t`` returns through the tree, found
-    by climbing from the deeper end until the two meet, so it crosses each
-    arrow at most once: a tree arrow counts its direction on the side of
-    ``s`` and the opposite on the side of ``t``.  A cut grades a walk by the
-    sum over its arrows.  Degree is linear on walks, so cuts that agree on
-    the basis agree on every cyclic walk.
+    Chord ``k``, from ``s_k`` to ``t_k``, closes one walk of a cycle-space
+    basis: the chord, then the forest path from ``t_k`` back to ``s_k``, each
+    arrow crossed at most once.  A cut grades the walk by the sum of its
+    arrows' grades there, and degree is linear on walks, so cuts that agree
+    on every chord walk agree on every cyclic walk.  Walk ``k`` owns the
+    field of ``w`` bits at ``k * w``, and the chord itself holds 1 there.
+    The walk crosses the forest arrow above ``v`` exactly when one chord end
+    lies in ``v``'s subtree: it comes down to ``s_k``, grading the arrow by
+    its direction, and climbs away from ``t_k``, grading it by the opposite.
+    So one pass, children first, carries up ``below[v]``, whose field ``k``
+    is ``[s_k under v] - [t_k under v]``, and the arrow above ``v`` packs
+    ``below[v]`` times its direction.
+
+    A walk crosses at most ``depth(s_k) + depth(t_k) + 1`` arrows, and ``w``
+    is one more than the bit length of the greatest such bound, so a cut, or
+    any part of one, leaves every field of its sum a coefficient ``c`` with
+    ``|c| < 2 ** (w - 1)``.  In this balanced radix two sums are equal
+    exactly when their grades are equal on every walk, with no step through
+    their difference; one bit less would need that step.
     """
-    at = q.cut_space.at
-    tree = q.quiver.forest
+    at, tree = q.cut_space.at, q.quiver.forest
     depth = dict.fromkeys(tree.root.values(), 0)
     for v, (parent, _, _) in tree.parents.items():  # parents first
         depth[v] = depth[parent] + 1
-    basis = []
-    for a in tree.chords:
-        walk, s, t = {at[a.name]: 1}, a.source, a.target
-        while s != t:
-            if depth[s] >= depth[t]:
-                s, arrow, direction = tree.parents[s]
-                walk[at[arrow.name]] = direction
-            else:
-                t, arrow, direction = tree.parents[t]
-                walk[at[arrow.name]] = -direction
-        basis.append(walk)
-    return basis
-
-
-def _packed_grades(q: QuiverWithCycles) -> list[int]:
-    """Each arrow's grades on the basis walks packed in one int, indexed by the arrow's bit position.
-
-    Walk ``k`` of :func:`_basis_walks` owns the field of ``w`` bits at
-    ``k * w``, where ``w`` is one more than the bit length of the longest
-    walk, so an arrow's value is the sum of its grades ``g`` times
-    ``2 ** (k * w)``.  A cut, or any part of one, grades a walk by at most
-    the walk's length in absolute value, so every field of a sum of these
-    ints holds a coefficient ``c`` with ``|c| < 2 ** (w - 1)``; in this
-    balanced radix two sums are equal exactly when their grades are equal
-    on every walk.
-    """
-    basis = _basis_walks(q)
-    w = max(map(len, basis), default=0).bit_length() + 1
+    w = max((depth[a.source] + depth[a.target] + 1 for a in tree.chords), default=0).bit_length() + 1
     packed = [0] * (8 * q.cut_space.nb)
-    for k, walk in enumerate(basis):
-        for p, grade in walk.items():
-            packed[p] += grade << k * w
+    below = dict.fromkeys(tree.root, 0)
+    for k, a in enumerate(tree.chords):
+        packed[at[a.name]] = field = 1 << k * w
+        below[a.source] += field
+        below[a.target] -= field
+    for v, (parent, arrow, direction) in reversed(tree.parents.items()):  # children first
+        ends = below.pop(v)
+        packed[at[arrow.name]] = ends if direction > 0 else -ends
+        below[parent] += ends
     return packed
 
 
@@ -236,7 +227,7 @@ def are_compatible(q: QuiverWithCycles, first: Iterable[ArrowId], second: Iterab
 def is_fully_compatible(q: QuiverWithCycles) -> bool:
     """True iff all cuts of ``q`` are pairwise compatible.
 
-    Each arrow's grades on the basis walks are packed in one int by
+    Each arrow's grades on the chord walks are packed in one int by
     ``_packed_grades``.  They add up along a DAG path, so each state has the
     set of sums of the paths below it, the sink the empty path's 0; all cuts
     agree iff no state has two, which is decided children first, keeping one

@@ -10,9 +10,9 @@ per arrow, turns name sets into masks, lays masks out as a byte table read
 as rows of names and as columns of bits, and holds the cut-state DAG, a node
 table that every cut computation reads.  One BFS spanning forest per quiver,
 ``Quiver.forest``, rooted at each component's least vertex, gives the
-components that :func:`validate` counts, the chords of the cycle-space
-basis of compatibility and the fundamental-group presentation of each
-component of the canvas.
+components that :func:`validate` counts, the chords whose closed walks
+compatibility compares cuts on and the fundamental-group presentation of
+each component of the canvas.
 
 All values are immutable after construction and every operation here is a
 pure function, so they are safe to share across threads.  Collections are

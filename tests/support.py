@@ -5,7 +5,10 @@ all subsets, so it shares no code path with the enumerator or ``is_cut``.
 The mutation oracles likewise work on frozensets of arrow names, apart from
 the bit masks the library uses.  The compatibility oracle looks for a height
 function whose differences are the two cuts' difference, apart from the
-spanning-tree basis the library compares on.  The enough-cuts and
+spanning-tree basis the library compares on.  The basis-walk oracle
+climbs the forest from both ends of each chord until they meet and keeps
+each walk as a dict of signs, apart from the library's one children-first
+pass that packs every arrow's grades in one int.  The enough-cuts and
 full-compatibility oracles judge a list of all the cuts, apart from the
 cut-state DAG the library reads.  The mutation-graph component count is a
 breadth-first search over the oracle's directed edges, apart from the
@@ -249,6 +252,35 @@ def oracle_are_compatible(q: QuiverWithCycles, first: Iterable[str], second: Ite
                 elif height[w] != height[v] + d:
                     return False
     return True
+
+
+def oracle_basis_walks(q: QuiverWithCycles) -> list[dict[int, int]]:
+    """A cycle-space basis, one closed walk per chord of the spanning forest, each as ``{arrow position: ±1}``.
+
+    The walk of a chord from ``s`` to ``t`` returns through the tree, found
+    by climbing from the deeper end until the two meet, so it crosses each
+    arrow at most once: a tree arrow counts its direction on the side of
+    ``s`` and the opposite on the side of ``t``.  A cut grades a walk by the
+    sum over its arrows.  Degree is linear on walks, so cuts that agree on
+    the basis agree on every cyclic walk.
+    """
+    at = q.cut_space.at
+    tree = q.quiver.forest
+    depth = dict.fromkeys(tree.root.values(), 0)
+    for v, (parent, _, _) in tree.parents.items():  # parents first
+        depth[v] = depth[parent] + 1
+    basis = []
+    for a in tree.chords:
+        walk, s, t = {at[a.name]: 1}, a.source, a.target
+        while s != t:
+            if depth[s] >= depth[t]:
+                s, arrow, direction = tree.parents[s]
+                walk[at[arrow.name]] = direction
+            else:
+                t, arrow, direction = tree.parents[t]
+                walk[at[arrow.name]] = -direction
+        basis.append(walk)
+    return basis
 
 
 def oracle_has_enough_cuts(q: QuiverWithCycles, cuts: list[Iterable[str]]) -> bool:

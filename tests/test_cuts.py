@@ -15,6 +15,7 @@ from support import (
     cycle_core,
     is_acyclic,
     oracle_are_compatible,
+    oracle_basis_walks,
     oracle_has_enough_cuts,
     oracle_is_cut,
     oracle_component_count,
@@ -33,7 +34,7 @@ from quivercuts.canvas import _presentations, pi1_presentation
 from quivercuts.cli import main
 from quivercuts.cuts import (
     UncoveredQuiverWarning,
-    _basis_walks,
+    _packed_grades,
     are_compatible,
     count_cuts,
     enumerate_cuts,
@@ -576,20 +577,116 @@ def test_compatibility_is_an_equivalence(b2b2_split):
             assert are_compatible(q, c1, c1)
 
 
+def _grades(value, w):
+    """The nonzero balanced fields of ``w`` bits in ``value``, lowest first, as ``{field: c}`` with ``-2 ** (w - 1) <= c < 2 ** (w - 1)``."""
+    assert w >= 2  # a one-bit field has no balanced digits, and the loop below would not end
+    half, grades = 1 << w - 1, {}
+    while value:
+        k = ((value & -value).bit_length() - 1) // w  # the lowest field not yet read
+        grades[k] = c = ((value >> k * w) + half) % (1 << w) - half
+        value -= c << k * w
+    return grades
+
+
+def _chord_grades(q):
+    """Each arrow's ``_packed_grades`` value, by bit position, read as ``{chord index: grade}``, and the field width.
+
+    The width is read off the second chord's value, ``1 << w``; with fewer
+    chords every value lies in one field and any width of two bits reads it.
+    """
+    packed, at, chords = _packed_grades(q), q.cut_space.at, q.quiver.forest.chords
+    w = packed[at[chords[1].name]].bit_length() - 1 if len(chords) > 1 else 2
+    return [_grades(value, w) for value in packed], w
+
+
+def _back_arrowed_cycle():
+    """A directed 2000-cycle of arrows ``c`` with back arrows ``d_i: v(i + 1000) -> v(i)``, the cycle distinguished.
+
+    Its forest leaves 1,001 chords, and one chord's walk crosses 1,001 arrows.
+    """
+    n = 2000
+    vertices = [f"v{i:04d}" for i in range(n)]
+    arrows = [Arrow(f"c{i:04d}", vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+    arrows += [Arrow(f"d{i:04d}", vertices[i + 1000], vertices[i]) for i in range(1000)]
+    return qwc(vertices, arrows, [Cycle(tuple(a.name for a in arrows[:n]))])
+
+
+def _packing_sample(*fixtures):
+    """The fixtures' quivers, 300 seeded random ones, E8xE8, A10xA10 and the back-arrowed cycle."""
+    quivers = [value.qwc for value in fixtures]
+    quivers += [random_quiver_with_cycles(random.Random(seed), 5, 9) for seed in range(300)]
+    for x in ("E8", "A10"):
+        quivers.append(tensor_qwc(dynkin_quiver(parse_dynkin_spec(x)), dynkin_quiver(parse_dynkin_spec(x))).qwc)
+    quivers.append(_back_arrowed_cycle())
+    return quivers
+
+
+def test_packed_grades_decode_to_the_oracle_walks(b2b2_split, circle, a3b2):
+    for q in _packing_sample(b2b2_split, circle, a3b2):
+        grades, _ = _chord_grades(q)
+        expected = [{} for _ in grades]
+        for k, walk in enumerate(oracle_basis_walks(q)):
+            for p, grade in walk.items():
+                expected[p][k] = grade
+        assert grades == expected
+
+
+def test_packed_walks_are_closed_and_chords_own_their_fields(b2b2_split, circle, a3b2):
+    for q in _packing_sample(b2b2_split, circle, a3b2):
+        packed, at, chords = _packed_grades(q), q.cut_space.at, q.quiver.forest.chords
+        # every walk enters each vertex as often as it leaves it
+        balance = {}
+        for a in q.quiver.arrows:
+            balance[a.source] = balance.get(a.source, 0) + packed[at[a.name]]
+            balance[a.target] = balance.get(a.target, 0) - packed[at[a.name]]
+        assert set(balance.values()) <= {0}
+        if len(chords) > 1:
+            w = packed[at[chords[1].name]].bit_length() - 1
+            assert w >= 2
+            assert [packed[at[a.name]] for a in chords] == [1 << k * w for k in range(len(chords))]
+        else:
+            assert [packed[at[a.name]] for a in chords] in ([], [1])
+
+
+def test_a_forest_packs_to_zeros():
+    forests = [QuiverWithCycles(random_tree_quiver(random.Random(seed), 8).quiver, ()) for seed in range(20)]
+    forests.append(qwc(["1", "2", "3", "4", "5"], [Arrow("a", "2", "1"), Arrow("b", "1", "3"), Arrow("c", "5", "4")]))
+    forests.append(qwc(["1"], []))
+    for q in forests:
+        assert not q.quiver.forest.chords
+        assert set(_packed_grades(q)) <= {0}
+
+
+def test_compatibility_on_a_back_arrowed_cycle_matches_the_oracle():
+    # one-arrow cuts of the 2000-cycle: only equal ones are compatible, since each
+    # back arrow d_i has exactly one end on the arc where two distinct cuts' heights differ
+    q = _back_arrowed_cycle()
+    _, w = _chord_grades(q)
+    assert (len(q.quiver.forest.chords), w) == (1001, 11)
+    assert max(map(len, oracle_basis_walks(q))) == 1001
+    rng = random.Random(0)
+    for _ in range(40):
+        i = rng.randrange(2000)
+        j = rng.choice([i, (i + 1) % 2000, rng.randrange(2000)])
+        first, second = [f"c{i:04d}"], [f"c{j:04d}"]
+        assert are_compatible(q, first, second) == oracle_are_compatible(q, first, second) == (i == j)
+
+
 @pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
 def test_packed_grades_exact_near_the_field_bound():
     # a directed 7-cycle c0..c6 with a 2-cycle (ci, di) hung on each arrow but c3, and a
-    # free arrow c7 beside c0: the first walk, chord c3's, crosses the seven c arrows, so
-    # each field holds |grade| < 8, and the cuts grade it 0 to 6; the next walk, c7's,
-    # is graded -1 by the cuts through c0, so 2-bit fields would confuse a cut through
-    # c0 with one outside it that has four fewer c arrows
+    # free arrow c7 beside c0: the first walk, chord c3's, crosses the seven c arrows and
+    # its ends lie at depth 3, so 4-bit fields hold |grade| < 8, and the cuts grade it 0
+    # to 6; the next walk, c7's, is graded -1 by the cuts through c0, so 2-bit fields
+    # would confuse a cut through c0 with one outside it that has four fewer c arrows
     arrows = [Arrow(f"c{i}", f"v{i}", f"v{(i + 1) % 7}") for i in range(7)] + [Arrow("c7", "v0", "v1")]
     arrows += [Arrow(f"d{i}", f"v{(i + 1) % 7}", f"v{i}") for i in range(7) if i != 3]
     q = qwc([f"v{i}" for i in range(7)], arrows, [Cycle((f"c{i}", f"d{i}")) for i in range(7) if i != 3])
     cuts = enumerate_cuts(q)
-    at, walks = q.cut_space.at, _basis_walks(q)
-    assert [len(walk) for walk in walks[:2]] == [7, 2]
-    assert max(sum(walks[0].get(at[name], 0) for name in cut) for cut in cuts) == 6
+    packed, at = _packed_grades(q), q.cut_space.at
+    _, w = _chord_grades(q)
+    assert w == 4
+    assert max(_grades(sum(packed[at[name]] for name in cut), w).get(0, 0) for cut in cuts) == 6
     for first in cuts:
         for second in cuts:
             assert are_compatible(q, first, second) == oracle_are_compatible(q, first, second)

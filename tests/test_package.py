@@ -32,7 +32,6 @@ EXPORTS = {
     "is_fully_compatible",
     "truncated_presentation",
     "truncated_quiver",
-    "write_cuts",
     # docio
     "DocumentError",
     "DocumentInvariantError",
@@ -43,6 +42,7 @@ EXPORTS = {
     "parse_quiver_document",
     "quiver_to_dot",
     "serialize_quiver_document",
+    "write_cuts",
     # model
     "Arrow",
     "ArrowId",
