@@ -19,6 +19,15 @@ violations and structural invariant violations; a disconnected but otherwise
 sound quiver parses with a warning, since several operations work per
 component.
 
+The reader checks the vertices, then the arrows, then the cycles, each
+entry's fields in a fixed order, and stops at the first schema error.  An
+entry is checked by plain type tests and one comparison of its key set; the
+text that says where it sits, such as ``arrows[3].source``, is built only
+for the entry that fails, by the helper that words its message.  Each
+distinct label is parsed once and shared by the vertices that carry it.
+Then :func:`~quivercuts.model.validate` runs once, and every invariant
+violation it finds is reported, joined by ``"; "``.
+
 DOT export renders quivers as digraphs (cut arrows dashed) and mutation
 graphs as undirected graphs by default, matching mutation-lattice figures.
 The streamed writers, :func:`write_cuts` for the ``cuts`` lines and the
@@ -77,16 +86,24 @@ def _expect_keys(obj: Mapping[str, Any], where: str, required: set[str], optiona
         raise DocumentSchemaError(f"{where}: missing field(s) " + ", ".join(map(repr, sorted(missing))))
 
 
-def _expect_str(value: Any, where: str) -> str:
+def _expect_str(value: Any, where: str) -> None:
     if not isinstance(value, str) or not value:
         raise DocumentSchemaError(f"{where}: expected a non-empty string, got {value!r}")
-    return value
+
+
+# The key sets an entry of each kind may have.  Only an entry whose keys match none of its kind's
+# sets runs ``_expect_keys``, the helper that names the unknown or missing field.
+_VERTEX, _LABELLED_VERTEX = frozenset({"id"}), frozenset({"id", "label"})
+_LABEL, _SPLIT_LABEL = frozenset({"kind"}), frozenset({"kind", "split_count"})
+_ARROW = frozenset({"id", "source", "target"})
+_CYCLE, _SIGNED_CYCLE = frozenset({"arrows"}), frozenset({"arrows", "sign"})
 
 
 def _parse_label(obj: Any, where: str) -> DivisionLabel:
     if not isinstance(obj, dict):
         raise DocumentSchemaError(f"{where}: label must be an object")
-    _expect_keys(obj, where, {"kind"}, {"split_count"})
+    if obj.keys() != _LABEL and obj.keys() != _SPLIT_LABEL:
+        _expect_keys(obj, where, _LABEL, {"split_count"})
     split_count = obj.get("split_count", 1)
     if not isinstance(split_count, int) or isinstance(split_count, bool):
         raise DocumentSchemaError(f"{where}: split_count must be a positive integer")
@@ -97,12 +114,14 @@ def _parse_label(obj: Any, where: str) -> DivisionLabel:
 
 
 def parse_quiver_document(text: str) -> LabeledQuiverWithCycles:
-    """Parse a quiver document, reporting every violation it can name.
+    """Parse a quiver document: the first schema error it meets, or every invariant violation.
 
     Raises :class:`DocumentSyntaxError` for malformed JSON,
-    :class:`DocumentSchemaError` for shape problems (naming the field or
-    identifier) and :class:`DocumentInvariantError` for structural
-    violations.  A merely disconnected quiver warns instead of failing.
+    :class:`DocumentSchemaError` for the first shape problem, in document
+    order (naming the field or identifier), and
+    :class:`DocumentInvariantError` for structural violations, all of them
+    joined by ``"; "``.  A merely disconnected quiver warns instead of
+    failing.
     """
     try:
         data = json.loads(text)
@@ -129,54 +148,82 @@ def parse_quiver_document(text: str) -> LabeledQuiverWithCycles:
     for field in ("vertices", "arrows", "cycles"):
         if not isinstance(data.get(field, []), list):
             raise DocumentSchemaError(f"{field} must be an array")
+    # json.loads builds exact dicts, lists, strs and ints, so each ``type(x) is`` test below accepts
+    # what the ``isinstance`` test of its message helper accepts, and ``type(x) is int`` refuses a bool
     vertices: list[str] = []
     labels: dict[str, tuple[DivisionLabel, ...]] = {}
+    made: dict[tuple[str, int], tuple[DivisionLabel]] = {}
     seen_vertices: set[str] = set()
     for i, entry in enumerate(data["vertices"]):
-        where = f"vertices[{i}]"
-        if not isinstance(entry, dict):
-            raise DocumentSchemaError(f"{where}: expected an object")
-        _expect_keys(entry, where, {"id"}, {"label"})
-        vid = _expect_str(entry["id"], f"{where}.id")
+        if type(entry) is not dict:
+            raise DocumentSchemaError(f"vertices[{i}]: expected an object")
+        keys = entry.keys()
+        if keys != _VERTEX and keys != _LABELLED_VERTEX:
+            _expect_keys(entry, f"vertices[{i}]", _VERTEX, {"label"})
+        vid = entry["id"]
+        if type(vid) is not str or not vid:
+            _expect_str(vid, f"vertices[{i}].id")
         if vid in seen_vertices:
-            raise DocumentSchemaError(f"{where}: duplicate vertex id {vid!r}")
+            raise DocumentSchemaError(f"vertices[{i}]: duplicate vertex id {vid!r}")
         seen_vertices.add(vid)
         vertices.append(vid)
         if "label" in entry:
-            labels[vid] = (_parse_label(entry["label"], f"{where}.label"),)
+            label = entry["label"]
+            if (
+                type(label) is dict
+                and (label.keys() == _LABEL or label.keys() == _SPLIT_LABEL)
+                and type(label["kind"]) is str
+                and type(label.get("split_count", 1)) is int
+            ):  # parsed at the first vertex with its kind and split count, and shared
+                key = label["kind"], label.get("split_count", 1)
+                if key not in made:
+                    made[key] = (_parse_label(label, f"vertices[{i}].label"),)
+                labels[vid] = made[key]
+            else:  # raises, naming the problem
+                labels[vid] = (_parse_label(label, f"vertices[{i}].label"),)
 
     arrows: list[Arrow] = []
     seen_arrows: set[str] = set()
     for i, entry in enumerate(data.get("arrows", [])):
-        where = f"arrows[{i}]"
-        if not isinstance(entry, dict):
-            raise DocumentSchemaError(f"{where}: expected an object")
-        _expect_keys(entry, where, {"id", "source", "target"}, set())
-        aid = _expect_str(entry["id"], f"{where}.id")
-        if "," in aid:  # the CLI's --cut option and the cuts lines separate names by commas
-            raise DocumentSchemaError(f"{where}.id: arrow id {aid!r} contains ','")
+        if type(entry) is not dict:
+            raise DocumentSchemaError(f"arrows[{i}]: expected an object")
+        if entry.keys() != _ARROW:
+            _expect_keys(entry, f"arrows[{i}]", _ARROW, set())
+        aid, source, target = entry["id"], entry["source"], entry["target"]
+        if type(aid) is not str or not aid:
+            _expect_str(aid, f"arrows[{i}].id")
+        # the CLI's --cut option and the cuts lines separate names by commas, and the lines by line breaks
+        if "," in aid or "\n" in aid or "\r" in aid:
+            rule = "','" if "," in aid else "a line break"
+            raise DocumentSchemaError(f"arrows[{i}].id: arrow id {aid!r} contains {rule}")
         if aid in seen_arrows:
-            raise DocumentSchemaError(f"{where}: duplicate arrow id {aid!r}")
+            raise DocumentSchemaError(f"arrows[{i}]: duplicate arrow id {aid!r}")
         seen_arrows.add(aid)
-        arrows.append(
-            Arrow(aid, _expect_str(entry["source"], f"{where}.source"), _expect_str(entry["target"], f"{where}.target"))
-        )
+        if type(source) is not str or not source:
+            _expect_str(source, f"arrows[{i}].source")
+        if type(target) is not str or not target:
+            _expect_str(target, f"arrows[{i}].target")
+        arrows.append(Arrow(aid, source, target))
 
     cycles: list[Cycle] = []
     for i, entry in enumerate(data.get("cycles", [])):
-        where = f"cycles[{i}]"
-        if not isinstance(entry, dict):
-            raise DocumentSchemaError(f"{where}: expected an object")
-        _expect_keys(entry, where, {"arrows"}, {"sign"})
+        if type(entry) is not dict:
+            raise DocumentSchemaError(f"cycles[{i}]: expected an object")
+        keys = entry.keys()
+        if keys != _CYCLE and keys != _SIGNED_CYCLE:
+            _expect_keys(entry, f"cycles[{i}]", _CYCLE, {"sign"})
         names = entry["arrows"]
-        if not isinstance(names, list) or not names:
-            raise DocumentSchemaError(f"{where}.arrows: expected a non-empty array of arrow ids")
+        if type(names) is not list or not names:
+            raise DocumentSchemaError(f"cycles[{i}].arrows: expected a non-empty array of arrow ids")
         sign = None
         if "sign" in entry:
             sign = entry["sign"]
-            if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
-                raise DocumentSchemaError(f"{where}.sign: expected 1 or -1, got {sign!r}")
-        cycles.append(Cycle(tuple(_expect_str(n, f"{where}.arrows") for n in names), sign))
+            if type(sign) is not int or (sign != 1 and sign != -1):
+                raise DocumentSchemaError(f"cycles[{i}].sign: expected 1 or -1, got {sign!r}")
+        for name in names:
+            if type(name) is not str or not name:
+                _expect_str(name, f"cycles[{i}].arrows")
+        cycles.append(Cycle(tuple(names), sign))
 
     qwc = QuiverWithCycles(Quiver(tuple(vertices), tuple(arrows)), tuple(cycles))
     violations = validate(qwc)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, repeat
-from operator import or_
+from operator import attrgetter, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 VertexId = str
@@ -360,39 +360,49 @@ def validate(q: QuiverWithCycles) -> list[str]:
     """
     violations: list[str] = []
     quiver = q.quiver
+    arrows, arrow_map = quiver.arrows, quiver.arrow_map
+    declared = set(quiver.vertices)
+    # each check runs over the whole quiver first; the loop that words its messages runs only if it fails
+    if len(declared) < len(quiver.vertices):
+        seen_v: set[VertexId] = set()
+        for v in quiver.vertices:
+            if v in seen_v:
+                violations.append(f"duplicate vertex {v!r}")
+            seen_v.add(v)
 
-    seen_v: set[VertexId] = set()
-    for v in quiver.vertices:
-        if v in seen_v:
-            violations.append(f"duplicate vertex {v!r}")
-        seen_v.add(v)
-
-    seen_a: set[ArrowId] = set()
-    for a in quiver.arrows:
-        if a.name in seen_a:
-            violations.append(f"duplicate arrow {a.name!r}")
-        seen_a.add(a.name)
-        for endpoint in (a.source, a.target):
-            if endpoint not in seen_v:
-                violations.append(f"arrow {a.name!r} references undeclared vertex {endpoint!r}")
+    if (
+        len(arrow_map) < len(arrows)
+        or not declared.issuperset(map(attrgetter("source"), arrows))
+        or not declared.issuperset(map(attrgetter("target"), arrows))
+    ):
+        seen_a: set[ArrowId] = set()
+        for a in arrows:
+            if a.name in seen_a:
+                violations.append(f"duplicate arrow {a.name!r}")
+            seen_a.add(a.name)
+            for endpoint in (a.source, a.target):
+                if endpoint not in declared:
+                    violations.append(f"arrow {a.name!r} references undeclared vertex {endpoint!r}")
 
     for c in q.cycles:
-        broken = False
-        for name in c.arrows:
-            if name not in quiver.arrow_map:
-                violations.append(f"cycle {c.arrows} uses unknown arrow {name!r}")
-                broken = True
-        if broken:
+        try:
+            path = list(map(arrow_map.__getitem__, c.arrows))
+        except KeyError:
+            violations += [
+                f"cycle {c.arrows} uses unknown arrow {name!r}" for name in c.arrows if name not in arrow_map
+            ]
             continue
-        n = len(c.arrows)
-        for i in range(n):
-            here = quiver.arrow_map[c.arrows[i]]
-            nxt = quiver.arrow_map[c.arrows[(i + 1) % n]]
-            if here.target != nxt.source:
-                violations.append(
+        prev = path[-1]
+        for a in path:
+            if prev.target != a.source:
+                violations += [
                     f"cycle {c.arrows} does not chain at arrow {here.name!r} "
                     f"(target {here.target!r} != next source {nxt.source!r})"
-                )
+                    for here, nxt in zip(path, path[1:] + path[:1])
+                    if here.target != nxt.source
+                ]
+                break
+            prev = a
 
     roots = sorted(set(quiver.forest.root.values()))
     if len(roots) > 1:

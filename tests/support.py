@@ -26,7 +26,12 @@ through.  The Smith oracle is the dense pivot loop alone, without the
 library's worklist over unit rows.  The document oracle builds the
 document as nested dicts and lists and hands it to ``json.dumps(indent=2)``,
 apart from the text the library writes directly; it shares only the label
-collapse, ``tensor._product_label``.
+collapse, ``tensor._product_label``.  The reader oracle checks every entry
+through helpers that format where it sits whether or not it fails, and
+parses a label per vertex, apart from the plain type tests and shared labels
+of the library's reader; the invariant oracle it calls checks each arrow and
+each cycle link by itself, apart from the library's checks over the whole
+quiver first.
 """
 
 from __future__ import annotations
@@ -34,13 +39,22 @@ from __future__ import annotations
 import io
 import json
 import random
+import sys
+import warnings
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
 from quivercuts.coset import EnumerationResult
-from quivercuts.docio import FORMAT_VERSION
+from quivercuts.docio import (
+    FORMAT_VERSION,
+    DisconnectedQuiverWarning,
+    DocumentError,
+    DocumentInvariantError,
+    DocumentSchemaError,
+    DocumentSyntaxError,
+)
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
-from quivercuts.tensor import BASE, LabeledDynkinSpec, LabeledQuiver, LabeledQuiverWithCycles, _product_label
+from quivercuts.tensor import BASE, DivisionLabel, LabeledDynkinSpec, LabeledQuiver, LabeledQuiverWithCycles, _product_label
 
 Step = tuple[str, int]  # (arrow name, +1 along the arrow or -1 against it)
 
@@ -81,6 +95,184 @@ def reference_quiver_document(value: LabeledQuiverWithCycles | QuiverWithCycles)
         "cycles": cycles,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _oracle_expect_keys(obj, where: str, required: set[str], optional: set[str]) -> None:
+    unknown = set(obj) - required - optional
+    if unknown:
+        raise DocumentSchemaError(f"{where}: unknown field(s) " + ", ".join(map(repr, sorted(unknown))))
+    missing = required - set(obj)
+    if missing:
+        raise DocumentSchemaError(f"{where}: missing field(s) " + ", ".join(map(repr, sorted(missing))))
+
+
+def _oracle_expect_str(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise DocumentSchemaError(f"{where}: expected a non-empty string, got {value!r}")
+    return value
+
+
+def _oracle_parse_label(obj, where: str) -> DivisionLabel:
+    if not isinstance(obj, dict):
+        raise DocumentSchemaError(f"{where}: label must be an object")
+    _oracle_expect_keys(obj, where, {"kind"}, {"split_count"})
+    split_count = obj.get("split_count", 1)
+    if not isinstance(split_count, int) or isinstance(split_count, bool):
+        raise DocumentSchemaError(f"{where}: split_count must be a positive integer")
+    try:
+        return DivisionLabel(obj["kind"], split_count)
+    except ValueError as exc:
+        raise DocumentSchemaError(f"{where}: {exc}") from None
+
+
+def oracle_validate(q: QuiverWithCycles) -> list[str]:
+    """Every invariant violation of ``q``: each vertex, arrow and cycle link checked by itself."""
+    violations: list[str] = []
+    quiver = q.quiver
+
+    seen_v: set[str] = set()
+    for v in quiver.vertices:
+        if v in seen_v:
+            violations.append(f"duplicate vertex {v!r}")
+        seen_v.add(v)
+
+    seen_a: set[str] = set()
+    for a in quiver.arrows:
+        if a.name in seen_a:
+            violations.append(f"duplicate arrow {a.name!r}")
+        seen_a.add(a.name)
+        for endpoint in (a.source, a.target):
+            if endpoint not in seen_v:
+                violations.append(f"arrow {a.name!r} references undeclared vertex {endpoint!r}")
+
+    for c in q.cycles:
+        broken = False
+        for name in c.arrows:
+            if name not in quiver.arrow_map:
+                violations.append(f"cycle {c.arrows} uses unknown arrow {name!r}")
+                broken = True
+        if broken:
+            continue
+        n = len(c.arrows)
+        for i in range(n):
+            here = quiver.arrow_map[c.arrows[i]]
+            nxt = quiver.arrow_map[c.arrows[(i + 1) % n]]
+            if here.target != nxt.source:
+                violations.append(
+                    f"cycle {c.arrows} does not chain at arrow {here.name!r} "
+                    f"(target {here.target!r} != next source {nxt.source!r})"
+                )
+
+    roots = sorted(set(quiver.forest.root.values()))
+    if len(roots) > 1:
+        reps = ", ".join(map(repr, roots))
+        violations.append(f"quiver is not connected ({len(roots)} components, containing {reps})")
+
+    return violations
+
+
+def oracle_parse_quiver_document(text: str) -> LabeledQuiverWithCycles:
+    """The document of ``text``, or the ``DocumentError`` the reader raises, read an entry and a check at a time."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentSyntaxError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise DocumentSyntaxError("nesting too deep") from None
+    except ValueError:  # an integer longer than int() converts
+        raise DocumentSyntaxError(f"number longer than {sys.get_int_max_str_digits()} digits") from None
+    if not isinstance(data, dict):
+        raise DocumentSchemaError("document root must be an object")
+    _oracle_expect_keys(data, "document", {"format_version", "vertices"}, {"arrows", "cycles"})
+
+    version = data["format_version"]
+    if not isinstance(version, int) or isinstance(version, bool):
+        raise DocumentSchemaError("format_version must be an integer")
+    if version < 1:
+        raise DocumentSchemaError(f"format_version must be at least 1, got {version}")
+    if version > FORMAT_VERSION:
+        raise DocumentSchemaError(
+            f"format_version {version} is newer than the supported version {FORMAT_VERSION}"
+        )
+
+    for field in ("vertices", "arrows", "cycles"):
+        if not isinstance(data.get(field, []), list):
+            raise DocumentSchemaError(f"{field} must be an array")
+    vertices: list[str] = []
+    labels: dict[str, tuple[DivisionLabel, ...]] = {}
+    seen_vertices: set[str] = set()
+    for i, entry in enumerate(data["vertices"]):
+        where = f"vertices[{i}]"
+        if not isinstance(entry, dict):
+            raise DocumentSchemaError(f"{where}: expected an object")
+        _oracle_expect_keys(entry, where, {"id"}, {"label"})
+        vid = _oracle_expect_str(entry["id"], f"{where}.id")
+        if vid in seen_vertices:
+            raise DocumentSchemaError(f"{where}: duplicate vertex id {vid!r}")
+        seen_vertices.add(vid)
+        vertices.append(vid)
+        if "label" in entry:
+            labels[vid] = (_oracle_parse_label(entry["label"], f"{where}.label"),)
+
+    arrows: list[Arrow] = []
+    seen_arrows: set[str] = set()
+    for i, entry in enumerate(data.get("arrows", [])):
+        where = f"arrows[{i}]"
+        if not isinstance(entry, dict):
+            raise DocumentSchemaError(f"{where}: expected an object")
+        _oracle_expect_keys(entry, where, {"id", "source", "target"}, set())
+        aid = _oracle_expect_str(entry["id"], f"{where}.id")
+        if "," in aid:
+            raise DocumentSchemaError(f"{where}.id: arrow id {aid!r} contains ','")
+        if "\n" in aid or "\r" in aid:
+            raise DocumentSchemaError(f"{where}.id: arrow id {aid!r} contains a line break")
+        if aid in seen_arrows:
+            raise DocumentSchemaError(f"{where}: duplicate arrow id {aid!r}")
+        seen_arrows.add(aid)
+        arrows.append(
+            Arrow(
+                aid,
+                _oracle_expect_str(entry["source"], f"{where}.source"),
+                _oracle_expect_str(entry["target"], f"{where}.target"),
+            )
+        )
+
+    cycles: list[Cycle] = []
+    for i, entry in enumerate(data.get("cycles", [])):
+        where = f"cycles[{i}]"
+        if not isinstance(entry, dict):
+            raise DocumentSchemaError(f"{where}: expected an object")
+        _oracle_expect_keys(entry, where, {"arrows"}, {"sign"})
+        names = entry["arrows"]
+        if not isinstance(names, list) or not names:
+            raise DocumentSchemaError(f"{where}.arrows: expected a non-empty array of arrow ids")
+        sign = None
+        if "sign" in entry:
+            sign = entry["sign"]
+            if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
+                raise DocumentSchemaError(f"{where}.sign: expected 1 or -1, got {sign!r}")
+        cycles.append(Cycle(tuple(_oracle_expect_str(n, f"{where}.arrows") for n in names), sign))
+
+    qwc = QuiverWithCycles(Quiver(tuple(vertices), tuple(arrows)), tuple(cycles))
+    violations = oracle_validate(qwc)
+    connectivity = [v for v in violations if v.startswith("quiver is not connected")]
+    hard = [v for v in violations if not v.startswith("quiver is not connected")]
+    if hard:
+        raise DocumentInvariantError("; ".join(hard))
+    if connectivity:
+        warnings.warn(connectivity[0], DisconnectedQuiverWarning, stacklevel=2)
+    return LabeledQuiverWithCycles(qwc, labels)
+
+
+def parse_outcome(parse, text: str) -> tuple:
+    """What ``parse(text)`` gives, a value or a ``DocumentError``'s class and message, and its warnings' texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = parse(text)
+        except DocumentError as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, [(w.category, str(w.message)) for w in caught]
 
 
 def outgoing(quiver: Quiver, v: str) -> list[Arrow]:

@@ -131,13 +131,25 @@ def test_validate_overlong_number(tmp_path, capsys):
         ({"cycles": None}, "cycles must be an array"),
         ({"cycles": [{"arrows": ["a"], "sign": True}]}, "cycles[0].sign: expected 1 or -1, got True"),
         ({"arrows": [{"id": "a,b", "source": "1", "target": "1"}]}, "arrows[0].id: arrow id 'a,b' contains ','"),
+        (  # 'cuts' would list this quiver's two cuts on three lines
+            {
+                "vertices": [{"id": "1"}, {"id": "2"}],
+                "arrows": [
+                    {"id": "a\nx", "source": "1", "target": "2"},
+                    {"id": "b", "source": "2", "target": "1"},
+                    {"id": "c", "source": "2", "target": "1"},
+                ],
+                "cycles": [{"arrows": ["a\nx", "b"]}, {"arrows": ["a\nx", "c"]}],
+            },
+            "arrows[0].id: arrow id 'a\\nx' contains a line break",
+        ),
     ],
-    ids=["arrows-number", "cycles-null", "sign-bool", "comma-in-arrow-id"],
+    ids=["arrows-number", "cycles-null", "sign-bool", "comma-in-arrow-id", "line-break-in-arrow-id"],
 )
 def test_validate_schema_error_is_one_line(tmp_path, capsys, fields, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"format_version": 1, "vertices": [{"id": "1"}], **fields}))
-    for command in ("validate", "check"):
+    for command in ("validate", "check", "cuts"):
         code, out, err = run(capsys, command, str(bad))
         assert (code, out, err) == (1, "", f"error: {message}\n")
 

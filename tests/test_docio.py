@@ -1,12 +1,23 @@
+import contextlib
+import io
 import json
 import random
+import runpy
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from conftest import fixture_text
-from support import random_quiver_with_cycles, reference_quiver_document, written
+from support import (
+    oracle_parse_quiver_document,
+    parse_outcome,
+    random_quiver_with_cycles,
+    reference_quiver_document,
+    written,
+)
 
 from quivercuts import docio
+from quivercuts.cli import main
 from quivercuts.docio import (
     DisconnectedQuiverWarning,
     DocumentError,
@@ -29,6 +40,7 @@ from quivercuts.tensor import (
     dynkin_quiver,
     dynkin_spec,
     morita_split,
+    parse_dynkin_spec,
     tensor_qwc,
 )
 
@@ -44,6 +56,18 @@ def doc(**overrides):
     data = json.loads(json.dumps(MINIMAL))
     data.update(overrides)
     return json.dumps(data)
+
+
+def arrow(**fields):
+    """A loop ``a`` at vertex 1, with ``fields`` replaced."""
+    return {"id": "a", "source": "1", "target": "1", **fields}
+
+
+def labelled(vid, **label):
+    return {"id": vid, "label": label}
+
+
+NOT_A_NAME = "expected a non-empty string, got"
 
 
 def test_parse_minimal():
@@ -144,6 +168,28 @@ def test_deep_nesting_is_a_syntax_error(text):
             ),
             r"arrows\[1\]\.id: arrow id 'a,b' contains ','",
         ),
+        (doc(arrows=[arrow(id="a\nx")]), r"^arrows\[0\]\.id: arrow id 'a\\nx' contains a line break$"),
+        (doc(arrows=[arrow(), arrow(id="b\r")]), r"^arrows\[1\]\.id: arrow id 'b\\r' contains a line break$"),
+        # each bad label follows a good one of its kind, which the reader has parsed already
+        (
+            doc(vertices=[labelled("1", kind="Ext"), labelled("2", kind="Ext", x=1)]),
+            r"^vertices\[1\]\.label: unknown field\(s\) 'x'$",
+        ),
+        (doc(vertices=[labelled("1", kind=5)]), r"^vertices\[0\]\.label: label kind must be 'Base' or 'Ext', got 5$"),
+        *(
+            (
+                doc(vertices=[labelled("1", kind="Ext"), labelled("2", kind="Ext", split_count=n)]),
+                r"^vertices\[1\]\.label: split_count must be a positive integer$",
+            )
+            for n in (True, 1.5, "2")
+        ),
+        (doc(cycles=[{"arrows": ["a", ""]}]), rf"^cycles\[0\]\.arrows: {NOT_A_NAME} ''$"),
+        (doc(cycles=[{"arrows": ["a", 5]}]), rf"^cycles\[0\]\.arrows: {NOT_A_NAME} 5$"),
+        (doc(arrows=[arrow(source="")]), rf"^arrows\[0\]\.source: {NOT_A_NAME} ''$"),
+        (doc(arrows=[arrow(source=None)]), rf"^arrows\[0\]\.source: {NOT_A_NAME} None$"),
+        (doc(arrows=[arrow(target="")]), rf"^arrows\[0\]\.target: {NOT_A_NAME} ''$"),
+        (doc(arrows=[arrow(target=["1"])]), rf"^arrows\[0\]\.target: {NOT_A_NAME} \['1'\]$"),
+        (doc(cycles=[{"arrows": ["a"], "sign": None}]), r"^cycles\[0\]\.sign: expected 1 or -1, got None$"),
     ],
     ids=[
         "unknown-field",
@@ -173,6 +219,20 @@ def test_deep_nesting_is_a_syntax_error(text):
         "empty-id",
         "non-string-id",
         "comma-in-arrow-id",
+        "newline-in-arrow-id",
+        "return-in-arrow-id",
+        "label-unknown-field",
+        "label-kind-not-string",
+        "split-count-true",
+        "split-count-float",
+        "split-count-string",
+        "empty-cycle-name",
+        "non-string-cycle-name",
+        "empty-source",
+        "null-source",
+        "empty-target",
+        "list-target",
+        "sign-null",
     ],
 )
 def test_schema_errors_are_named(text, match):
@@ -200,6 +260,57 @@ def test_disconnected_parses_with_warning():
     with pytest.warns(DisconnectedQuiverWarning):
         value = parse_quiver_document(doc(vertices=[{"id": "1"}, {"id": "2"}]))
     assert len(value.qwc.quiver.vertices) == 2
+
+
+CATALOGUE = Path(__file__).resolve().parent.parent / "perfbench" / "catalogue.py"
+
+
+def _catalogue_documents() -> dict[str, str]:
+    """Every input document of the benchmark's inspect and lattice workloads, a product built by ``tensor``."""
+    catalogue = runpy.run_path(str(CATALOGUE))
+    documents = {}
+    for workload in ("inspect", "lattice"):
+        for name, source in catalogue["document_sources"](workload).items():
+            if isinstance(source, str):  # a canvas, given as text
+                documents[name] = source
+                continue
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(list(source)) == 0
+            documents[name] = out.getvalue()
+    return documents
+
+
+def test_reader_matches_its_oracle_on_fixtures_and_catalogue_documents():
+    fixtures = {name: fixture_text(name) for name in ("b2b2_split.json", "circle.json", "minimal.json")}
+    for name, text in {**fixtures, **_catalogue_documents()}.items():
+        outcome = parse_outcome(parse_quiver_document, text)
+        assert isinstance(outcome[0], LabeledQuiverWithCycles), name
+        assert outcome == parse_outcome(oracle_parse_quiver_document, text), name
+
+
+@pytest.mark.parametrize("left, right", [("D4", "D4"), ("F4", "F4")])
+def test_valid_document_builds_no_message_and_parses_each_label_once(monkeypatch, left, right):
+    text = serialize_quiver_document(
+        tensor_qwc(*(dynkin_quiver(parse_dynkin_spec(spec), split_count=2) for spec in (left, right)))
+    )
+    distinct = {json.dumps(v["label"]) for v in json.loads(text)["vertices"]}
+    calls: dict[str, list] = {"_expect_keys": [], "_expect_str": [], "_parse_label": [], "DivisionLabel": []}
+
+    def counting(name, original):
+        def call(*args):
+            calls[name].append(args[1] if name.startswith("_") else args)  # a helper's where, a label's fields
+            return original(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(docio, name, counting(name, getattr(docio, name)))
+    value = parse_quiver_document(text)
+    assert calls["_expect_keys"] == ["document"]  # the root's check, and no entry's
+    assert calls["_expect_str"] == []
+    assert len(calls["_parse_label"]) == len(calls["DivisionLabel"]) == len(distinct)
+    assert len({id(label) for label in value.labels.values()}) == len(distinct) < len(value.labels)
 
 
 def test_error_hierarchy():

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from support import is_acyclic, oracle_basis_walks, random_cyclic_walk
+from support import is_acyclic, oracle_basis_walks, oracle_validate, random_cyclic_walk
 
 from quivercuts.model import (
     Arrow,
@@ -53,6 +53,17 @@ def test_validate_duplicate_arrow_and_broken_cycle():
     violations = validate(broken)
     assert any("duplicate arrow 'a'" in v for v in violations)
     assert any("does not chain" in v for v in violations)
+
+
+@given(
+    st.lists(st.sampled_from("123"), max_size=4),
+    st.lists(st.tuples(*(st.sampled_from(pool) for pool in ("abcd", "1234", "1234"))), max_size=6),
+    st.lists(st.tuples(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4), st.sampled_from((None, 1, -1)))),
+)
+def test_validate_matches_its_oracle(vertices, arrows, cycles):
+    # duplicates, undeclared endpoints, unknown arrows and cycles broken at several links, in any mix
+    q = qwc(vertices, [Arrow(*a) for a in arrows], [Cycle(tuple(names), sign) for names, sign in cycles])
+    assert validate(q) == oracle_validate(q)
 
 
 def test_validate_fixture_clean(b2b2_split):
