@@ -17,14 +17,12 @@ nonterminating loop.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
 
 from .coset import enumerate_trivial_subgroup
-from .model import ArrowId, QuiverWithCycles, VertexId
-
-DEFAULT_COSET_BUDGET = 10**6
+from .model import DEFAULT_COSET_BUDGET, ArrowId, QuiverWithCycles, VertexId
 
 
 def euler_characteristic(q: QuiverWithCycles) -> int:

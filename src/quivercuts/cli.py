@@ -12,31 +12,19 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from pathlib import Path
 
-from .canvas import DEFAULT_COSET_BUDGET, is_simply_connected
-from .cuts import (
-    count_cuts,
-    has_enough_cuts,
-    is_covered,
-    is_fully_compatible,
-    truncated_presentation,
-)
-from .docio import (
-    DisconnectedQuiverWarning,
-    mutation_graph_to_dot,
-    mutation_graph_to_json,
-    parse_quiver_document,
-    serialize_quiver_document,
-    write_cuts,
-)
-from .mutation import mutate_minus, mutate_plus, mutation_graph
-from .tensor import LabeledQuiverWithCycles, dynkin_quiver, morita_split, parse_dynkin_spec, tensor_qwc
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations only: each handler imports the layers it runs when it runs
+    from .tensor import LabeledQuiverWithCycles
 
 
 def _read_document(path: str) -> LabeledQuiverWithCycles:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    return parse_quiver_document(text)
+    from .docio import parse_quiver_document
+
+    if path == "-":
+        return parse_quiver_document(sys.stdin.read())
+    with open(path, encoding="utf-8") as file:
+        return parse_quiver_document(file.read())
 
 
 def _parse_cut_option(text: str) -> frozenset[str]:
@@ -59,6 +47,8 @@ def _positive_int(what: str):
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .docio import DisconnectedQuiverWarning
+
     # the parser raises on every other violation and warns of disconnection
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DisconnectedQuiverWarning)
@@ -72,13 +62,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_cuts(args: argparse.Namespace) -> int:
     value = _read_document(args.file)
     if args.count_only:
+        from .cuts import count_cuts
+
         print(count_cuts(value.qwc))
         return 0
+    from .docio import write_cuts
+
     write_cuts(value.qwc, sys.stdout)
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .canvas import is_simply_connected
+    from .cuts import has_enough_cuts, is_covered, is_fully_compatible
+
     value = _read_document(args.file)
     q = value.qwc
     print(f"covered: {'yes' if is_covered(q) else 'no'}")
@@ -90,6 +87,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_mutate(args: argparse.Namespace) -> int:
+    from .mutation import mutate_minus, mutate_plus
+
     value = _read_document(args.file)
     cut = _parse_cut_option(args.cut)
     mutate = mutate_plus if args.dir == "plus" else mutate_minus
@@ -99,6 +98,9 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from .docio import mutation_graph_to_dot, mutation_graph_to_json
+    from .mutation import mutation_graph
+
     value = _read_document(args.file)
     graph = mutation_graph(value.qwc)
     if args.json:
@@ -109,6 +111,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_tensor(args: argparse.Namespace) -> int:
+    from .docio import serialize_quiver_document
+    from .tensor import dynkin_quiver, morita_split, parse_dynkin_spec, tensor_qwc
+
     split_count = args.split if args.split is not None else 2
     left = dynkin_quiver(parse_dynkin_spec(args.left), split_count=split_count)
     right = dynkin_quiver(parse_dynkin_spec(args.right), split_count=split_count)
@@ -120,6 +125,8 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 
 
 def _cmd_truncate(args: argparse.Namespace) -> int:
+    from .cuts import truncated_presentation
+
     value = _read_document(args.file)
     cut = _parse_cut_option(args.cut)
     presentation = truncated_presentation(value.qwc, cut)
@@ -134,6 +141,8 @@ def _cmd_truncate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .model import DEFAULT_COSET_BUDGET
+
     parser = argparse.ArgumentParser(
         prog="quivercuts",
         description="Cuts, cut-mutation and canvas topology for quivers with distinguished cycles.",
@@ -198,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Built by the first ``main`` call and reused by every later one in the
 # process: ``parse_args`` changes nothing on the parser, each call gets a
-# fresh namespace, and the handlers look up module globals when they run.
+# fresh namespace, and each handler imports its layers' functions when it runs.
 _parser: argparse.ArgumentParser | None = None
 
 

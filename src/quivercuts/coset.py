@@ -46,8 +46,8 @@ definition depends on the classes alone.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 _SENT = -1
 

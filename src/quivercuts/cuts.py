@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import sys
 import warnings
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Mapping
 
 from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, _iter_bits
 

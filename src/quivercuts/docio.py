@@ -43,14 +43,19 @@ from __future__ import annotations
 import json
 import sys
 import warnings
+from collections.abc import Callable, Iterable, Mapping
 from itertools import repeat
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, TextIO
 
-from .cuts import Cut, _cut_masks
 from .model import Arrow, Cycle, Quiver, QuiverWithCycles, validate
-from .mutation import MutationGraph
 from .tensor import DivisionLabel, LabeledQuiverWithCycles, _product_label
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations only: loading typing, cuts and mutation would cost every parse
+    from typing import Any, TextIO
+
+    from .cuts import Cut
+    from .mutation import MutationGraph
 
 FORMAT_VERSION = 1
 
@@ -163,6 +168,8 @@ def parse_quiver_document(text: str) -> LabeledQuiverWithCycles:
         vid = entry["id"]
         if type(vid) is not str or not vid:
             _expect_str(vid, f"vertices[{i}].id")
+        if "\n" in vid or "\r" in vid:  # the CLI prints a record a line, and ``truncate``'s hold vertex ids
+            raise DocumentSchemaError(f"vertices[{i}].id: vertex id {vid!r} contains a line break")
         if vid in seen_vertices:
             raise DocumentSchemaError(f"vertices[{i}]: duplicate vertex id {vid!r}")
         seen_vertices.add(vid)
@@ -360,6 +367,8 @@ def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
     the whole text is built.  Warns like ``enumerate_cuts`` when arrows lie
     in no distinguished cycle.
     """
+    from .cuts import _cut_masks
+
     space = q.cut_space
     rows = space.decode(space.table(_cut_masks(q)), lambda names: ",".join(("", *names)))
     _write_rows(out, map(str.__add__, map(itemgetter(slice(1, None)), map("".join, rows)), repeat("\n")))

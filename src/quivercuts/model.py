@@ -21,11 +21,11 @@ sorted by identifier, making outputs byte-stable across runs.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, repeat
 from operator import attrgetter, or_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 VertexId = str
 ArrowId = str
@@ -131,6 +131,8 @@ _BIT = [bytes(x >> k & 1 for x in range(256)) for k in range(8)]  # ``bytes.tran
 # not fit in 2 GiB ends in a ValueError.  A DAG takes about 630 bytes a state: A16 x A16, past the
 # cap with 2,751,747 states, peaks at 1.7 GB when built.
 MAX_DAG_STATES = 2_000_000
+
+DEFAULT_COSET_BUDGET = 10**6  # canvas's default coset limit, here so the CLI can show it without loading canvas
 
 
 def _frontier_order(near: Sequence[int]) -> list[int]:

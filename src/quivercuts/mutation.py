@@ -21,10 +21,10 @@ strict source or sink; mutation pairs the two in order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import itemgetter
-from typing import Iterable
 
 from .cuts import Cut, _cut_masks, _cut_members
 from .model import ArrowId, QuiverWithCycles, VertexId

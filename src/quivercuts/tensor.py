@@ -37,12 +37,15 @@ from the counts it is built from before anything of that size is built.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from math import inf
-from typing import Iterable, Mapping
 
-from .cuts import Cut, _cut_members
 from .model import Arrow, ArrowId, Cycle, Quiver, QuiverWithCycles, VertexId
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for an annotation only: building a product never loads cuts
+    from .cuts import Cut
 
 
 @dataclass(frozen=True)
@@ -263,6 +266,8 @@ def standard_cuts(t: LabeledQuiverWithCycles) -> tuple[Cut, Cut, Cut]:
     standard cuts as the value it was written from.  Raises ``ValueError``
     when an arrow carries no class prefix or a class is not a cut.
     """
+    from .cuts import _cut_members
+
     classes: dict[str, list[ArrowId]] = {"v": [], "h": [], "d": []}
     for a in t.qwc.quiver.arrows:  # sorted by name, so each class comes out sorted
         prefix, colon, _ = a.name.partition(":")

@@ -31,7 +31,9 @@ through helpers that format where it sits whether or not it fails, and
 parses a label per vertex, apart from the plain type tests and shared labels
 of the library's reader; the invariant oracle it calls checks each arrow and
 each cycle link by itself, apart from the library's checks over the whole
-quiver first.
+quiver first.  The tree-product counter runs a transfer matrix over the
+arrows of a tree factor, apart from the cut-state DAG and from the product
+quiver, which it never builds.
 """
 
 from __future__ import annotations
@@ -207,6 +209,8 @@ def oracle_parse_quiver_document(text: str) -> LabeledQuiverWithCycles:
             raise DocumentSchemaError(f"{where}: expected an object")
         _oracle_expect_keys(entry, where, {"id"}, {"label"})
         vid = _oracle_expect_str(entry["id"], f"{where}.id")
+        if "\n" in vid or "\r" in vid:
+            raise DocumentSchemaError(f"{where}.id: vertex id {vid!r} contains a line break")
         if vid in seen_vertices:
             raise DocumentSchemaError(f"{where}: duplicate vertex id {vid!r}")
         seen_vertices.add(vid)
@@ -549,6 +553,67 @@ def oracle_component_count(n_nodes: int, edges: Iterable[tuple[int, int, str, st
                     seen[w] = True
                     queue.append(w)
     return count
+
+
+def oracle_tree_product_count(left: LabeledQuiver, right: LabeledQuiver) -> int:
+    """The number of cuts of ``tensor_qwc(left, right)``, whose left factor is a tree, by a transfer matrix.
+
+    The state at a vertex ``u`` of ``left`` is the set ``S``, a bit mask over
+    ``right``'s arrows, of the arrows ``b`` whose copy ``v:u:b`` is cut.  An
+    arrow ``a: u -> u2`` of ``left`` owns the ``h:a:x``, a 0/1 labelling ``h``
+    of ``right``'s vertices, and the ``d:a:b``.  Each ``b: x -> y`` puts
+    ``d:a:b`` on the cycles ``(v:u:b, h:a:y, d:a:b)`` and
+    ``(h:a:x, v:u2:b, d:a:b)``; met once each, they force ``d:a:b`` and hold
+    iff ``h(y) = 0`` when ``b`` is in ``S`` and ``h(x) <= h(y)`` when it is
+    not, and then ``b`` is in the state ``S2`` at ``u2`` iff it is in ``S`` or
+    ``h(y) = 1``, and ``h(x) = 0``.  One step ``(S, S2)`` is listed per such
+    labelling (the transfer matrix ``T``, after Stanley, *Enumerative
+    Combinatorics I*, 4.7), and the count, the sum over the states at every
+    vertex of the product of ``T`` over the arrows of ``left``, is summed
+    leaves first over ``left``'s tree, read off its arrows rather than off its
+    vertex order, in which ``"10"`` sorts before ``"2"``.
+    """
+    tree, factor = left.quiver, right.quiver
+    assert len(tree.arrows) == len(tree.vertices) - 1 > 0, "the left factor must be a tree with an arrow"
+    assert all(any(v in (b.source, b.target) for b in factor.arrows) for v in factor.vertices)
+    position = {v: k for k, v in enumerate(factor.vertices)}
+    full = (1 << len(factor.arrows)) - 1
+    steps = []
+    for h in range(1 << len(factor.vertices)):
+        into = sum(1 << k for k, b in enumerate(factor.arrows) if h >> position[b.target] & 1)
+        out_of = sum(1 << k for k, b in enumerate(factor.arrows) if h >> position[b.source] & 1)
+        need, free = out_of & ~into, full & ~(into | out_of)
+        extra = free
+        while True:  # every S holding ``need`` and nothing of ``into``: ``need`` with each submask of ``free``
+            steps.append((need | extra, (need | extra | into) & ~out_of))
+            if not extra:
+                break
+            extra = (extra - 1) & free
+    # root the tree at an arrow's source and order its vertices parents first
+    links: dict[str, list[tuple[str, bool]]] = {v: [] for v in tree.vertices}
+    for a in tree.arrows:
+        links[a.source].append((a.target, True))  # True: the arrow leaves the parent side
+        links[a.target].append((a.source, False))
+    root = tree.arrows[0].source
+    parent: dict[str, tuple[str, bool]] = {}
+    order = [root]
+    for u in order:
+        for w, leaves in links[u]:
+            if w != root and w not in parent:
+                parent[w] = (u, leaves)
+                order.append(w)
+    assert len(order) == len(tree.vertices), "the left factor must be connected"
+    weights = {v: [1] * (full + 1) for v in tree.vertices}  # per state: the ways to cut below the vertex
+    for child in reversed(order[1:]):
+        up, leaves = parent[child]
+        below, summed = weights[child], [0] * (full + 1)
+        for s, s2 in steps:
+            if leaves:
+                summed[s] += below[s2]
+            else:
+                summed[s2] += below[s]
+        weights[up] = [x * y for x, y in zip(weights[up], summed)]
+    return sum(weights[root])
 
 
 _L_VALUES = {

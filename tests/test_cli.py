@@ -154,6 +154,35 @@ def test_validate_schema_error_is_one_line(tmp_path, capsys, fields, message):
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ("./nope.json", "[Errno 2] No such file or directory: './nope.json'"),
+        ("", "[Errno 2] No such file or directory: ''"),  # not "Is a directory: '.'", as a pathlib.Path read it
+    ],
+)
+def test_an_unreadable_path_is_named_as_given(tmp_path, capsys, monkeypatch, path, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "validate", path) == (1, "", f"error: {message}\n")
+
+
+def test_truncate_refuses_a_vertex_id_with_a_line_break(tmp_path, capsys):
+    # 'truncate' printed this document's three records on five lines, its vertex id split in two
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "format_version": 1,
+                "vertices": [{"id": "1\nx"}, {"id": "2"}],
+                "arrows": [{"id": "a", "source": "1\nx", "target": "2"}, {"id": "b", "source": "2", "target": "1\nx"}],
+                "cycles": [{"arrows": ["a", "b"]}],
+            }
+        )
+    )
+    code, out, err = run(capsys, "truncate", str(bad), "--cut", "a")
+    assert (code, out, err) == (1, "", "error: vertices[0].id: vertex id '1\\nx' contains a line break\n")
+
+
 def test_cuts_listing(capsys):
     code, out, _ = run(capsys, "cuts", B2B2)
     assert code == 0
@@ -423,7 +452,7 @@ def test_key_error_in_a_handler_propagates(monkeypatch):
     def broken(q):
         raise KeyError("bug")
 
-    monkeypatch.setattr("quivercuts.cli.is_covered", broken)
+    monkeypatch.setattr("quivercuts.cuts.is_covered", broken)  # the handler imports it when it runs
     with pytest.raises(KeyError, match="bug"):
         main(["check", B2B2])
 
@@ -690,7 +719,7 @@ def test_out_of_memory_is_one_line_naming_the_subcommand(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "count_cuts", exhausted)
+    monkeypatch.setattr("quivercuts.cuts.count_cuts", exhausted)
     assert run(capsys, "cuts", B2B2, "--count-only") == (1, "", "error: cuts ran out of memory\n")
     monkeypatch.undo()
     assert run(capsys, "cuts", B2B2, "--count-only") == (0, "7\n", "")

@@ -170,6 +170,8 @@ def test_deep_nesting_is_a_syntax_error(text):
         ),
         (doc(arrows=[arrow(id="a\nx")]), r"^arrows\[0\]\.id: arrow id 'a\\nx' contains a line break$"),
         (doc(arrows=[arrow(), arrow(id="b\r")]), r"^arrows\[1\]\.id: arrow id 'b\\r' contains a line break$"),
+        (doc(vertices=[{"id": "1\nx"}]), r"^vertices\[0\]\.id: vertex id '1\\nx' contains a line break$"),
+        (doc(vertices=[{"id": "1"}, {"id": "2\r"}]), r"^vertices\[1\]\.id: vertex id '2\\r' contains a line break$"),
         # each bad label follows a good one of its kind, which the reader has parsed already
         (
             doc(vertices=[labelled("1", kind="Ext"), labelled("2", kind="Ext", x=1)]),
@@ -221,6 +223,8 @@ def test_deep_nesting_is_a_syntax_error(text):
         "comma-in-arrow-id",
         "newline-in-arrow-id",
         "return-in-arrow-id",
+        "newline-in-vertex-id",
+        "return-in-vertex-id",
         "label-unknown-field",
         "label-kind-not-string",
         "split-count-true",

@@ -4,8 +4,8 @@ The runtime imports nothing outside the standard library.
 """
 
 import ast
+import importlib
 import sys
-import types
 from pathlib import Path
 
 import quivercuts
@@ -71,16 +71,20 @@ EXPORTS = {
     "standard_cuts",
     "tensor_qwc",
 }
+LAYERS = [
+    importlib.import_module(f"quivercuts.{name}") for name in ("canvas", "cuts", "docio", "model", "mutation", "tensor")
+]
 
 
 def test_public_names_are_pinned():
-    # submodules become attributes as they are imported, so they are not exports
-    public = {
-        name
-        for name, value in vars(quivercuts).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert public == EXPORTS
+    # exports load on first access, so the pin reads ``__all__`` and resolves every name from its layer
+    assert set(quivercuts.__all__) == EXPORTS == set(dir(quivercuts))
+    for name in EXPORTS:
+        value = getattr(quivercuts, name)
+        assert any(getattr(layer, name, None) is value for layer in LAYERS), name
+    star: dict = {}
+    exec("from quivercuts import *", star)
+    assert star.keys() - {"__builtins__"} == EXPORTS
 
 
 def test_runtime_is_stdlib_only():
