@@ -202,7 +202,9 @@ def _component_verdict(presentation: GroupPresentation, budget: int) -> SimplyCo
         return SimplyConnectedVerdict("No", _describe_h1(group))
     result = enumerate_trivial_subgroup(len(presentation.generators), words, budget)
     if not result.closed:
-        return SimplyConnectedVerdict("Unknown", f"budget exhausted at {result.defined_cosets} cosets")
+        if result.defined_cosets == budget:
+            return SimplyConnectedVerdict("Unknown", f"budget exhausted at {budget} cosets")
+        return SimplyConnectedVerdict("Unknown", f"coset table full at {result.defined_cosets} cosets")
     if result.live_cosets == 1:
         return SimplyConnectedVerdict("Yes", "coset table closed with 1 coset")
     return SimplyConnectedVerdict("No", f"coset table closed with {result.live_cosets} cosets")
@@ -214,7 +216,8 @@ def is_simply_connected(
     """Tiered decision: H1 refutation, then budgeted coset enumeration.
 
     Disconnected quivers are judged per component; all components must be
-    simply connected.  ``Unknown`` is a value (budget ran out), not an error.
+    simply connected.  ``Unknown`` is a value (the budget ran out or the coset
+    table filled), not an error.
     """
     if budget < 1:
         raise ValueError("coset budget must be positive")

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quivercuts import coset
 from quivercuts.canvas import (
     AbelianGroup,
+    _words,
     euler_characteristic,
     h1,
     is_simply_connected,
@@ -15,6 +17,7 @@ from quivercuts.canvas import (
 from quivercuts.coset import EnumerationResult, enumerate_trivial_subgroup
 from quivercuts.cuts import is_fully_compatible
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
+from quivercuts.tensor import dynkin_quiver, parse_dynkin_spec, tensor_qwc
 from support import oracle_enumerate_trivial_subgroup, oracle_smith_diagonal
 
 
@@ -180,6 +183,51 @@ def test_coset_enumeration_matches_oracle(presentation):
     assert result.defined_cosets <= budget
 
 
+@st.composite
+def wide_presentations(draw):
+    # rows of 10 to 80 cells, and enough relators that most draws merge cosets
+    n = draw(st.integers(5, 40))
+    letters = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    relators = draw(st.lists(st.lists(letters, min_size=0, max_size=8), max_size=2 * n))
+    return n, relators, draw(st.integers(1, 2000))
+
+
+@settings(deadline=None, max_examples=60)
+@given(wide_presentations())
+def test_wide_coset_enumeration_matches_oracle(presentation):
+    n, relators, budget = presentation
+    result = enumerate_trivial_subgroup(n, relators, budget)
+    assert result == oracle_enumerate_trivial_subgroup(n, relators, budget)
+    assert result.defined_cosets <= budget
+
+
+# The presentations ``check`` builds for products: 2 to 98 generators, so
+# rows of up to 196 cells, each closing on one coset after many merges.
+PRODUCT_ENUMERATIONS = [
+    ("A2", "A2", (True, 1, 3)),
+    ("A3:1<2>3", "B2:2>1", (True, 1, 5)),
+    ("A4", "A4", (True, 1, 25)),
+    ("D4", "D4", (True, 1, 23)),
+    ("F4", "F4", (True, 1, 25)),
+    ("G2", "E7", (True, 1, 18)),
+    ("A3:1<2>3", "E6", (True, 1, 30)),
+    ("A3:1<2>3", "E7", (True, 1, 36)),
+    ("F4", "E6", (True, 1, 43)),
+    ("D4", "E6", (True, 1, 45)),
+    ("E7", "E7", (True, 1, 101)),
+    ("E8", "E8", (True, 1, 138)),
+]
+
+
+@pytest.mark.parametrize("left, right, expected", PRODUCT_ENUMERATIONS)
+def test_product_enumerations_match_oracle(left, right, expected):
+    q = tensor_qwc(dynkin_quiver(parse_dynkin_spec(left)), dynkin_quiver(parse_dynkin_spec(right))).qwc
+    presentation = pi1_presentation(q)
+    n, words = len(presentation.generators), _words(presentation)
+    result = enumerate_trivial_subgroup(n, words, 10**6)
+    assert result == oracle_enumerate_trivial_subgroup(n, words, 10**6) == EnumerationResult(*expected)
+
+
 # Each branch of the closing step, where the relator's last cell is undefined:
 # ``(generators, relators, budget)`` and the ``(closed, live, defined)`` the
 # oracle also gives, which defines a coset there and merges it.
@@ -244,6 +292,26 @@ def test_coset_enumeration_pins_the_catalogue_canvases(generators, relators, bud
     closed, live, defined = as_checked
     evidence = f"coset table closed with {live} cosets" if closed else f"budget exhausted at {defined} cosets"
     assert verdict.evidence == evidence
+
+
+def test_coset_table_full_before_the_budget(monkeypatch):
+    # (2,3,7) with ten more loops of order 2 and 3: infinite, with H1 trivial and rows of 24 cells
+    zs = [f"z{i}" for i in range(10)]
+    q = qwc(
+        ["o"],
+        [Arrow(g, "o", "o") for g in ["x", "y", *zs]],
+        [Cycle(word) for word in [("x", "x"), ("y",) * 3, ("x", "y") * 7]]
+        + [Cycle((z,) * k) for z in zs for k in (2, 3)],
+    )
+    monkeypatch.setattr(coset, "MAX_COSET_CELLS", 24 * 100 + 23)
+    verdict = is_simply_connected(q, 5000)
+    assert (verdict.status, verdict.evidence) == ("Unknown", "coset table full at 100 cosets")
+    presentation = pi1_presentation(q)
+    result = enumerate_trivial_subgroup(len(presentation.generators), _words(presentation), 5000)
+    assert not result.closed and result.defined_cosets == coset.MAX_COSET_CELLS // 24
+    # a budget at or under the cap still reads as the budget
+    assert is_simply_connected(q, 100).evidence == "budget exhausted at 100 cosets"
+    assert is_simply_connected(q, 99).evidence == "budget exhausted at 99 cosets"
 
 
 def test_coset_enumeration_rejects_bad_letters():

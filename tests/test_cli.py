@@ -681,7 +681,8 @@ VON_DYCK_237 = json.dumps(
             2,
             "the split into 100000000 copies is too large",
         ),
-        # a budget of 10^8 cosets would take about 6 GB; the cap ends the table in about 3.5 s
+        # a budget of 10^8 cosets would take about 6 GB, and coset.MAX_COSET_CELLS still lets
+        # 1.25 * 10^7 cosets of 4 cells take about 850 MB; the cap ends the table in about 3.5 s
         (["check", "--coset-budget", "100000000", "-"], VON_DYCK_237, 200, 20, "check ran out of memory"),
     ],
     ids=["huge-rank", "huge-split", "huge-coset-budget"],
@@ -692,6 +693,27 @@ def test_resource_limits_end_in_one_error_line(argv, document, megabytes, second
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), err
     assert elapsed < seconds
+
+
+# (2,3,7) with 200 more loops of order 2 and 3: rows of 404 cells, about 1.8 kB a coset
+WIDE_VON_DYCK_237 = json.dumps(
+    {
+        "format_version": 1,
+        "vertices": [{"id": "o"}],
+        "arrows": [{"id": g, "source": "o", "target": "o"} for g in ["x", "y", *(f"z{i:03d}" for i in range(200))]],
+        "cycles": [{"arrows": list(word)} for word in ("xx", "yyy", "xy" * 7)]
+        + [{"arrows": [f"z{i:03d}"] * k} for i in range(200) for k in (2, 3)],
+    }
+)
+
+
+def test_wide_coset_table_stops_at_its_cell_cap():
+    # the default budget of 10^6 cosets would take about 1.8 GB at this width
+    code, out, err, elapsed = _capped(["check", "-"], 1024, WIDE_VON_DYCK_237)
+    assert (code, err) == (0, "")
+    # coset.MAX_COSET_CELLS // 404 cosets
+    assert out.splitlines()[-1] == "simply-connected: Unknown (coset table full at 123762 cosets)"
+    assert elapsed < 10
 
 
 def test_a12_squared_counts_within_two_gib(capsys):

@@ -62,3 +62,25 @@ def test_a_n_times_a2_has_odd_fibonacci_many_cuts():
     a2 = dynkin_quiver(parse_dynkin_spec("A2"))
     for n in range(2, 31):
         assert count_cuts(tensor_qwc(dynkin_quiver(parse_dynkin_spec(f"A{n}")), a2).qwc) == fibonacci[2 * n + 1], n
+
+
+# Along A_n in its default, linear orientation the count is 1ᵀ T^(n-1) 1 for the
+# transfer matrix T of R, so it obeys a linear recurrence.  Berlekamp–Massey over Q
+# on the oracle's counts for 2 <= n <= 41 finds these, c(n) = 5c(n-1) - 6c(n-2) +
+# 3c(n-3) - c(n-4) for A3 and so on, from n = 2 on; the n = 1 term, the one cut of
+# a quiver with no cycle, would add one to each order.
+@pytest.mark.parametrize(
+    ("right", "first", "coefficients"),
+    [
+        ("A3", (13, 44, 153), (5, -6, 3, -1)),
+        ("A3:1<2>3", (13, 45, 158), (4, -2, 1)),
+        ("D4", (35, 156, 737), (7, -13, 14, -13, 7, -1)),
+    ],
+)
+def test_a_n_times_r_obeys_its_transfer_matrix_recurrence(right, first, coefficients):
+    r = dynkin_quiver(parse_dynkin_spec(right))
+    counts = [count_cuts(tensor_qwc(dynkin_quiver(parse_dynkin_spec(f"A{n}")), r).qwc) for n in range(2, 25)]
+    assert tuple(counts[:3]) == first
+    order = len(coefficients)
+    for n in range(order, len(counts)):
+        assert counts[n] == sum(a * counts[n - 1 - i] for i, a in enumerate(coefficients)), n + 2
