@@ -44,9 +44,15 @@ def _least_rotation(items: Sequence[ArrowId]) -> tuple[ArrowId, ...]:
     common prefix.  At the first difference the greater start loses, and so
     does every start up to ``k`` past it, whose rotation is beaten by the one
     as far past the other start; each step moves ``k``, ``i`` or ``j`` on, so
-    the scan ends after at most ``3n`` comparisons.
+    the scan ends after at most ``3n`` comparisons.  Where the least name
+    occurs once, the rotation starts at it, found without the scan.
     """
     seq = tuple(items)
+    if seq:
+        least = min(seq)
+        if seq.count(least) == 1:
+            start = seq.index(least)
+            return seq[start:] + seq[:start]
     n = len(seq)
     i, j, k = 0, 1, 0
     while i < n and j < n and k < n:

@@ -201,6 +201,46 @@ def test_wide_coset_enumeration_matches_oracle(presentation):
     assert result.defined_cosets <= budget
 
 
+def _assert_no_dead_reference(n: int, table: list[int]) -> None:
+    stride = 2 * n + 1
+    for row in range(1, len(table), stride):
+        if table[row] != row:
+            continue
+        for x in range(1, stride):
+            image = table[row + x]
+            if image:
+                # the image is a live coset whose inverse cell names this row
+                assert table[image] == image
+                assert table[image + (x + 1 if x % 2 else x - 1)] == row
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(presentations(), wide_presentations()))
+def test_coset_table_names_no_dead_coset(presentation):
+    n, relators, budget = presentation
+    result, table = coset._enumerate(n, relators, budget)
+    assert result == enumerate_trivial_subgroup(n, relators, budget)
+    rows = range(1, len(table), 2 * n + 1)
+    assert sum(table[row] == row for row in rows) == result.live_cosets
+    _assert_no_dead_reference(n, table)
+
+
+def test_a_merge_moves_a_loop_onto_the_survivor():
+    # one generator, rows of 3 cells: coset 4 has the loop 4.x = 4, coset 1 has no defined
+    # cell, so after the merge the loop is on 1 and no cell names 4
+    table = [0, 1, 0, 0, 4, 4, 4]
+    assert coset._coincide(table, [0, 2, 1], 3, 1, 4) == 1
+    assert table[:4] == [0, 1, 1, 1] and table[4] == 1
+    _assert_no_dead_reference(1, table)
+
+
+def test_coset_table_names_no_dead_coset_after_many_merges():
+    # the (2,3,7) canvas at this budget retires 694 of its 3769 rows
+    result, table = coset._enumerate(2, [[1, 1], [2, 2, 2], [1, 2] * 7], 5000)
+    assert result == EnumerationResult(False, 3075, 5000)
+    _assert_no_dead_reference(2, table)
+
+
 # The presentations ``check`` builds for products: 2 to 98 generators, so
 # rows of up to 196 cells, each closing on one coset after many merges.
 PRODUCT_ENUMERATIONS = [

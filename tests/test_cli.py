@@ -402,6 +402,24 @@ def test_check_one_vertex_canvases(tmp_path, capsys, name):
     assert out.splitlines()[3] == f"simply-connected: {verdict}"
 
 
+# The canvas fixtures and the last line of ``check --coset-budget 5000`` on each,
+# which the stdlib-only CI job (.github/workflows/tier1.yml) also asserts.
+CANVAS_FIXTURES = {
+    "von_dyck_235.json": "simply-connected: No (coset table closed with 60 cosets)",
+    "von_dyck_237.json": "simply-connected: Unknown (budget exhausted at 5000 cosets)",
+    "xyz_2357.json": "simply-connected: Unknown (budget exhausted at 5000 cosets)",
+}
+
+
+@pytest.mark.parametrize("name", CANVAS_FIXTURES)
+def test_check_canvas_fixtures(capsys, name):
+    code, out, err = run(capsys, "check", "--coset-budget", "5000", str(FIXTURES / name))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == CANVAS_FIXTURES[name]
+    workflow = (FIXTURES.parents[1] / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert f"tests/fixtures/{name}" in workflow and f"'{CANVAS_FIXTURES[name]}'" in workflow
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_check_rejects_non_positive_budget(capsys, budget):
     with pytest.raises(SystemExit) as excinfo:

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from support import is_acyclic, oracle_basis_walks, oracle_validate, random_cyclic_walk
 
@@ -92,8 +92,13 @@ def test_rotation_invariance_exhaustive():
 
 
 @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=12))
+@example(["a", "b", "a", "c"])
+@example(["a", "a"])
+@example(["c", "a", "b", "a", "a"])
+@example(["b", "a", "c"])
 def test_least_rotation_matches_every_rotation(word):
-    # over three letters the least name repeats, so several rotations start with it
+    # over three letters the least name repeats, so several rotations start with it;
+    # the examples pin the scan (a repeated least name) and the single-least shortcut
     assert _least_rotation(word) == min(tuple(word[i:] + word[:i]) for i in range(len(word)))
 
 
