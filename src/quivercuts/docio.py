@@ -33,9 +33,11 @@ graphs as undirected graphs by default, matching mutation-lattice figures.
 The streamed writers, :func:`write_cuts` for the ``cuts`` lines and the
 mutation-graph writers (JSON and DOT), write to a text stream, such as
 ``sys.stdout`` or an open file, and return ``None``; they never hold the
-whole text.  Each passes an iterator of row texts to ``_write_rows``, the
-one loop that writes them a chunk of rows at a time: ``write_cuts`` a chain
-of ``map`` objects over the decoded rows, the graph writers generators.
+whole text.  Each passes an iterator of row texts, chained ``map`` objects
+with no Python code per row, to ``_write_rows``, the one loop that writes
+them a chunk of rows at a time.  A cut's row is decoded from the cut table
+as text; a graph's edge rows are read off its per-mutation columns in
+order of source, so no edge tuple is built and none is sorted.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from __future__ import annotations
 import json
 import sys
 import warnings
-from collections.abc import Callable, Iterable, Mapping
-from itertools import repeat
-from operator import itemgetter
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, compress, repeat
+from operator import add, itemgetter
 
 from .model import Arrow, Cycle, Quiver, QuiverWithCycles, validate
 from .tensor import DivisionLabel, LabeledQuiverWithCycles, _product_label
@@ -55,6 +57,7 @@ if TYPE_CHECKING:  # for annotations only: loading typing, cuts and mutation wou
     from typing import Any, TextIO
 
     from .cuts import Cut
+    from .model import CutSpace
     from .mutation import MutationGraph
 
 FORMAT_VERSION = 1
@@ -296,8 +299,12 @@ def serialize_quiver_document(value: LabeledQuiverWithCycles | QuiverWithCycles)
     )
 
 
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + _dot_escape(text) + '"'
 
 
 def quiver_to_dot(value: LabeledQuiverWithCycles | QuiverWithCycles, cut: Cut | None = None) -> str:
@@ -316,23 +323,11 @@ def quiver_to_dot(value: LabeledQuiverWithCycles | QuiverWithCycles, cut: Cut | 
     return "\n".join(lines) + "\n"
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)``, so ``make`` runs once per key."""
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 _ROWS = 4096  # rows written per write
 
 
-def _write_rows(out: TextIO, texts: Iterable[str], sep: str = "") -> None:
-    """Write ``texts`` to ``out``, ``_ROWS`` at a time, the first without its leading ``sep``.
+def _write_rows(out: TextIO, texts: Iterable[str], count: int, sep: str = "") -> None:
+    """Write the ``count`` rows ``texts`` to ``out``, ``_ROWS`` at a time, the first without its leading ``sep``.
 
     Every write joins the one list ``rows``, made before the first and
     refilled in place: one allocation per write, and no write after the
@@ -340,63 +335,91 @@ def _write_rows(out: TextIO, texts: Iterable[str], sep: str = "") -> None:
     small sizes between the written chunks, and the small blocks that the C
     allocator keeps cached once they are freed would split the space the
     chunks leave, so a writer's peak memory would depend on what ran before
-    it in the process.
+    it in the process.  The list is no longer than ``count``, so a short
+    text fills no list of ``_ROWS``; a wrong ``count`` changes only how many
+    rows a write takes.
     """
-    rows = [""] * _ROWS
-    n, drop = _ROWS, len(sep)
-    while n == _ROWS:
+    texts = iter(texts)  # each chunk goes on where the last stopped, even for a list
+    size = max(1, min(_ROWS, count))
+    rows = [""] * size
+    n, drop = size, len(sep)
+    while n == size:
         n = -1
-        for n, rows[n] in zip(range(_ROWS), texts):  # the loop's own target stores each row, with no body
+        for n, rows[n] in zip(range(size), texts):  # the loop's own target stores each row, with no body
             pass
         n += 1
-        if n < _ROWS:
+        if n < size:
             del rows[n:]  # the last, short write
         if n:
             rows[0], drop = rows[0][drop:], 0
             out.write("".join(rows))
 
 
+def _cut_texts(space: CutSpace, table: bytes, sep: str, quote: Callable[[str], str]) -> Iterator[str]:
+    """Per row of ``table``, its names, each through ``quote``, joined by ``sep``.
+
+    Each arrow's name is quoted once, after ``sep``, and each byte value is
+    rendered once as its arrows' texts joined; a row is its bytes' texts
+    joined, less the first ``sep``.  Every step is C code: no row, and no
+    byte value, runs Python code of its own, and no tuple of names is built.
+    """
+    texts = [sep + quote(name) for name in space.arrows]
+    return map(itemgetter(slice(len(sep), None)), map("".join, space.decode(table, "".join, texts)))
+
+
 def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
     """Write the cuts of ``q`` to ``out`` in ``enumerate_cuts`` order, each a line of comma-joined names.
 
-    Lines are decoded from the same table as ``enumerate_cuts``, each byte
-    to its names as text, each after a comma, rather than to a tuple: a line
-    is its bytes' texts joined, less the first comma, plus a newline.  Those
-    three steps are chained ``map`` objects over the decoded rows, so no
-    line runs Python code of its own.  Neither a tuple of names per cut nor
-    the whole text is built.  Warns like ``enumerate_cuts`` when arrows lie
-    in no distinguished cycle.
+    Lines are decoded from the same table as ``enumerate_cuts``, as text
+    rather than tuples, and gain their newlines in a ``map``.  Neither a
+    tuple of names per cut nor the whole text is built.  Warns like
+    ``enumerate_cuts`` when arrows lie in no distinguished cycle.
     """
     from .cuts import _cut_masks
 
     space = q.cut_space
-    rows = space.decode(space.table(_cut_masks(q)), lambda names: ",".join(("", *names)))
-    _write_rows(out, map(str.__add__, map(itemgetter(slice(1, None)), map("".join, rows)), repeat("\n")))
+    table = space.table(_cut_masks(q))
+    count, lines = len(table) // space.nb, map(str.__add__, _cut_texts(space, table, ",", str), repeat("\n"))
+    del table  # its decoded columns hold every byte the lines need
+    _write_rows(out, lines, count)
+
+
+def _edge_rows(graph: MutationGraph, moves: Sequence[tuple], head: str, tails: list[str]) -> Iterator[str]:
+    """The text of each edge of ``moves``, in order of source: ``head`` formatted with the source, then the rest.
+
+    A move's k-th source goes to its k-th target, so each move is one
+    stream of texts, its targets' numbers each with the move's tail, picked
+    out by ``compress`` and read by ``next`` as the nodes it leaves come up.
+    An edge's text is its source's ``head`` and that stream's next text.
+    """
+    numbers = list(map(str, range(graph.node_count)))
+    streams = [map(add, compress(numbers, targets), repeat(tail)) for (*_, targets), tail in zip(moves, tails)]
+    heads = map(repeat, map(head.format, numbers))
+    return chain.from_iterable(map(map, repeat(add), heads, map(map, repeat(next), graph._leaving(moves, streams))))
 
 
 def mutation_graph_to_dot(graph: MutationGraph, out: TextIO, directed: bool = False) -> None:
     """Write the DOT export of a mutation graph to ``out``, a chunk of rows at a time.
 
     The default undirected view collapses each mutation and its inverse
-    into one edge labelled by the mutation vertex, and renders the other
-    direction as an empty row; ``directed`` keeps both labelled directions.
-    Each node's label is escaped once, and each ``(vertex, direction)``
-    label is built once.
+    into one edge labelled by the mutation vertex, written from the end
+    with the smaller index: only the moves that lead to later nodes are
+    read.  ``directed`` keeps both labelled directions.  Node labels are
+    written from the cut table as text, each name escaped once, and each
+    move's label is built once.
     """
     kind, joiner = ("digraph", "->") if directed else ("graph", "--")
-    numbers = list(map(str, range(len(graph.nodes))))
-    labels = {
-        d: _Memo(lambda v, d=d: f" [label={_dot_quote(f'mu{d} {v}' if directed else v)}];\n") for d in "+-"
-    }
+    labels = _cut_texts(graph.space, graph.table, ",", _dot_escape)
     out.write(f'{kind} "mutations" {{\n')
-    _write_rows(out, (f"  n{i} [label={_dot_quote(','.join(node))}];\n" for i, node in zip(numbers, graph.nodes)))
-    _write_rows(
-        out,
-        (
-            f"  n{numbers[i]} {joiner} n{numbers[j]}{labels[d][v]}" if directed or i < j else ""
-            for i, j, v, d in graph.edges
-        ),
-    )
+    _write_rows(out, map('  n{} [label="{}"];\n'.format, range(graph.node_count), labels), graph.node_count)
+    if directed:
+        moves = graph.moves
+        tails = [f" [label={_dot_quote(f'mu{d} {v}')}];\n" for v, d, *_ in moves]
+    else:
+        moves = [move for move in graph.moves if move[2]]  # (vertex, direction, forward, sources, targets)
+        tails = [f" [label={_dot_quote(v)}];\n" for v, *_ in moves]
+    edges = sum(sources.count(1) for *_, sources, _ in moves)
+    _write_rows(out, _edge_rows(graph, moves, f"  n{{}} {joiner} n", tails), edges)
     out.write("}\n")
 
 
@@ -404,31 +427,20 @@ def mutation_graph_to_json(graph: MutationGraph, out: TextIO) -> None:
     """Write ``{"nodes": [...], "edges": [...]}`` to ``out``, as ``json.dumps(doc, indent=2)`` writes it.
 
     ``indent`` forces the pure-Python encoder, so the text is written here,
-    a chunk of rows at a time.  Each identifier goes through ``_quote``
-    once, and each ``(vertex, direction)`` pair's closing lines are built once.
+    a chunk of rows at a time.  Node rows are written from the cut table as
+    text, each name quoted by ``_quote`` once; only a quiver without cycle
+    arrows has the empty cut, its one node.  Each move's closing lines are
+    built once.
     """
-    numbers = list(map(str, range(len(graph.nodes))))
-    quoted = _Memo(_quote)
-    tails = {
-        d: _Memo(lambda v, d=d: f',\n      "vertex": {_quote(v)},\n      "direction": {_quote(d)}\n    }}')
-        for d in "+-"
-    }
+    if graph.space.cycle_mask:
+        nodes = map(",\n    [\n      {}\n    ]".format, _cut_texts(graph.space, graph.table, ",\n      ", _quote))
+    else:
+        nodes = repeat(",\n    []", graph.node_count)
+    tails = [f',\n      "vertex": {_quote(v)},\n      "direction": "{d}"\n    }}' for v, d, *_ in graph.moves]
+    edges = sum(sources.count(1) for *_, sources, _ in graph.moves)
     out.write('{\n  "nodes": [')
-    _write_rows(
-        out,
-        (
-            ",\n    [\n      " + ",\n      ".join(map(quoted.__getitem__, node)) + "\n    ]" if node else ",\n    []"
-            for node in graph.nodes
-        ),
-        ",",
-    )
-    out.write('\n  ],\n  "edges": [' if graph.nodes else '],\n  "edges": [')
-    _write_rows(
-        out,
-        (
-            f',\n    {{\n      "source": {numbers[i]},\n      "target": {numbers[j]}{tails[d][v]}'
-            for i, j, v, d in graph.edges
-        ),
-        ",",
-    )
-    out.write("\n  ]\n}\n" if graph.edges else "]\n}\n")
+    _write_rows(out, nodes, graph.node_count, ",")
+    out.write('\n  ],\n  "edges": [' if graph.node_count else '],\n  "edges": [')
+    rows = _edge_rows(graph, graph.moves, ',\n    {{\n      "source": {},\n      "target": ', tails)
+    _write_rows(out, rows, edges, ",")
+    out.write("\n  ]\n}\n" if edges else "]\n}\n")

@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, repeat
-from operator import attrgetter, or_
+from operator import attrgetter, itemgetter, methodcaller, or_
 
 VertexId = str
 ArrowId = str
@@ -129,8 +129,31 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-_BITS = [[x >> k & 1 for k in range(7, -1, -1)] for x in range(256)]  # a byte's bits, most significant first
 _BIT = [bytes(x >> k & 1 for x in range(256)) for k in range(8)]  # ``bytes.translate`` tables: a byte to its bit k
+# Each byte's picker: one call gives the items of an 8-tuple at the byte's bits, most significant
+# first, as a tuple.  ``itemgetter`` of one index gives the item itself, so one bit takes a slice.
+_PICK = [
+    itemgetter(*ks) if len(ks) > 1 else itemgetter(slice(ks[0], ks[0] + 1) if ks else slice(0))
+    for ks in [[k for k in range(8) if x >> 7 - k & 1] for x in range(256)]
+]
+
+
+def _select(columns: Sequence[bytes], items: Sequence, render: Callable[[tuple], object]) -> Iterator[tuple]:
+    """Per row, a tuple of ``len(columns)`` parts: ``render`` of the tuple of ``items`` each of its bytes selects.
+
+    ``columns[j]`` holds a byte per row, whose bits, most significant first,
+    select among ``items[8j:8j + 8]``.  Each column has its own table,
+    built before the first row, holding what ``render`` gives for each byte
+    value that occurs in it: one pick and one call per such value.  Each
+    column is looked up in its table by a ``map``, and ``zip`` joins the
+    columns into rows, so no row runs Python code of its own.
+    """
+    lookups = []
+    for k, column in zip(range(0, 8 * len(columns), 8), columns):
+        values = set(column)
+        rendered = map(render, map(methodcaller("__call__", tuple(items[k : k + 8])), map(_PICK.__getitem__, values)))
+        lookups.append(dict(zip(values, rendered)).__getitem__)
+    return zip(*map(map, lookups, columns))
 
 
 # The most states the cut-state DAG may have, checked as each is found, so that a build that would
@@ -221,22 +244,15 @@ class CutSpace:
         """``masks`` laid out as rows of ``nb`` bytes, most significant first, so row ``i`` is ``masks[i]``."""
         return b"".join(map(int.to_bytes, masks, repeat(self.nb), repeat("big")))
 
-    def decode(self, table: bytes, render: Callable[[Iterator[ArrowId]], object]) -> Iterator[tuple]:
+    def decode(self, table: bytes, render: Callable[[tuple], object], names: Sequence | None = None) -> Iterator[tuple]:
         """Per row of ``table``, a tuple of ``nb`` parts: ``render`` of each of its bytes' names, in name order.
 
-        Byte ``j`` has its own table over arrows ``8j`` to ``8j + 7``, built
-        before the first row, holding what ``render`` gives for each byte
-        value that occurs at ``j`` in ``table``: one call per such value.
-        Each byte column of ``table``, a strided slice, is looked up in its
-        table by a ``map``, and ``zip`` joins the columns into rows, so no
-        row runs Python code of its own.
+        ``names`` stands for ``arrows``, item for item, where given.  Byte
+        ``j`` of a row holds arrows ``8j`` to ``8j + 7``; each byte column of
+        ``table``, a strided slice, is read by ``_select``, so ``render``
+        runs once per byte value that occurs at ``j``.
         """
-        nb = self.nb
-        tables = [
-            {x: render(compress(names, _BITS[x])) for x in set(table[j::nb])}
-            for j, names in enumerate(self.arrows[k : k + 8] for k in range(0, 8 * nb, 8))
-        ]
-        return zip(*[map(tables[j].__getitem__, table[j::nb]) for j in range(nb)])
+        return _select([table[j :: self.nb] for j in range(self.nb)], self.arrows if names is None else names, render)
 
     def column(self, table: bytes, p: int) -> bytes:
         """Bit ``p`` of every row of ``table``, one byte per row: a strided slice of its byte, through ``translate``."""

@@ -8,26 +8,31 @@ Free arrows (arrows in no distinguished cycle) are inert: they lie in no
 enumerated cut, and a set that holds them keeps them through mutation.
 Both operations send cuts to cuts and are mutually inverse.
 
-The mutation graph has one node per cut and one edge per single mutation,
-a plain ``(source, target, vertex, direction)`` tuple.  Transitivity of
-cut-mutation is connectivity of this graph, and the operations on one cut
-take every node along its edges.
-A vertex is held as the names of its incoming and outgoing cycle arrows,
-and one cut is mutated as a set of names.  The graph lays all cuts out as
-one table of the quiver's :class:`~quivercuts.model.CutSpace` and reads a
-vertex's arrows from it as columns, which find all the cuts where it is a
-strict source or sink; mutation pairs the two in order.
+The mutation graph has one node per cut and one edge per single mutation.
+Transitivity of cut-mutation is connectivity of this graph, and the
+operations on one cut take every node along its edges.  A vertex is held as
+the names of its incoming and outgoing cycle arrows, and one cut is mutated
+as a set of names.  The graph lays all cuts out as one table of the
+quiver's :class:`~quivercuts.model.CutSpace` and reads a vertex's arrows
+from it as columns, which find all the cuts where it is a strict source or
+sink.  It keeps the table and those columns, a byte per cut for each
+mutation, and no edge: the k-th source of a mutation goes to its k-th
+target, so its edges are read by pairing the two columns in order.  The
+components come from those pairs by union-find, and the exports in
+:mod:`~quivercuts.docio` stream the edges in order of source from them.
+Node and edge tuples are built only when asked for.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
 
 from .cuts import Cut, _cut_masks, _cut_members
-from .model import ArrowId, QuiverWithCycles, VertexId
+from .model import ArrowId, CutSpace, QuiverWithCycles, VertexId, _select
 
 
 def _sides(q: QuiverWithCycles) -> list[tuple[VertexId, list[ArrowId], list[ArrowId]]]:
@@ -95,26 +100,78 @@ def mutate_minus(q: QuiverWithCycles, cut: Iterable[ArrowId], vertex: VertexId) 
 
 @dataclass(frozen=True)
 class MutationGraph:
-    """Nodes are the cuts in :func:`~quivercuts.cuts.enumerate_cuts` order; edges are single mutations.
+    """The cuts of a quiver with cycles and its single mutations, kept as byte columns.
 
-    Each edge is a plain tuple ``(source, target, vertex, direction)``:
-    node indices, the mutation vertex, and "+" for a source mutation or "-"
-    for a sink mutation.  ``edges`` is sorted.  Each labelled pair of cuts
-    is joined by exactly two edges, one leaving each end, because mutation
-    at a vertex is an involution that swaps "+" and "-", it never fixes a
-    cut, and no vertex with cycle arrows is both a strict source and a
-    strict sink of one cut.  So the edges with ``source < target`` name
-    every labelled pair once, in sorted order.
+    ``table`` holds the cuts in :func:`~quivercuts.cuts.enumerate_cuts`
+    order as rows of ``space``, one node each.  ``moves`` holds one tuple
+    per mutation, ``(vertex, direction, forward, sources, targets)``: the
+    mutation vertex, "+" for a source mutation or "-" for a sink mutation,
+    whether its edges lead to later nodes, and two columns of a byte per
+    node, 1 at the nodes it leaves and at the nodes it reaches.  The k-th
+    source goes to the k-th target.
+
+    ``nodes`` and ``edges`` are decoded from these on first use and kept.
+    ``nodes`` are the cuts as name tuples.  Each edge is a plain tuple
+    ``(source, target, vertex, direction)`` of node indices, the mutation
+    vertex and its direction, and ``edges`` lists them by source, the edges
+    of one source in the order of ``moves``, which is sorted order.  Each
+    labelled pair of cuts is joined by exactly two edges, one leaving each
+    end, because mutation at a vertex is an involution that swaps "+" and
+    "-", it never fixes a cut, and no vertex with cycle arrows is both a
+    strict source and a strict sink of one cut.  So the forward moves name
+    every labelled pair once, and the other moves name them again.
     """
 
-    nodes: tuple[Cut, ...]
-    edges: tuple[tuple[int, int, VertexId, str], ...]
+    space: CutSpace
+    table: bytes
+    moves: tuple[tuple[VertexId, str, bool, bytes, bytes], ...]
+
+    @property
+    def node_count(self) -> int:
+        return len(self.table) // self.space.nb
+
+    @cached_property
+    def nodes(self) -> tuple[Cut, ...]:
+        return tuple(map(sum, self.space.decode(self.table, tuple), repeat(())))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, VertexId, str], ...]:
+        indices = list(range(self.node_count))  # one int object per node, shared by all its edges
+        pairs = [zip(compress(indices, s), compress(indices, t), repeat(v), repeat(d)) for v, d, _, s, t in self.moves]
+        return tuple(chain.from_iterable(map(map, repeat(next), self._leaving(self.moves, pairs))))
 
     def undirected_edges(self) -> tuple[tuple[int, int, VertexId], ...]:
-        return tuple((i, j, v) for i, j, v, _ in self.edges if i < j)
+        """The edges ``(i, j, vertex)`` with ``i < j``, in the order of ``edges``."""
+        forward = [move for move in self.moves if move[2]]
+        indices = list(range(self.node_count))
+        pairs = [zip(compress(indices, s), compress(indices, t), repeat(v)) for v, _, _, s, t in forward]
+        return tuple(chain.from_iterable(map(map, repeat(next), self._leaving(forward, pairs))))
+
+    def _leaving(self, moves: Sequence[tuple], items: Sequence) -> Iterator[Iterable]:
+        """Per node, in order, the ``items`` of those ``moves`` that leave it, in the order of ``moves``.
+
+        ``items[k]`` stands for ``moves[k]``.  The source columns of each 8
+        moves are OR-ed into one byte per node, move ``k`` of them at bit
+        ``7 - k``, and read back through a table per byte value, as a cut
+        table is decoded, so no node runs Python code of its own.  A node's
+        moves are read off its own bytes, so none is lost however many
+        vertices can mutate.
+        """
+        n = self.node_count
+        if not moves:
+            return repeat((), n)
+        columns = []
+        for k in range(0, len(moves), 8):
+            bits = 0
+            for shift, (_, _, _, sources, _) in zip(range(7, -1, -1), moves[k : k + 8]):
+                bits |= int.from_bytes(sources, "big") << shift  # each byte 0 or 1: no carry into the next
+            columns.append(bits.to_bytes(n, "big"))
+        return map(chain.from_iterable, _select(columns, items, tuple))
 
     def component_count(self) -> int:
-        parent = list(range(len(self.nodes)))
+        """The connected components, by union-find over the forward moves: each labelled pair once."""
+        indices = range(self.node_count)
+        parent = list(indices)
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -122,63 +179,53 @@ class MutationGraph:
                 i = parent[i]
             return i
 
-        for i, j, _, _ in self.edges:
-            if i > j:  # the edge leaving the other end joins the same pair
-                continue
-            a, b = find(i), find(j)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        return len({find(i) for i in range(len(self.nodes))})
+        for _, _, forward, sources, targets in self.moves:
+            if forward:
+                for i, j in zip(compress(indices, sources), compress(indices, targets)):
+                    a, b = find(i), find(j)
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+        return len(set(map(find, indices)))
 
     @property
     def is_connected(self) -> bool:
-        return len(self.nodes) == 0 or self.component_count() == 1
+        return self.node_count == 0 or self.component_count() == 1
 
 
 def mutation_graph(q: QuiverWithCycles) -> MutationGraph:
     """The graph of all cuts of ``q`` under single cut-mutations.
 
     All cuts are listed up front as masks (discovery by mutation alone would
-    hide non-transitive instances) and laid out once as a byte table, from
-    which the nodes are decoded.  The cuts where a vertex is a strict source
-    hold every incoming arrow and no outgoing one, the sinks the reverse,
-    which ``CutSpace.swaps`` reads off the columns of its cycle arrows.
+    hide non-transitive instances) and laid out once as a byte table.  The
+    cuts where a vertex is a strict source hold every incoming arrow and no
+    outgoing one, the sinks the reverse, which ``CutSpace.swaps`` reads off
+    the columns of its cycle arrows: those two columns are the source
+    mutation's sources and targets, and swapped, the sink mutation's.
 
     Mutation at the vertex, ``m - in + out`` on a source mask, is an
     increasing bijection from its sources onto its sinks, with inverse the
-    sink mutation, so the k-th source goes to the k-th sink and back: the
-    two are picked out of the cut indices in order by ``compress`` and
-    paired, with no list and no lookup, and counts that differ raise
-    ``RuntimeError`` rather than pair wrongly.  The edges of one mutation
-    are one run, sorted by source.  The runs come by ``add - drop``
-    descending, then by vertex and direction, so the edges leaving one cut
-    come in that order, which is ascending order of the cuts they reach:
-    ``m - drop + add`` compares as ``add - drop`` does, whatever ``m`` is.
-    Two mutations of one cut that reach one target drop and add the same
-    arrows, and the vertex and direction order those.  A stable sort by
-    source then gives sorted edges.
+    sink mutation, so the k-th source goes to the k-th sink and back;
+    counts that differ raise ``RuntimeError`` rather than pair wrongly.  A
+    mutation moves every mask by the same ``add - drop``, so its edges all
+    lead to later nodes, which have smaller masks, or all to earlier ones.
+    The moves are ordered by ``add - drop`` descending, then by vertex and
+    direction, so the moves leaving one cut come in ascending order of the
+    cuts they reach: ``m - drop + add`` compares as ``add - drop`` does,
+    whatever ``m`` is.  Two mutations of one cut that reach one target drop
+    and add the same arrows, and the vertex and direction order those.
     """
     space = q.cut_space
-    masks = _cut_masks(q)
-    table = space.table(masks)
-    indices = list(range(len(masks)))  # one int object per cut, shared by all its edges
-    plus, minus = repeat("+"), repeat("-")  # endless, so every run can share them
-    runs = []  # ((drop - add, vertex, direction), the mutation's edges)
+    table = space.table(_cut_masks(q))
+    moves = []  # (drop - add, vertex, direction, forward, sources, targets)
     for v, ins, outs in _sides(q):
-        sources, sinks = space.swaps(table, map(space.at.__getitem__, ins), map(space.at.__getitem__, outs))
+        drop, add = list(map(space.at.__getitem__, ins)), list(map(space.at.__getitem__, outs))
+        sources, sinks = space.swaps(table, drop, add)
         if sources.count(1) != sinks.count(1):
             raise RuntimeError(f"mutation at {v!r} pairs {sources.count(1)} strict sources with {sinks.count(1)} sinks")
-        rise, at_v = space.mask(outs) - space.mask(ins), repeat(v)  # add - drop of the source mutation
-        runs += (
-            ((-rise, v, "+"), zip(compress(indices, sources), compress(indices, sinks), at_v, plus)),
-            ((rise, v, "-"), zip(compress(indices, sinks), compress(indices, sources), at_v, minus)),
-        )
-    runs.sort(key=itemgetter(0))
-    edges = list(chain.from_iterable(map(itemgetter(1), runs)))
-    del runs  # and the cut bytes they select by, before the sort takes its keys
-    edges.sort(key=itemgetter(0))
-    nodes = tuple(map(sum, space.decode(table, tuple), repeat(())))
-    return MutationGraph(nodes, tuple(edges))
+        rise = sum(map((1).__lshift__, add)) - sum(map((1).__lshift__, drop))  # add - drop of the source mutation
+        moves += (-rise, v, "+", rise < 0, sources, sinks), (rise, v, "-", rise > 0, sinks, sources)
+    moves.sort(key=itemgetter(0, 1, 2))
+    return MutationGraph(space, table, tuple(move[1:] for move in moves))
 
 
 def is_transitive(q: QuiverWithCycles) -> bool:

@@ -7,6 +7,7 @@ criterion; assertions are exact (no tolerances are loosened here).
 import hashlib
 import random
 import time
+from pathlib import Path
 
 from support import (
     brute_force_cuts,
@@ -63,6 +64,14 @@ def test_criterion_1_e6f4_cut_count():
     _passed(1, f"E6xF4 has exactly 16599 cuts ({elapsed:.2f}s)")
 
 
+# sha256 of the E6xF4 graph exports, which the stdlib-only CI job (.github/workflows/tier1.yml) also checks
+E6F4_EXPORTS = {
+    "json": "6127fcf8e6ae3a569bc45c136cdd753d8ad160ec900c02886e3574ee1aec331e",
+    "dot": "e6821ef7b18898d825ec8d445d8fac870f5351c4095d0a0d6e2fef20d826a696",
+    "directed dot": "560af9fdfc30e6ef285b5a2700a7298cc89b7ccfb7038c56ee277b8da38d8e46",
+}
+
+
 def test_criterion_2_e6f4_structural_suite():
     start = time.perf_counter()
     q = _e6f4().qwc
@@ -83,14 +92,17 @@ def test_criterion_2_e6f4_structural_suite():
         "dot": written(mutation_graph_to_dot, graph),
         "directed dot": written(mutation_graph_to_dot, graph, directed=True),
     }
-    assert {kind: hashlib.sha256(text.encode()).hexdigest() for kind, text in exports.items()} == {
-        "json": "6127fcf8e6ae3a569bc45c136cdd753d8ad160ec900c02886e3574ee1aec331e",
-        "dot": "e6821ef7b18898d825ec8d445d8fac870f5351c4095d0a0d6e2fef20d826a696",
-        "directed dot": "560af9fdfc30e6ef285b5a2700a7298cc89b7ccfb7038c56ee277b8da38d8e46",
-    }
+    assert {kind: hashlib.sha256(text.encode()).hexdigest() for kind, text in exports.items()} == E6F4_EXPORTS
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _passed(2, f"E6xF4 covered, enough cuts, fully compatible, simply connected, connected graph ({elapsed:.2f}s)")
+
+
+def test_ci_checks_the_pinned_e6f4_exports():
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    for kind, flags in (("json", "--json"), ("dot", "--dot"), ("directed dot", "--dot --directed")):
+        assert f"graph {flags} e6f4.json | sha256sum | cut -d ' ' -f 1)\" = {E6F4_EXPORTS[kind]}" in workflow
+    assert "tensor --left E6 --right F4 > e6f4.json" in workflow
 
 
 def test_criterion_3_b2b2_split_fixture(b2b2_split):

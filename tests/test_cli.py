@@ -18,7 +18,7 @@ from quivercuts.canvas import AbelianGroup, h1
 from quivercuts.cli import build_parser, main
 from quivercuts.cuts import UncoveredQuiverWarning
 from quivercuts.docio import DisconnectedQuiverWarning, parse_quiver_document
-from quivercuts.mutation import strict_sinks, strict_sources
+from quivercuts.mutation import MutationGraph, is_transitive, strict_sinks, strict_sources
 
 B2B2 = str(FIXTURES / "b2b2_split.json")
 CIRCLE = str(FIXTURES / "circle.json")
@@ -495,6 +495,19 @@ def test_graph_directed(capsys):
     assert out.count(" -> ") == 18
 
 
+def test_graph_builds_no_edge_or_node_tuple(capsys, monkeypatch):
+    # the exports stream from the graph's per-mutation columns, and transitivity is union-find over them
+    def refused(graph):
+        raise AssertionError("an edge or node tuple was built")
+
+    monkeypatch.setattr(MutationGraph, "edges", property(refused))
+    monkeypatch.setattr(MutationGraph, "nodes", property(refused))
+    for mode in (["--json"], ["--dot"], ["--dot", "--directed"]):
+        code, out, err = run(capsys, "graph", B2B2, *mode)
+        assert (code, err) == (0, "") and out.endswith("}\n")
+    assert is_transitive(parse_quiver_document(Path(B2B2).read_text()).qwc)
+
+
 def test_graph_json_rejects_directed(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["graph", B2B2, "--json", "--directed"])
@@ -753,6 +766,30 @@ def test_a12_squared_checks_within_200_mib(capsys):
     verdicts = "covered: yes\nenough-cuts: yes\nfully-compatible: yes\n"
     assert (code, out, err) == (0, verdicts + "simply-connected: Yes (coset table closed with 1 coset)\n", "")
     assert elapsed < 20
+
+
+def test_d4e7_graph_json_within_80_mib(capsys):
+    # 88,428 nodes and 972,964 edges: the sorted edge tuples needed 121 to 140 MiB of address space
+    # under CPython 3.11 and 3.13, the per-mutation columns under 45; the output is hashed as it streams
+    assert main(["tensor", "--left", "D4", "--right", "E7"]) == 0
+    document = capsys.readouterr().out.encode()
+    cap = 80 * 2**20
+    digest = hashlib.sha256()
+    with subprocess.Popen(
+        [sys.executable, "-m", "quivercuts", "graph", "--json", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    ) as child:
+        child.stdin.write(document)
+        child.stdin.close()
+        for chunk in iter(lambda: child.stdout.read(1 << 16), b""):
+            digest.update(chunk)
+        err = child.stderr.read()
+    assert (child.returncode, err) == (0, b"")
+    assert digest.hexdigest() == "d48925ffe68cd24076a5ccefe64e0323485ba3c8febcc58191641a7eb2041d3d"
 
 
 def test_out_of_memory_is_one_line_naming_the_subcommand(capsys, monkeypatch):

@@ -193,6 +193,10 @@ def _check_against_oracles(q, rng):
     assert list(presentations) == [part.quiver.vertices[0] for part in parts]
     for part in parts:
         assert presentations[part.quiver.vertices[0]] == pi1_presentation(part)
+    _check_graph(q, cuts)
+
+
+def _check_graph(q, cuts):
     # the mutation graph, its undirected view and its components, against the frozenset oracle
     graph = mutation_graph(q)
     edges = oracle_mutation_edges(q, cuts)
@@ -309,7 +313,7 @@ def test_two_byte_masks_match_the_backtracking_oracles(seed):
     q = random_quiver_with_cycles(rng, 5, 16, min_arrows=9)
     _check_listing(q)
     cuts = enumerate_cuts(q)
-    assert mutation_graph(q).edges == tuple(oracle_mutation_edges(q, cuts))
+    _check_graph(q, cuts)  # about one in seven of these graphs has several components
     # strictness and mutation on each cut, and on it with some free arrows added
     core = cycle_core(q)
     free = sorted(frozenset(a.name for a in q.quiver.arrows) - cycle_arrows(q))

@@ -5,8 +5,11 @@ import random
 import runpy
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from conftest import fixture_text
 from support import (
     oracle_parse_quiver_document,
@@ -31,7 +34,7 @@ from quivercuts.docio import (
     serialize_quiver_document,
 )
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
-from quivercuts.mutation import MutationGraph, mutation_graph
+from quivercuts.mutation import mutation_graph
 from quivercuts.tensor import (
     BASE,
     DivisionLabel,
@@ -410,10 +413,15 @@ def test_mutation_graph_dot(b2b2_split):
     assert 'label="mu+ 3"' in directed
 
 
-def test_empty_mutation_graph_dot():
-    from quivercuts.mutation import MutationGraph
+def _no_cut_quiver():
+    # the cycle runs through p and r twice, so no arrow set meets it exactly once
+    return QuiverWithCycles(
+        Quiver(("a", "b"), (Arrow("p", "a", "b"), Arrow("r", "b", "a"))), (Cycle(("p", "r", "p", "r")),)
+    )
 
-    dot = written(mutation_graph_to_dot, MutationGraph((), ()))
+
+def test_empty_mutation_graph_dot():
+    dot = written(mutation_graph_to_dot, mutation_graph(_no_cut_quiver()))
     assert dot == 'graph "mutations" {\n}\n'
 
 
@@ -457,7 +465,7 @@ def _escaped_ids_quiver():
 @pytest.mark.parametrize(
     "graph",
     [
-        MutationGraph((), ()),
+        mutation_graph(_no_cut_quiver()),
         mutation_graph(QuiverWithCycles(Quiver(("1",), ()), ())),
         mutation_graph(_escaped_ids_quiver()),
     ],
@@ -488,22 +496,55 @@ def test_mutation_graph_dot_escapes_ids(directed):
     assert written(mutation_graph_to_dot, graph, directed=directed) == _reference_graph_dot(graph, directed)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 5])
-def test_graph_writers_stream_chunks_of_rows(a3b2, monkeypatch, rows):
-    # 13 nodes and 42 edges: every chunk size here splits both into several writes
-    graph = mutation_graph(a3b2.qwc)
-    monkeypatch.setattr(docio, "_ROWS", rows)
+def _check_graph_writers(graph, rows):
+    """Each writer, ``_ROWS`` set to ``rows``, writes its reference text in one write per chunk of rows."""
     expected = {
         (mutation_graph_to_json, False): _reference_graph_json(graph),
         (mutation_graph_to_dot, False): _reference_graph_dot(graph, False),
         (mutation_graph_to_dot, True): _reference_graph_dot(graph, True),
     }
-    for (write, directed), text in expected.items():
-        chunks = []
-        kwargs = {"directed": True} if directed else {}
-        assert write(graph, SimpleNamespace(write=chunks.append), **kwargs) is None
-        assert "".join(chunks) == text
-        assert len(chunks) >= len(graph.edges) // rows
+    nodes, edges = len(graph.nodes), len(graph.edges)
+    with mock.patch.object(docio, "_ROWS", rows):
+        for (write, directed), text in expected.items():
+            chunks = []
+            kwargs = {"directed": True} if directed else {}
+            assert write(graph, SimpleNamespace(write=chunks.append), **kwargs) is None
+            assert "".join(chunks) == text
+            # a row a node, then a row an edge; the undirected view has one edge for each two
+            fixed, edge_rows = (3, edges) if write is mutation_graph_to_json else (2, edges // (1 + (not directed)))
+            assert len(chunks) == fixed + -(-nodes // rows) + -(-edge_rows // rows)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, docio._ROWS])
+def test_graph_writers_stream_chunks_of_rows(a3b2, rows):
+    # A3xB2's 13 nodes and 42 edges: every chunk size below the default splits both into several writes
+    for q in (a3b2.qwc, _no_cut_quiver(), QuiverWithCycles(Quiver(("1",), ()), ()), _escaped_ids_quiver()):
+        _check_graph_writers(mutation_graph(q), rows)
+
+
+@pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
+@given(st.integers(0, 10**6))
+def test_graph_writers_match_references_on_random_quivers(seed):
+    # free arrows, repeated arrows, several components, and graphs with several components
+    graph = mutation_graph(random_quiver_with_cycles(random.Random(seed), 5, 12))
+    for rows in (1, 2, 5, docio._ROWS):
+        _check_graph_writers(graph, rows)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 10])
+def test_write_rows_goes_on_through_a_list(monkeypatch, count):
+    # a list, unlike an iterator, would restart at every chunk: the writer raises where that repeats forever;
+    # a count that is wrong changes only how many rows a write takes
+    monkeypatch.setattr(docio, "_ROWS", 2)
+    chunks = []
+
+    def write(text):
+        if len(chunks) == 3:
+            raise AssertionError(f"a fourth write after {chunks}")
+        chunks.append(text)
+
+    docio._write_rows(SimpleNamespace(write=write), [",a", ",b", ",c"], count, ",")
+    assert chunks == (["a", ",b", ",c"] if count < 2 else ["a,b", ",c"])
 
 
 def test_pair_labels_collapse_on_export(a3b2):

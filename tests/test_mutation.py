@@ -5,6 +5,7 @@ import pytest
 from support import (
     cycle_arrows,
     cycle_core,
+    oracle_component_count,
     oracle_mutate,
     oracle_mutation_edges,
     oracle_strict_vertices,
@@ -261,6 +262,34 @@ def test_mutation_on_a_long_cycle_takes_memory_linear_in_its_arrows():
         tracemalloc.stop()
     # two masks as wide as the quiver for every vertex would take about 59 MB here
     assert peak < 1000 * n
+
+
+def test_moves_past_a_byte_of_vertices_are_read_exactly():
+    # 300 vertices that can mutate make 600 moves, 75 bytes of source bits a node
+    q = _long_cycle(300)
+    graph = mutation_graph(q)
+    assert graph.edges == tuple(oracle_mutation_edges(q, enumerate_cuts(q)))
+    assert graph.is_connected
+    # d strict vertices of one cut hold d / 2 sources or d / 2 sinks with no arrow between two of them,
+    # whose mutations give 2 ** (d / 2) cuts, so no graph that can be listed has a node of out-degree
+    # 256: the per-node reader is fed 300 moves that each leave every node
+    everywhere = [(v, "+", True, b"\1" * 300, b"\1" * 300) for v in q.quiver.vertices]
+    assert all(tuple(out) == tuple(range(300)) for out in graph._leaving(everywhere, range(300)))
+
+
+@pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
+def test_components_by_union_find_over_the_move_columns():
+    # the union-find over paired move columns against breadth-first search over the oracle's edges
+    counts = set()
+    for seed in range(150):
+        q = random_quiver_with_cycles(random.Random(seed), 5, 16, min_arrows=9)
+        cuts = enumerate_cuts(q)
+        expected = oracle_component_count(len(cuts), oracle_mutation_edges(q, cuts))
+        graph = mutation_graph(q)
+        assert graph.component_count() == expected, seed
+        assert graph.is_connected == is_transitive(q) == (expected <= 1), seed
+        counts.add(expected)
+    assert {0, 1, 2, 3} < counts  # empty, connected and split graphs among them
 
 
 def test_non_transitive_instance():
