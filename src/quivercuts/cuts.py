@@ -27,17 +27,18 @@ an arrow's bit position and a child index.  Only listing visits every cut:
 one pass down the table gives each state the integer masks of the paths
 below it, in the one layout of :class:`~quivercuts.model.CutSpace`, where
 the least name takes the top bit, so that descending masks are ascending
-name tuples; names are built only at the end, by ``CutSpace.decode`` on the
-masks' one byte table, a byte column at a time, each byte value rendered
-once.
-:func:`enumerate_cuts` returns the tuples; ``docio.write_cuts`` streams
-the ``cuts`` lines and the mutation graph reads the same masks.  This
-module does no I/O.  Arrows lying in no distinguished cycle lie in no cut;
-counting the cuts of a quiver with such arrows, or listing them in
-``_cut_masks``, which every listing calls, triggers
-:class:`UncoveredQuiverWarning`, attributed to the first caller outside
-the ``quivercuts`` package.  A single cut is checked, and its names
-gathered, by ``_cut_members``.
+name tuples.  Each state keeps its masks in descending order, a state with
+several edges by merging its edges' sorted runs, so no list of every cut
+is sorted.  Names are built only at the end, from the masks' one byte
+table, a byte column at a time, each byte value rendered once:
+:func:`enumerate_cuts` returns tuples decoded by ``CutSpace.decode``;
+``docio.write_cuts`` writes the ``cuts`` lines as text, and the mutation
+graph reads the same masks.  This module does no I/O.  Arrows lying in no
+distinguished cycle lie in no cut; counting the cuts of a quiver with such
+arrows, or listing them in ``_cut_masks``, which every listing calls,
+triggers :class:`UncoveredQuiverWarning`, attributed to the first caller
+outside the ``quivercuts`` package.  A single cut is checked, and its
+names gathered, by ``_cut_members``.
 """
 
 from __future__ import annotations
@@ -121,6 +122,12 @@ def _cut_masks(q: QuiverWithCycles) -> list[int]:
     each edge's masks in a new list.  A child's pair is dropped once its last
     parent has used it; the root's masks are every cut once.
 
+    Every ``base`` is kept in descending order, so no list of every cut is
+    sorted.  A path takes each arrow once, so ``bits`` shares no bit with
+    any ``s`` below it, and ``bits | s == bits + s`` keeps the order of
+    ``base``.  Each edge's masks are then one descending run, and a joined
+    list's sort is Timsort's merge of those runs, not a full sort.
+
     Descending masks are ascending sorted name tuples.  No cut contains
     another: were ``A`` inside ``B``, an arrow of ``B`` outside ``A`` lies on
     a cycle that ``A``, and so ``B``, meets at another arrow.  So for cuts
@@ -145,12 +152,14 @@ def _cut_masks(q: QuiverWithCycles) -> list[int]:
             uses[j] -= 1
             if not uses[j]:
                 below[j] = None
-        # one live edge shares its child's base; more join their masks in a new one
-        below.append(parts[0] if len(parts) == 1 else (0, [b | s for b, base in parts for s in base]))
+        if len(parts) == 1:  # one live edge shares its child's base
+            below.append(parts[0])
+        else:  # more join their masks in a new one, their descending runs merged
+            merged = [b | s for b, base in parts for s in base]
+            merged.sort(reverse=True)
+            below.append((0, merged))
     bits, base = below[-1]
-    masks = [bits | s for s in base] if bits else base  # a root with no bits of its own owns its list
-    masks.sort(reverse=True)
-    return masks
+    return [bits | s for s in base] if bits else base  # a root with no bits of its own owns its list
 
 
 def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:

@@ -33,11 +33,15 @@ graphs as undirected graphs by default, matching mutation-lattice figures.
 The streamed writers, :func:`write_cuts` for the ``cuts`` lines and the
 mutation-graph writers (JSON and DOT), write to a text stream, such as
 ``sys.stdout`` or an open file, and return ``None``; they never hold the
-whole text.  Each passes an iterator of row texts, chained ``map`` objects
-with no Python code per row, to ``_write_rows``, the one loop that writes
-them a chunk of rows at a time.  A cut's row is decoded from the cut table
-as text; a graph's edge rows are read off its per-mutation columns in
-order of source, so no edge tuple is built and none is sorted.
+whole text, and write it a chunk of rows at a time, with no Python code
+per row.  A cut's row, a ``cuts`` line or a graph's node row, is written
+from the cut table by ``_write_cut_rows``, the one column renderer: each
+byte column fills its pieces of a chunk by one strided slice assignment,
+and no row drops a leading separator, since the rows of the descending
+table with no name before a column are a suffix of it.  A graph's edge
+rows are chained ``map`` objects read off its per-mutation columns in
+order of source, so no edge tuple is built and none is sorted, and
+``_write_rows`` writes them.
 """
 
 from __future__ import annotations
@@ -47,9 +51,9 @@ import sys
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import chain, compress, repeat
-from operator import add, itemgetter
+from operator import add
 
-from .model import Arrow, Cycle, Quiver, QuiverWithCycles, validate
+from .model import _PICK, Arrow, Cycle, Quiver, QuiverWithCycles, validate
 from .tensor import DivisionLabel, LabeledQuiverWithCycles, _product_label
 
 TYPE_CHECKING = False
@@ -355,33 +359,85 @@ def _write_rows(out: TextIO, texts: Iterable[str], count: int, sep: str = "") ->
             out.write("".join(rows))
 
 
-def _cut_texts(space: CutSpace, table: bytes, sep: str, quote: Callable[[str], str]) -> Iterator[str]:
-    """Per row of ``table``, its names, each through ``quote``, joined by ``sep``.
+def _write_cut_rows(
+    out: TextIO,
+    space: CutSpace,
+    table: bytes,
+    sep: str,
+    quote: Callable[[str], str],
+    head: str,
+    tail: str,
+    number: str = "",
+    drop: int = 0,
+) -> None:
+    """Write a row per cut of ``table`` to ``out``: ``head``, its names through ``quote`` joined by ``sep``, ``tail``.
 
-    Each arrow's name is quoted once, after ``sep``, and each byte value is
-    rendered once as its arrows' texts joined; a row is its bytes' texts
-    joined, less the first ``sep``.  Every step is C code: no row, and no
-    byte value, runs Python code of its own, and no tuple of names is built.
+    ``number``, where given, is formatted with each row's index into a
+    piece before the row, and the first row is written less its first
+    ``drop`` characters.  Rows are written ``_ROWS`` at a time from the one
+    list ``pieces``, made before the first write and refilled in place, as
+    ``_write_rows`` refills its list: ``w`` pieces a row, the numbered one
+    and then a text per byte.  Each byte column fills its pieces by one
+    strided slice assignment, a ``map`` over its bytes through a table of
+    texts, each made once per byte value that occurs in the column: no row
+    runs Python code of its own, and none makes a string but its numbered
+    piece.
+
+    Rows need no work to drop their leading ``sep``.  The table's rows
+    descend, so those whose bytes before column ``j`` are all zero, the
+    rows with no name before it, are the rows from ``split[j]`` on, found
+    in column ``j - 1`` from ``split[j - 1]``.  Column ``j`` reads texts
+    that begin with ``sep`` above ``split[j]``, and texts that do not from
+    it on.  ``head`` begins column 0's texts, and ``tail`` ends the last
+    column's.
     """
-    texts = [sep + quote(name) for name in space.arrows]
-    return map(itemgetter(slice(len(sep), None)), map("".join, space.decode(table, "".join, texts)))
+    nb, n = space.nb, len(table) // space.nb
+    columns = [table[j::nb] for j in range(nb)]
+    del table  # its columns hold every byte the rows need
+    split = [0]
+    for column in columns[:-1]:
+        at = column.find(0, split[-1])
+        split.append(n if at < 0 else at)
+    texts = [sep + quote(name) for name in space.arrows]  # each name quoted once
+    lookups = []
+    for j, column in enumerate(columns):
+        names = tuple(texts[8 * j : 8 * j + 8])
+        first, last = head if j == 0 else "", tail if j == nb - 1 else ""
+        above, below = [None] * 256, [None] * 256  # by byte value: with the leading sep, and without
+        for x in set(column):
+            joined = "".join(_PICK[x](names))
+            above[x], below[x] = joined + last, first + joined[len(sep) :] + last
+        lookups.append((above.__getitem__, below.__getitem__))
+    w = nb + bool(number)
+    size = max(1, min(_ROWS, n))
+    pieces = [""] * (w * size)
+    for a in range(0, n, size):
+        z = min(n, a + size)
+        if z - a < size:
+            del pieces[w * (z - a) :]  # the last, short write
+        if number:
+            pieces[::w] = map(number.format, range(a, z))
+        for k, column, (above, below), s in zip(range(w - nb, w), columns, lookups, split):
+            s = min(max(s, a), z)  # this chunk's rows from s on have no name before the column
+            pieces[k : w * (s - a) : w] = map(above, column[a:s])
+            pieces[k + w * (s - a) :: w] = map(below, column[s:z])
+        if not a:
+            pieces[0] = pieces[0][drop:]
+        out.write("".join(pieces))
 
 
 def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
     """Write the cuts of ``q`` to ``out`` in ``enumerate_cuts`` order, each a line of comma-joined names.
 
-    Lines are decoded from the same table as ``enumerate_cuts``, as text
-    rather than tuples, and gain their newlines in a ``map``.  Neither a
-    tuple of names per cut nor the whole text is built.  Warns like
-    ``enumerate_cuts`` when arrows lie in no distinguished cycle.
+    Lines are written from the same table as ``enumerate_cuts``, as text
+    rather than tuples, by ``_write_cut_rows``.  Neither a tuple of names
+    per cut nor the whole text is built.  Warns like ``enumerate_cuts``
+    when arrows lie in no distinguished cycle.
     """
     from .cuts import _cut_masks
 
     space = q.cut_space
-    table = space.table(_cut_masks(q))
-    count, lines = len(table) // space.nb, map(str.__add__, _cut_texts(space, table, ",", str), repeat("\n"))
-    del table  # its decoded columns hold every byte the lines need
-    _write_rows(out, lines, count)
+    _write_cut_rows(out, space, space.table(_cut_masks(q)), ",", str, "", "\n")
 
 
 def _edge_rows(graph: MutationGraph, moves: Sequence[tuple], head: str, tails: list[str]) -> Iterator[str]:
@@ -409,9 +465,8 @@ def mutation_graph_to_dot(graph: MutationGraph, out: TextIO, directed: bool = Fa
     move's label is built once.
     """
     kind, joiner = ("digraph", "->") if directed else ("graph", "--")
-    labels = _cut_texts(graph.space, graph.table, ",", _dot_escape)
     out.write(f'{kind} "mutations" {{\n')
-    _write_rows(out, map('  n{} [label="{}"];\n'.format, range(graph.node_count), labels), graph.node_count)
+    _write_cut_rows(out, graph.space, graph.table, ",", _dot_escape, "", '"];\n', '  n{} [label="')
     if directed:
         moves = graph.moves
         tails = [f" [label={_dot_quote(f'mu{d} {v}')}];\n" for v, d, *_ in moves]
@@ -432,14 +487,13 @@ def mutation_graph_to_json(graph: MutationGraph, out: TextIO) -> None:
     arrows has the empty cut, its one node.  Each move's closing lines are
     built once.
     """
-    if graph.space.cycle_mask:
-        nodes = map(",\n    [\n      {}\n    ]".format, _cut_texts(graph.space, graph.table, ",\n      ", _quote))
-    else:
-        nodes = repeat(",\n    []", graph.node_count)
     tails = [f',\n      "vertex": {_quote(v)},\n      "direction": "{d}"\n    }}' for v, d, *_ in graph.moves]
     edges = sum(sources.count(1) for *_, sources, _ in graph.moves)
     out.write('{\n  "nodes": [')
-    _write_rows(out, nodes, graph.node_count, ",")
+    if graph.space.cycle_mask:
+        _write_cut_rows(out, graph.space, graph.table, ",\n      ", _quote, ",\n    [\n      ", "\n    ]", drop=1)
+    else:
+        _write_rows(out, repeat(",\n    []", graph.node_count), graph.node_count, ",")
     out.write('\n  ],\n  "edges": [' if graph.node_count else '],\n  "edges": [')
     rows = _edge_rows(graph, graph.moves, ',\n    {{\n      "source": {},\n      "target": ', tails)
     _write_rows(out, rows, edges, ",")

@@ -244,15 +244,14 @@ class CutSpace:
         """``masks`` laid out as rows of ``nb`` bytes, most significant first, so row ``i`` is ``masks[i]``."""
         return b"".join(map(int.to_bytes, masks, repeat(self.nb), repeat("big")))
 
-    def decode(self, table: bytes, render: Callable[[tuple], object], names: Sequence | None = None) -> Iterator[tuple]:
+    def decode(self, table: bytes, render: Callable[[tuple], object]) -> Iterator[tuple]:
         """Per row of ``table``, a tuple of ``nb`` parts: ``render`` of each of its bytes' names, in name order.
 
-        ``names`` stands for ``arrows``, item for item, where given.  Byte
-        ``j`` of a row holds arrows ``8j`` to ``8j + 7``; each byte column of
-        ``table``, a strided slice, is read by ``_select``, so ``render``
-        runs once per byte value that occurs at ``j``.
+        Byte ``j`` of a row holds arrows ``8j`` to ``8j + 7``; each byte
+        column of ``table``, a strided slice, is read by ``_select``, so
+        ``render`` runs once per byte value that occurs at ``j``.
         """
-        return _select([table[j :: self.nb] for j in range(self.nb)], self.arrows if names is None else names, render)
+        return _select([table[j :: self.nb] for j in range(self.nb)], self.arrows, render)
 
     def column(self, table: bytes, p: int) -> bytes:
         """Bit ``p`` of every row of ``table``, one byte per row: a strided slice of its byte, through ``translate``."""

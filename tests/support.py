@@ -697,6 +697,28 @@ def random_quiver_with_cycles(
     return QuiverWithCycles(quiver, tuple(cycles))
 
 
+# characters a writer escapes or must pass through: a comma, a quote, a backslash and non-ASCII text
+AWKWARD_CHARACTERS = ("a", "b", " ", ",", '"', "\\", "\u00e9", "\u2603")
+
+
+def awkward_names(rng: random.Random, n: int) -> list[str]:
+    """``n`` distinct names, each one to three random ``AWKWARD_CHARACTERS``, in random order."""
+    names: list[str] = []
+    while len(names) < n:
+        name = "".join(rng.choice(AWKWARD_CHARACTERS) for _ in range(rng.randint(1, 3)))
+        if name not in names:
+            names.append(name)
+    return names
+
+
+def renamed(q: QuiverWithCycles, names: Sequence[str]) -> QuiverWithCycles:
+    """``q`` with its arrows renamed, in declaration order, to ``names``."""
+    new = dict(zip((a.name for a in q.quiver.arrows), names))
+    arrows = tuple(Arrow(new[a.name], a.source, a.target) for a in q.quiver.arrows)
+    cycles = tuple(Cycle(tuple(map(new.__getitem__, c.arrows)), c.sign) for c in q.cycles)
+    return QuiverWithCycles(Quiver(q.quiver.vertices, arrows), cycles)
+
+
 def random_cyclic_walk(rng: random.Random, quiver: Quiver, max_steps: int = 40) -> list[Step] | None:
     """A random walk in the doubled quiver that happens to close up."""
     if not quiver.arrows:

@@ -9,6 +9,7 @@ import random
 import time
 from pathlib import Path
 
+import pytest
 from support import (
     brute_force_cuts,
     cycle_arrows,
@@ -28,7 +29,7 @@ from quivercuts.cuts import (
     truncated_presentation,
     truncated_quiver,
 )
-from quivercuts.docio import mutation_graph_to_dot, mutation_graph_to_json
+from quivercuts.docio import mutation_graph_to_dot, mutation_graph_to_json, write_cuts
 from quivercuts.model import Quiver
 from quivercuts.mutation import mutate_minus, mutation_graph
 from quivercuts.tensor import (
@@ -37,6 +38,7 @@ from quivercuts.tensor import (
     dynkin_quiver,
     dynkin_spec,
     morita_split,
+    parse_dynkin_spec,
     standard_cuts,
     tensor_qwc,
 )
@@ -103,6 +105,26 @@ def test_ci_checks_the_pinned_e6f4_exports():
     for kind, flags in (("json", "--json"), ("dot", "--dot"), ("directed dot", "--dot --directed")):
         assert f"graph {flags} e6f4.json | sha256sum | cut -d ' ' -f 1)\" = {E6F4_EXPORTS[kind]}" in workflow
     assert "tensor --left E6 --right F4 > e6f4.json" in workflow
+
+
+# sha256 of the ``cuts`` listings of F4xE6 (16,599 lines) and D4xE7 (88,428 lines); the stdlib-only CI job
+# checks the first
+CUT_LISTINGS = {
+    ("F4", "E6"): "5b05253f579c7e83883a9bf9b89bb32e97a13e07d57c160ecd856fe12a20fe06",
+    ("D4", "E7"): "2c42cc5395d7a77ed5f8f3d439d3967b34e9237ceff6fbe6ec387ca624b8d54c",
+}
+
+
+@pytest.mark.parametrize(("left", "right"), CUT_LISTINGS)
+def test_cut_listings_are_pinned(left, right):
+    q = tensor_qwc(dynkin_quiver(parse_dynkin_spec(left)), dynkin_quiver(parse_dynkin_spec(right))).qwc
+    assert hashlib.sha256(written(write_cuts, q).encode()).hexdigest() == CUT_LISTINGS[left, right]
+
+
+def test_ci_checks_the_pinned_f4e6_listing():
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert f"cuts < f4e6.json | sha256sum | cut -d ' ' -f 1)\" = {CUT_LISTINGS['F4', 'E6']}" in workflow
+    assert "tensor --left F4 --right E6 > f4e6.json" in workflow
 
 
 def test_criterion_3_b2b2_split_fixture(b2b2_split):

@@ -5,11 +5,14 @@ import tracemalloc
 import warnings
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from support import (
+    awkward_names,
     brute_force_cuts,
     cycle_arrows,
     cycle_core,
@@ -27,6 +30,7 @@ from support import (
     oracle_strict_vertices,
     random_quiver_with_cycles,
     random_tree_quiver,
+    renamed,
     written,
 )
 
@@ -34,6 +38,7 @@ from quivercuts.canvas import _presentations, pi1_presentation
 from quivercuts.cli import main
 from quivercuts.cuts import (
     UncoveredQuiverWarning,
+    _cut_masks,
     _packed_grades,
     are_compatible,
     count_cuts,
@@ -45,6 +50,7 @@ from quivercuts.cuts import (
     truncated_presentation,
     truncated_quiver,
 )
+from quivercuts import docio
 from quivercuts.docio import write_cuts
 from quivercuts.model import Arrow, Cycle, CutSpace, Quiver, QuiverWithCycles, spanning_tree
 from quivercuts.mutation import (
@@ -263,18 +269,26 @@ def test_decode_renders_each_byte_value_in_the_table_once():
     assert sorted(rendered) == sorted(occurring)  # and none while the rows were drawn
 
 
-def _renamed(q, names):
-    """``q`` with its arrows renamed, in declaration order, to ``names``."""
-    new = dict(zip((a.name for a in q.quiver.arrows), names))
-    arrows = tuple(Arrow(new[a.name], a.source, a.target) for a in q.quiver.arrows)
-    cycles = tuple(Cycle(tuple(map(new.__getitem__, c.arrows)), c.sign) for c in q.cycles)
-    return QuiverWithCycles(Quiver(q.quiver.vertices, arrows), cycles)
+def _assert_descending(masks):
+    # the listing sorts no list of every cut: each state's merge must keep its masks in order
+    assert all(map(int.__gt__, masks, masks[1:]))
 
 
 def _check_listing(q):
+    """``enumerate_cuts`` and ``write_cuts`` list the oracle's cuts, ``_ROWS`` whole lines a write."""
     expected = sorted(tuple(sorted(cut)) for cut in oracle_enumerate_cuts(q))
+    _assert_descending(_cut_masks(q))
     assert enumerate_cuts(q) == expected
-    assert written(write_cuts, q) == "".join(",".join(cut) + "\n" for cut in expected)
+    text = "".join(",".join(cut) + "\n" for cut in expected)
+    for rows in (1, 3, 7, docio._ROWS):
+        chunks = []
+        with mock.patch.object(docio, "_ROWS", rows):
+            write_cuts(q, SimpleNamespace(write=chunks.append))
+        assert "".join(chunks) == text
+        # names hold no line break: each write is ``rows`` whole lines, the last the rest, and none is empty
+        sizes = [min(rows, len(expected) - i) for i in range(0, len(expected), rows)]
+        assert [chunk.count("\n") for chunk in chunks] == sizes
+        assert all(chunk.endswith("\n") for chunk in chunks)
 
 
 @pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
@@ -284,7 +298,7 @@ def test_listing_matches_the_backtracking_oracle(seed):
     # under names that sort around the comma
     rng = random.Random(seed)
     q = random_quiver_with_cycles(rng)
-    _check_listing(_renamed(q, rng.sample(AROUND_THE_COMMA, len(q.quiver.arrows))))
+    _check_listing(renamed(q, rng.sample(AROUND_THE_COMMA, len(q.quiver.arrows))))
 
 
 def test_listing_orders_names_around_the_comma():
@@ -327,6 +341,24 @@ def test_two_byte_masks_match_the_backtracking_oracles(seed):
                 assert mutate_plus(q, members, v) == tuple(sorted(oracle_mutate(core, members, v, "+")))
             for v in sinks:
                 assert mutate_minus(q, members, v) == tuple(sorted(oracle_mutate(core, members, v, "-")))
+
+
+@pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
+@given(st.integers(0, 10**6))
+def test_three_to_five_byte_masks_match_the_backtracking_oracle(seed):
+    # 17 to 40 arrows fill three to five mask bytes, under names holding commas, quotes, backslashes and
+    # non-ASCII text in random order: a cut's first name lies in any byte, and with no cycle the one cut is empty
+    rng = random.Random(seed)
+    q = random_quiver_with_cycles(rng, 5, 40, min_arrows=17)
+    _check_listing(renamed(q, awkward_names(rng, len(q.quiver.arrows))))
+
+
+@pytest.mark.parametrize(("left", "right", "count"), [("E6", "F4", 16599), ("D4", "E7", 88428)])
+def test_product_masks_descend_strictly(left, right, count):
+    q = tensor_qwc(dynkin_quiver(parse_dynkin_spec(left)), dynkin_quiver(parse_dynkin_spec(right))).qwc
+    masks = _cut_masks(q)
+    assert len(masks) == count
+    _assert_descending(masks)
 
 
 def _recorded_writes(q, rows, monkeypatch):
@@ -506,7 +538,7 @@ def _names_reversed(q):
     """``q`` with its arrow names reversed in order, so the DAG indexes and branches differently."""
     names = sorted(a.name for a in q.quiver.arrows)
     new = dict(zip(names, reversed(names)))
-    return _renamed(q, [new[a.name] for a in q.quiver.arrows])
+    return renamed(q, [new[a.name] for a in q.quiver.arrows])
 
 
 @pytest.mark.parametrize(

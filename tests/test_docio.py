@@ -12,10 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from conftest import fixture_text
 from support import (
+    awkward_names,
     oracle_parse_quiver_document,
     parse_outcome,
     random_quiver_with_cycles,
     reference_quiver_document,
+    renamed,
     written,
 )
 
@@ -528,6 +530,18 @@ def test_graph_writers_match_references_on_random_quivers(seed):
     # free arrows, repeated arrows, several components, and graphs with several components
     graph = mutation_graph(random_quiver_with_cycles(random.Random(seed), 5, 12))
     for rows in (1, 2, 5, docio._ROWS):
+        _check_graph_writers(graph, rows)
+
+
+@pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
+@given(st.integers(0, 10**6))
+def test_graph_writers_match_references_on_three_to_five_byte_masks(seed):
+    # 17 to 40 arrows fill three to five mask bytes, under names holding commas, quotes, backslashes and
+    # non-ASCII text in random order: a node's first name lies in any byte, and with no cycle the one node is empty
+    rng = random.Random(seed)
+    q = random_quiver_with_cycles(rng, 5, 40, min_arrows=17)
+    graph = mutation_graph(renamed(q, awkward_names(rng, len(q.quiver.arrows))))
+    for rows in (1, 3, 7, docio._ROWS):
         _check_graph_writers(graph, rows)
 
 
