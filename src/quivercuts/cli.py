@@ -75,12 +75,16 @@ def _cmd_cuts(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from .canvas import is_simply_connected
     from .cuts import has_enough_cuts, is_covered, is_fully_compatible
+    from .model import MAX_DAG_STATES, DagTooLargeError
 
     value = _read_document(args.file)
     q = value.qwc
     print(f"covered: {'yes' if is_covered(q) else 'no'}")
-    print(f"enough-cuts: {'yes' if has_enough_cuts(q) else 'no'}")
-    print(f"fully-compatible: {'yes' if is_fully_compatible(q) else 'no'}")
+    try:  # both read the one DAG; a build past the cap is not cached, so it is tried once
+        dag = ["yes" if has_enough_cuts(q) else "no", "yes" if is_fully_compatible(q) else "no"]
+    except DagTooLargeError:
+        dag = [f"Unknown (cut-state DAG past {MAX_DAG_STATES} states)"] * 2
+    print(f"enough-cuts: {dag[0]}\nfully-compatible: {dag[1]}")
     verdict = is_simply_connected(q, budget=args.coset_budget)
     print(f"simply-connected: {verdict.status} ({verdict.evidence})")
     return 0

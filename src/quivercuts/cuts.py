@@ -47,7 +47,6 @@ import sys
 import warnings
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from itertools import repeat
 
 from .model import ArrowId, CutSpace, Quiver, QuiverWithCycles, _iter_bits
 
@@ -168,15 +167,14 @@ def enumerate_cuts(q: QuiverWithCycles) -> list[Cut]:
     The cuts are the root-to-sink paths of the cut-state DAG (see
     :func:`count_cuts`), gathered as integer masks whose descending order is
     this order (see ``_cut_masks``), laid out once by ``CutSpace.table`` and
-    decoded by :meth:`~quivercuts.model.CutSpace.decode` into rows of ``nb``
-    name tuples, one per byte: a cut is the sum of its row, taken by a
-    ``map`` of ``sum``.  An arrow occurring twice in one cycle lies in no cut.
+    decoded by :meth:`~quivercuts.model.CutSpace.decode`, a name tuple a
+    row.  An arrow occurring twice in one cycle lies in no cut.
 
     Arrows lying in no cycle are excluded from every cut; when such arrows
     exist an :class:`UncoveredQuiverWarning` is emitted.
     """
     space = q.cut_space
-    return list(map(sum, space.decode(space.table(_cut_masks(q)), tuple), repeat(())))
+    return list(space.decode(space.table(_cut_masks(q))))
 
 
 def has_enough_cuts(q: QuiverWithCycles) -> bool:

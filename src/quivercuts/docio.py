@@ -40,8 +40,8 @@ byte column fills its pieces of a chunk by one strided slice assignment,
 and no row drops a leading separator, since the rows of the descending
 table with no name before a column are a suffix of it.  A graph's edge
 rows are chained ``map`` objects read off its per-mutation columns in
-order of source, so no edge tuple is built and none is sorted, and
-``_write_rows`` writes them.
+``_leaving``'s order of source, so no edge tuple is built and none is
+sorted, and ``_write_rows`` writes them.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import chain, compress, repeat
 from operator import add
 
-from .model import _PICK, Arrow, Cycle, Quiver, QuiverWithCycles, validate
+from .model import _PICK, Arrow, Cycle, Quiver, QuiverWithCycles, _select, validate
 from .tensor import DivisionLabel, LabeledQuiverWithCycles, _product_label
 
 TYPE_CHECKING = False
@@ -440,18 +440,38 @@ def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
     _write_cut_rows(out, space, space.table(_cut_masks(q)), ",", str, "", "\n")
 
 
+def _leaving(n: int, moves: Sequence[tuple], items: Sequence) -> Iterator[Iterable]:
+    """Per node of ``n``, in order, the ``items`` of those ``moves`` that leave it, in the order of ``moves``.
+
+    ``items[k]`` stands for ``moves[k]``.  The source columns of each 8
+    moves are OR-ed into one byte per node, move ``k`` of them at bit
+    ``7 - k``, and read back as a cut table is decoded, so no node runs
+    Python code of its own and none loses a move however many there are.
+    """
+    if not moves:
+        return repeat((), n)
+    columns = []
+    for k in range(0, len(moves), 8):
+        bits = 0
+        for shift, (_, _, _, sources, _) in zip(range(7, -1, -1), moves[k : k + 8]):
+            bits |= int.from_bytes(sources, "big") << shift  # each byte 0 or 1: no carry into the next
+        columns.append(bits.to_bytes(n, "big"))
+    return map(chain.from_iterable, _select(columns, items))
+
+
 def _edge_rows(graph: MutationGraph, moves: Sequence[tuple], head: str, tails: list[str]) -> Iterator[str]:
     """The text of each edge of ``moves``, in order of source: ``head`` formatted with the source, then the rest.
 
     A move's k-th source goes to its k-th target, so each move is one
     stream of texts, its targets' numbers each with the move's tail, picked
-    out by ``compress`` and read by ``next`` as the nodes it leaves come up.
-    An edge's text is its source's ``head`` and that stream's next text.
+    out by ``compress``.  An edge's text is its source's ``head`` and the
+    next text of a stream that ``_leaving`` gives for that source.
     """
-    numbers = list(map(str, range(graph.node_count)))
+    n = graph.node_count
+    numbers = list(map(str, range(n)))
     streams = [map(add, compress(numbers, targets), repeat(tail)) for (*_, targets), tail in zip(moves, tails)]
     heads = map(repeat, map(head.format, numbers))
-    return chain.from_iterable(map(map, repeat(add), heads, map(map, repeat(next), graph._leaving(moves, streams))))
+    return chain.from_iterable(map(map, repeat(add), heads, map(map, repeat(next), _leaving(n, moves, streams))))
 
 
 def mutation_graph_to_dot(graph: MutationGraph, out: TextIO, directed: bool = False) -> None:
@@ -492,8 +512,8 @@ def mutation_graph_to_json(graph: MutationGraph, out: TextIO) -> None:
     out.write('{\n  "nodes": [')
     if graph.space.cycle_mask:
         _write_cut_rows(out, graph.space, graph.table, ",\n      ", _quote, ",\n    [\n      ", "\n    ]", drop=1)
-    else:
-        _write_rows(out, repeat(",\n    []", graph.node_count), graph.node_count, ",")
+    else:  # no cycle: the cut-state DAG is its sink alone, so the one node is the empty cut
+        out.write("\n    []")
     out.write('\n  ],\n  "edges": [' if graph.node_count else '],\n  "edges": [')
     rows = _edge_rows(graph, graph.moves, ',\n    {{\n      "source": {},\n      "target": ', tails)
     _write_rows(out, rows, edges, ",")

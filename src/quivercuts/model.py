@@ -7,9 +7,9 @@ rotation so that two choices of starting vertex compare equal.
 ``CutSpace`` is the one bit-mask view of a quiver's arrows and the one
 codec of its masks: it gives each arrow its bit position, the one value held
 per arrow, turns name sets into masks, lays masks out as a byte table read
-as rows of names and as columns of bits, and holds the cut-state DAG, a node
-table that every cut computation reads.  One BFS spanning forest per quiver,
-``Quiver.forest``, rooted at each component's least vertex, gives the
+as a name tuple a row and as columns of bits, and holds the cut-state DAG,
+a node table that every cut computation reads.  One BFS spanning forest per
+quiver, ``Quiver.forest``, rooted at each component's least vertex, gives the
 components that :func:`validate` counts, the chords whose closed walks
 compatibility compares cuts on and the fundamental-group presentation of
 each component of the canvas.
@@ -21,11 +21,11 @@ sorted by identifier, making outputs byte-stable across runs.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, repeat
-from operator import attrgetter, itemgetter, methodcaller, or_
+from operator import attrgetter, itemgetter, or_
 
 VertexId = str
 ArrowId = str
@@ -138,28 +138,31 @@ _PICK = [
 ]
 
 
-def _select(columns: Sequence[bytes], items: Sequence, render: Callable[[tuple], object]) -> Iterator[tuple]:
-    """Per row, a tuple of ``len(columns)`` parts: ``render`` of the tuple of ``items`` each of its bytes selects.
+def _select(columns: Sequence[bytes], items: Sequence) -> Iterator[tuple[tuple, ...]]:
+    """Per row, a tuple of ``len(columns)`` parts: the tuple of ``items`` each of its bytes selects.
 
     ``columns[j]`` holds a byte per row, whose bits, most significant first,
     select among ``items[8j:8j + 8]``.  Each column has its own table,
-    built before the first row, holding what ``render`` gives for each byte
-    value that occurs in it: one pick and one call per such value.  Each
-    column is looked up in its table by a ``map``, and ``zip`` joins the
+    built before the first row, of one ``_PICK`` call for each byte value
+    in it; a ``map`` looks the column up in it, and ``zip`` joins the
     columns into rows, so no row runs Python code of its own.
     """
     lookups = []
     for k, column in zip(range(0, 8 * len(columns), 8), columns):
-        values = set(column)
-        rendered = map(render, map(methodcaller("__call__", tuple(items[k : k + 8])), map(_PICK.__getitem__, values)))
-        lookups.append(dict(zip(values, rendered)).__getitem__)
+        group = tuple(items[k : k + 8])
+        lookups.append({x: _PICK[x](group) for x in set(column)}.__getitem__)
     return zip(*map(map, lookups, columns))
 
 
 # The most states the cut-state DAG may have, checked as each is found, so that a build that would
-# not fit in 2 GiB ends in a ValueError.  A DAG takes about 630 bytes a state: A16 x A16, past the
-# cap with 2,751,747 states, peaks at 1.7 GB when built.
+# not fit in 2 GiB ends in a DagTooLargeError.  A DAG takes about 630 bytes a state: A16 x A16, past
+# the cap with 2,751,747 states, peaks at 1.7 GB when built.
 MAX_DAG_STATES = 2_000_000
+
+
+class DagTooLargeError(ValueError):
+    """The cut-state DAG has more than ``MAX_DAG_STATES`` states."""
+
 
 DEFAULT_COSET_BUDGET = 10**6  # canvas's default coset limit, here so the CLI can show it without loading canvas
 
@@ -214,8 +217,9 @@ class CutSpace:
     and descending masks of cuts are ascending name tuples.  An arrow is
     held only as its bit position, which ``at`` maps its name to.
     :meth:`mask` is the one encoder of name sets, and :meth:`table` lays
-    many masks out as rows of bytes, read back whole by :meth:`decode` and
-    a bit position at a time by :meth:`column` and :meth:`swaps`.
+    many masks out as rows of bytes, read back a name tuple a row by
+    :meth:`decode` and a bit position at a time by :meth:`column` and
+    :meth:`swaps`.
     ``cycle_mask`` holds the cycle arrows, ``declared`` the arrows the
     quiver declares, ``members`` each cycle's arrows, ``cycles_of`` the
     cycles through the arrow at each bit position (bit ``c`` for
@@ -244,14 +248,15 @@ class CutSpace:
         """``masks`` laid out as rows of ``nb`` bytes, most significant first, so row ``i`` is ``masks[i]``."""
         return b"".join(map(int.to_bytes, masks, repeat(self.nb), repeat("big")))
 
-    def decode(self, table: bytes, render: Callable[[tuple], object]) -> Iterator[tuple]:
-        """Per row of ``table``, a tuple of ``nb`` parts: ``render`` of each of its bytes' names, in name order.
+    def decode(self, table: bytes) -> Iterator[tuple[ArrowId, ...]]:
+        """Per row of ``table``, the names of its bits in name order, as one tuple.
 
         Byte ``j`` of a row holds arrows ``8j`` to ``8j + 7``; each byte
         column of ``table``, a strided slice, is read by ``_select``, so
-        ``render`` runs once per byte value that occurs at ``j``.
+        each byte value that occurs at ``j`` is picked once, and a ``map``
+        of ``sum`` joins a row's ``nb`` parts.
         """
-        return _select([table[j :: self.nb] for j in range(self.nb)], self.arrows, render)
+        return map(sum, _select([table[j :: self.nb] for j in range(self.nb)], self.arrows), repeat(()))
 
     def column(self, table: bytes, p: int) -> bytes:
         """Bit ``p`` of every row of ``table``, one byte per row: a strided slice of its byte, through ``translate``."""
@@ -286,7 +291,7 @@ class CutSpace:
         uncovered cycle, its lowest zero bit, that cover no covered cycle, so
         that branches meet in shared states; an arrow joins the cut and covers
         every cycle through it.  The search stack holds bare states.  Past
-        ``MAX_DAG_STATES`` states the build raises ``ValueError``.
+        ``MAX_DAG_STATES`` states the build raises ``DagTooLargeError``.
         The sink, all cycles covered, sits at ``[0]`` and counts 1; the root,
         none covered, at ``[-1]``; a child covers more cycles than its parent
         and comes before it.  Edges into states with no cut are dropped, so
@@ -319,7 +324,7 @@ class CutSpace:
             if covered in branches:
                 continue
             if len(branches) >= MAX_DAG_STATES:
-                raise ValueError(f"the cut-state DAG is too large: more than {MAX_DAG_STATES} states")
+                raise DagTooLargeError(f"the cut-state DAG is too large: more than {MAX_DAG_STATES} states")
             # the first uncovered cycle, at the lowest zero bit; an arrow through a covered cycle is banned
             edges = branches[covered] = [
                 (p, covered | cycles)

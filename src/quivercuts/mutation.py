@@ -19,20 +19,20 @@ sink.  It keeps the table and those columns, a byte per cut for each
 mutation, and no edge: the k-th source of a mutation goes to its k-th
 target, so its edges are read by pairing the two columns in order.  The
 components come from those pairs by union-find, and the exports in
-:mod:`~quivercuts.docio` stream the edges in order of source from them.
+:mod:`~quivercuts.docio` stream the edges from them in their own order.
 Node and edge tuples are built only when asked for.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
 
 from .cuts import Cut, _cut_masks, _cut_members
-from .model import ArrowId, CutSpace, QuiverWithCycles, VertexId, _select
+from .model import ArrowId, CutSpace, QuiverWithCycles, VertexId
 
 
 def _sides(q: QuiverWithCycles) -> list[tuple[VertexId, list[ArrowId], list[ArrowId]]]:
@@ -119,7 +119,7 @@ class MutationGraph:
     end, because mutation at a vertex is an involution that swaps "+" and
     "-", it never fixes a cut, and no vertex with cycle arrows is both a
     strict source and a strict sink of one cut.  So the forward moves name
-    every labelled pair once, and the other moves name them again.
+    every labelled pair once, as the undirected DOT export writes them.
     """
 
     space: CutSpace
@@ -132,41 +132,13 @@ class MutationGraph:
 
     @cached_property
     def nodes(self) -> tuple[Cut, ...]:
-        return tuple(map(sum, self.space.decode(self.table, tuple), repeat(())))
+        return tuple(self.space.decode(self.table))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, VertexId, str], ...]:
         indices = list(range(self.node_count))  # one int object per node, shared by all its edges
         pairs = [zip(compress(indices, s), compress(indices, t), repeat(v), repeat(d)) for v, d, _, s, t in self.moves]
-        return tuple(chain.from_iterable(map(map, repeat(next), self._leaving(self.moves, pairs))))
-
-    def undirected_edges(self) -> tuple[tuple[int, int, VertexId], ...]:
-        """The edges ``(i, j, vertex)`` with ``i < j``, in the order of ``edges``."""
-        forward = [move for move in self.moves if move[2]]
-        indices = list(range(self.node_count))
-        pairs = [zip(compress(indices, s), compress(indices, t), repeat(v)) for v, _, _, s, t in forward]
-        return tuple(chain.from_iterable(map(map, repeat(next), self._leaving(forward, pairs))))
-
-    def _leaving(self, moves: Sequence[tuple], items: Sequence) -> Iterator[Iterable]:
-        """Per node, in order, the ``items`` of those ``moves`` that leave it, in the order of ``moves``.
-
-        ``items[k]`` stands for ``moves[k]``.  The source columns of each 8
-        moves are OR-ed into one byte per node, move ``k`` of them at bit
-        ``7 - k``, and read back through a table per byte value, as a cut
-        table is decoded, so no node runs Python code of its own.  A node's
-        moves are read off its own bytes, so none is lost however many
-        vertices can mutate.
-        """
-        n = self.node_count
-        if not moves:
-            return repeat((), n)
-        columns = []
-        for k in range(0, len(moves), 8):
-            bits = 0
-            for shift, (_, _, _, sources, _) in zip(range(7, -1, -1), moves[k : k + 8]):
-                bits |= int.from_bytes(sources, "big") << shift  # each byte 0 or 1: no carry into the next
-            columns.append(bits.to_bytes(n, "big"))
-        return map(chain.from_iterable, _select(columns, items, tuple))
+        return tuple(sorted(chain.from_iterable(pairs), key=itemgetter(0)))  # stable: one source's in move order
 
     def component_count(self) -> int:
         """The connected components, by union-find over the forward moves: each labelled pair once."""

@@ -354,6 +354,33 @@ def test_check_b2b2(capsys):
     )
 
 
+def test_check_past_the_dag_cap_answers_every_line(monkeypatch, tmp_path, capsys):
+    # the two verdicts read off the cut-state DAG are Unknown past its cap, the DAG build is tried
+    # once for both, and the coset verdict, which needs no DAG, is still given
+    assert main(["tensor", "--left", "F4", "--right", "E6"]) == 0
+    document = tmp_path / "f4e6.json"
+    document.write_text(capsys.readouterr().out)
+    monkeypatch.setattr("quivercuts.model.MAX_DAG_STATES", 10)
+    builds = []
+    order = quivercuts.model._frontier_order
+    monkeypatch.setattr("quivercuts.model._frontier_order", lambda near: builds.append(near) or order(near))
+    unknown = "Unknown (cut-state DAG past 10 states)"
+    code, out, err = run(capsys, "check", str(document))
+    assert (code, err, len(builds)) == (0, "", 1)
+    assert out.splitlines() == [
+        "covered: yes",
+        f"enough-cuts: {unknown}",
+        f"fully-compatible: {unknown}",
+        "simply-connected: Yes (coset table closed with 1 coset)",
+    ]
+    # counting has no Unknown: it still ends in one error line
+    assert run(capsys, "cuts", "--count-only", str(document)) == (
+        1,
+        "",
+        "error: the cut-state DAG is too large: more than 10 states\n",
+    )
+
+
 @pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
 def test_check_circle(capsys):
     code, out, _ = run(capsys, "check", CIRCLE)
@@ -585,6 +612,25 @@ def test_truncate(capsys):
     assert "arrow a: 1 -> 2" in lines
     assert "relation d: +a.c -b.f" in lines
     assert "relation e: +h.c -g.f" in lines
+
+
+# sha256 of 'truncate --cut d,e' on the B2xB2 split; the stdlib-only CI job checks it
+TRUNCATE_DE = "68c1dbfb6246c877688dd154b2553d792ddf6d4684754af3d87212ac7024fceb"
+
+
+def test_ci_runs_the_single_cut_commands(capsys):
+    # the stdlib-only CI job's lines for validate, mutate and truncate give what test_mutate and test_truncate read
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    fixture = "tests/fixtures/b2b2_split.json"
+    assert run(capsys, "validate", B2B2) == (0, "", "")
+    assert f"python -m quivercuts validate {fixture}\n" in workflow
+    for cut, direction, image in (("d,e", "minus", "c,f"), ("c,f", "plus", "d,e")):
+        assert run(capsys, "mutate", B2B2, "--cut", cut, "--vertex", "3", "--dir", direction) == (0, image + "\n", "")
+        command = f"mutate --cut {cut} --vertex 3 --dir {direction} {fixture}"
+        assert f'test "$(python -m quivercuts {command})" = {image}\n' in workflow
+    code, out, err = run(capsys, "truncate", B2B2, "--cut", "d,e")
+    assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (0, "", TRUNCATE_DE)
+    assert f"truncate --cut d,e {fixture} | sha256sum | cut -d ' ' -f 1)\" = {TRUNCATE_DE}" in workflow
 
 
 def test_truncate_prints_the_zero_relation_of_a_free_arrow(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -10,9 +11,11 @@ from support import (
     oracle_mutation_edges,
     oracle_strict_vertices,
     random_quiver_with_cycles,
+    written,
 )
 
 from quivercuts.cuts import are_compatible, enumerate_cuts, is_cut
+from quivercuts.docio import _leaving, mutation_graph_to_json
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
 from quivercuts.mutation import (
     is_transitive,
@@ -92,7 +95,7 @@ def test_mutation_graph_b2b2(b2b2_split):
     assert graph.is_connected
     assert ("d", "e") in graph.nodes
     # the figure's lattice has nine undirected edges
-    assert len(graph.undirected_edges()) == 9
+    assert len({(min(i, j), max(i, j), v) for i, j, v, _ in graph.edges}) == 9
 
 
 def test_mutation_graph_a3b2(a3b2):
@@ -112,7 +115,7 @@ def test_mutation_graph_edge_involution(b2b2_split, a3b2):
 def test_mutation_graph_degree_matches_strict_counts(b2b2_split):
     q = b2b2_split.qwc
     graph = mutation_graph(q)
-    undirected = graph.undirected_edges()
+    undirected = {(min(i, j), max(i, j), v) for i, j, v, _ in graph.edges}
     for i, node in enumerate(graph.nodes):
         expected = len(strict_sources(q, node)) + len(strict_sinks(q, node))
         degree = sum(1 for a, b, _ in undirected for end in (a, b) if end == i)
@@ -274,7 +277,10 @@ def test_moves_past_a_byte_of_vertices_are_read_exactly():
     # whose mutations give 2 ** (d / 2) cuts, so no graph that can be listed has a node of out-degree
     # 256: the per-node reader is fed 300 moves that each leave every node
     everywhere = [(v, "+", True, b"\1" * 300, b"\1" * 300) for v in q.quiver.vertices]
-    assert all(tuple(out) == tuple(range(300)) for out in graph._leaving(everywhere, range(300)))
+    assert all(tuple(out) == tuple(range(300)) for out in _leaving(graph.node_count, everywhere, range(300)))
+    # the export reads its edges through that reader, here over 75 bytes of moves a node
+    exported = json.loads(written(mutation_graph_to_json, graph))["edges"]
+    assert [(e["source"], e["target"], e["vertex"], e["direction"]) for e in exported] == list(graph.edges)
 
 
 @pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
