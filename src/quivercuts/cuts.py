@@ -37,7 +37,9 @@ graph reads the same masks.  This module does no I/O.  Arrows lying in no
 distinguished cycle lie in no cut; counting the cuts of a quiver with such
 arrows, or listing them in ``_cut_masks``, which every listing calls,
 triggers :class:`UncoveredQuiverWarning`, attributed to the first caller
-outside the ``quivercuts`` package.  A single cut is checked, and its
+outside the ``quivercuts`` package; ``_cut_masks`` also refuses a listing
+of more than ``MAX_LISTED_CUTS`` cuts, from the DAG's count, before it
+builds a mask.  A single cut is checked, and its
 names gathered, by ``_cut_members``.
 """
 
@@ -55,6 +57,17 @@ Cut = tuple[ArrowId, ...]  # the cut's arrow names, sorted
 
 class UncoveredQuiverWarning(UserWarning):
     """Raised-as-warning when arrows outside every distinguished cycle exist."""
+
+
+# The most cuts a listing may hold, checked against the cut-state DAG's count before any mask is built,
+# so that a listing that would not fit in about 1 GiB ends in a ListingTooLargeError.  A listing takes
+# about 270 bytes a cut at its peak: E8 x F4's 377,462 cuts peak at 91 MB for ``cuts`` and 97 MB for
+# ``graph --json``, and E6 x E6's 1,505,721 at 315 MB and 358 MB.
+MAX_LISTED_CUTS = 4_000_000
+
+
+class ListingTooLargeError(ValueError):
+    """The quiver has more than ``MAX_LISTED_CUTS`` cuts to list."""
 
 
 def _is_cut_mask(space: CutSpace, m: int) -> bool:
@@ -111,7 +124,9 @@ def _cut_masks(q: QuiverWithCycles) -> list[int]:
     """Every cut of ``q`` as a mask over its ``CutSpace``, in descending order.
 
     Every listing comes through here, so here ``_warn_if_uncovered`` warns
-    when arrows lie in no distinguished cycle.
+    when arrows lie in no distinguished cycle, and a quiver with more than
+    ``MAX_LISTED_CUTS`` cuts raises ``ListingTooLargeError`` before any
+    mask is built.
 
     One pass over the cut-state DAG, children first, gives each state the
     masks of the paths below it as ``(bits, base)``, the masks ``bits | s``
@@ -138,6 +153,8 @@ def _cut_masks(q: QuiverWithCycles) -> list[int]:
     """
     _warn_if_uncovered(q)
     dag = q.cut_space.dag
+    if dag[-1][0] > MAX_LISTED_CUTS:
+        raise ListingTooLargeError(f"{dag[-1][0]} cuts are too many to list: more than {MAX_LISTED_CUTS}")
     uses = [0] * len(dag)  # live edges into each state not yet followed
     for _, edges in dag:
         for _, j in edges:

@@ -39,9 +39,11 @@ from the cut table by ``_write_cut_rows``, the one column renderer: each
 byte column fills its pieces of a chunk by one strided slice assignment,
 and no row drops a leading separator, since the rows of the descending
 table with no name before a column are a suffix of it.  A graph's edge
-rows are chained ``map`` objects read off its per-mutation columns in
-``_leaving``'s order of source, so no edge tuple is built and none is
-sorted, and ``_write_rows`` writes them.
+rows are written by ``_write_edge_rows`` from a node-by-move grid of the
+moves' source columns, in order of source and then of move, with no edge
+tuple, no sort and no string of an edge's own: three pieces a row, the
+source's opening text repeated by its out-degree, the target's number
+and the move's closing text, each filled by one strided slice assignment.
 """
 
 from __future__ import annotations
@@ -49,11 +51,10 @@ from __future__ import annotations
 import json
 import sys
 import warnings
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from itertools import chain, compress, repeat
-from operator import add
+from collections.abc import Callable, Mapping, Sequence
+from itertools import chain, compress, cycle, islice, repeat, tee
 
-from .model import _PICK, Arrow, Cycle, Quiver, QuiverWithCycles, _select, validate
+from .model import _PICK, Arrow, Cycle, Quiver, QuiverWithCycles, validate
 from .tensor import DivisionLabel, LabeledQuiverWithCycles, _product_label
 
 TYPE_CHECKING = False
@@ -330,35 +331,6 @@ def quiver_to_dot(value: LabeledQuiverWithCycles | QuiverWithCycles, cut: Cut | 
 _ROWS = 4096  # rows written per write
 
 
-def _write_rows(out: TextIO, texts: Iterable[str], count: int, sep: str = "") -> None:
-    """Write the ``count`` rows ``texts`` to ``out``, ``_ROWS`` at a time, the first without its leading ``sep``.
-
-    Every write joins the one list ``rows``, made before the first and
-    refilled in place: one allocation per write, and no write after the
-    last row.  A list grown row by row for each write would pass through
-    small sizes between the written chunks, and the small blocks that the C
-    allocator keeps cached once they are freed would split the space the
-    chunks leave, so a writer's peak memory would depend on what ran before
-    it in the process.  The list is no longer than ``count``, so a short
-    text fills no list of ``_ROWS``; a wrong ``count`` changes only how many
-    rows a write takes.
-    """
-    texts = iter(texts)  # each chunk goes on where the last stopped, even for a list
-    size = max(1, min(_ROWS, count))
-    rows = [""] * size
-    n, drop = size, len(sep)
-    while n == size:
-        n = -1
-        for n, rows[n] in zip(range(size), texts):  # the loop's own target stores each row, with no body
-            pass
-        n += 1
-        if n < size:
-            del rows[n:]  # the last, short write
-        if n:
-            rows[0], drop = rows[0][drop:], 0
-            out.write("".join(rows))
-
-
 def _write_cut_rows(
     out: TextIO,
     space: CutSpace,
@@ -375,9 +347,13 @@ def _write_cut_rows(
     ``number``, where given, is formatted with each row's index into a
     piece before the row, and the first row is written less its first
     ``drop`` characters.  Rows are written ``_ROWS`` at a time from the one
-    list ``pieces``, made before the first write and refilled in place, as
-    ``_write_rows`` refills its list: ``w`` pieces a row, the numbered one
-    and then a text per byte.  Each byte column fills its pieces by one
+    list ``pieces``, made before the first write and refilled in place:
+    ``w`` pieces a row, the numbered one and then a text per byte.  A list
+    made anew for each write would leave small freed blocks between the
+    written chunks, which split the space the chunks free, so a writer's
+    peak memory would depend on what ran before it in the process, and no
+    list is longer than the table, so a short table fills no list of
+    ``_ROWS``.  Each byte column fills its pieces by one
     strided slice assignment, a ``map`` over its bytes through a table of
     texts, each made once per byte value that occurs in the column: no row
     runs Python code of its own, and none makes a string but its numbered
@@ -440,38 +416,50 @@ def write_cuts(q: QuiverWithCycles, out: TextIO) -> None:
     _write_cut_rows(out, space, space.table(_cut_masks(q)), ",", str, "", "\n")
 
 
-def _leaving(n: int, moves: Sequence[tuple], items: Sequence) -> Iterator[Iterable]:
-    """Per node of ``n``, in order, the ``items`` of those ``moves`` that leave it, in the order of ``moves``.
+def _write_edge_rows(out: TextIO, graph: MutationGraph, moves: Sequence[tuple], head: str, tails: list[str]) -> int:
+    """Write a row per edge of ``moves`` to ``out``, by source and then in move order; return how many.
 
-    ``items[k]`` stands for ``moves[k]``.  The source columns of each 8
-    moves are OR-ed into one byte per node, move ``k`` of them at bit
-    ``7 - k``, and read back as a cut table is decoded, so no node runs
-    Python code of its own and none loses a move however many there are.
+    A row is three pieces: ``head`` formatted with its source, its target's
+    number, and its move's text in ``tails``.  The source columns of the
+    moves are laid out once as a node-by-move grid of ``n * m`` bytes, the
+    size of the columns themselves: ``compress`` reads each edge's move off
+    it in row order, and ``count`` each node's out-degree, by which the
+    node's opening text is repeated.  A move's k-th source goes to its k-th
+    target, so each move is one stream of its targets' numbers.  Rows are
+    written ``_ROWS`` at a time from the one list ``pieces``, refilled in
+    place as ``_write_cut_rows`` refills its own: each piece of a row fills
+    its places in a chunk by one strided slice assignment, so no edge runs
+    Python code or makes a string of its own.  The first row is written
+    less a leading ``","``.
     """
-    if not moves:
-        return repeat((), n)
-    columns = []
-    for k in range(0, len(moves), 8):
-        bits = 0
-        for shift, (_, _, _, sources, _) in zip(range(7, -1, -1), moves[k : k + 8]):
-            bits |= int.from_bytes(sources, "big") << shift  # each byte 0 or 1: no carry into the next
-        columns.append(bits.to_bytes(n, "big"))
-    return map(chain.from_iterable, _select(columns, items))
-
-
-def _edge_rows(graph: MutationGraph, moves: Sequence[tuple], head: str, tails: list[str]) -> Iterator[str]:
-    """The text of each edge of ``moves``, in order of source: ``head`` formatted with the source, then the rest.
-
-    A move's k-th source goes to its k-th target, so each move is one
-    stream of texts, its targets' numbers each with the move's tail, picked
-    out by ``compress``.  An edge's text is its source's ``head`` and the
-    next text of a stream that ``_leaving`` gives for that source.
-    """
-    n = graph.node_count
+    n, m = graph.node_count, len(moves)
+    grid = bytearray(n * m)
+    for k, (*_, sources, _) in enumerate(moves):
+        grid[k::m] = sources
+    edges = grid.count(1)
+    if not edges:
+        return 0
     numbers = list(map(str, range(n)))
-    streams = [map(add, compress(numbers, targets), repeat(tail)) for (*_, targets), tail in zip(moves, tails)]
-    heads = map(repeat, map(head.format, numbers))
-    return chain.from_iterable(map(map, repeat(add), heads, map(map, repeat(next), _leaving(n, moves, streams))))
+    streams = [compress(numbers, targets) for *_, targets in moves]
+    at, of = tee(compress(cycle(range(m)), grid))
+    degrees = map(grid.count, repeat(1), range(0, n * m, m), range(m, n * m + m, m))
+    parts = (
+        chain.from_iterable(map(repeat, map(head.format, numbers), degrees)),
+        map(next, map(streams.__getitem__, at)),
+        map(tails.__getitem__, of),
+    )
+    size = min(_ROWS, edges)
+    pieces = [""] * (3 * size)
+    for a in range(0, edges, size):
+        z = min(edges, a + size)
+        if z - a < size:
+            del pieces[3 * (z - a) :]  # the last, short write
+        for k, part in enumerate(parts):
+            pieces[k::3] = islice(part, z - a)
+        if not a:
+            pieces[0] = pieces[0].removeprefix(",")
+        out.write("".join(pieces))
+    return edges
 
 
 def mutation_graph_to_dot(graph: MutationGraph, out: TextIO, directed: bool = False) -> None:
@@ -493,8 +481,7 @@ def mutation_graph_to_dot(graph: MutationGraph, out: TextIO, directed: bool = Fa
     else:
         moves = [move for move in graph.moves if move[2]]  # (vertex, direction, forward, sources, targets)
         tails = [f" [label={_dot_quote(v)}];\n" for v, *_ in moves]
-    edges = sum(sources.count(1) for *_, sources, _ in moves)
-    _write_rows(out, _edge_rows(graph, moves, f"  n{{}} {joiner} n", tails), edges)
+    _write_edge_rows(out, graph, moves, f"  n{{}} {joiner} n", tails)
     out.write("}\n")
 
 
@@ -508,13 +495,11 @@ def mutation_graph_to_json(graph: MutationGraph, out: TextIO) -> None:
     built once.
     """
     tails = [f',\n      "vertex": {_quote(v)},\n      "direction": "{d}"\n    }}' for v, d, *_ in graph.moves]
-    edges = sum(sources.count(1) for *_, sources, _ in graph.moves)
     out.write('{\n  "nodes": [')
     if graph.space.cycle_mask:
         _write_cut_rows(out, graph.space, graph.table, ",\n      ", _quote, ",\n    [\n      ", "\n    ]", drop=1)
     else:  # no cycle: the cut-state DAG is its sink alone, so the one node is the empty cut
         out.write("\n    []")
     out.write('\n  ],\n  "edges": [' if graph.node_count else '],\n  "edges": [')
-    rows = _edge_rows(graph, graph.moves, ',\n    {{\n      "source": {},\n      "target": ', tails)
-    _write_rows(out, rows, edges, ",")
+    edges = _write_edge_rows(out, graph, graph.moves, ',\n    {{\n      "source": {},\n      "target": ', tails)
     out.write("\n  ]\n}\n" if edges else "]\n}\n")

@@ -381,6 +381,21 @@ def test_check_past_the_dag_cap_answers_every_line(monkeypatch, tmp_path, capsys
     )
 
 
+def test_listings_past_the_cut_cap_exit_with_one_line(monkeypatch, tmp_path, capsys):
+    # the cap is read off the cut-state DAG's count: every listing is refused with one line and no
+    # output, while counting and check, which list no cut, are not
+    assert main(["tensor", "--left", "F4", "--right", "E6"]) == 0
+    document = tmp_path / "f4e6.json"
+    document.write_text(capsys.readouterr().out)
+    monkeypatch.setattr("quivercuts.cuts.MAX_LISTED_CUTS", 10)
+    error = "error: 16599 cuts are too many to list: more than 10\n"
+    for argv in (["cuts"], ["graph", "--json"], ["graph", "--dot"]):
+        assert run(capsys, *argv, str(document)) == (1, "", error)
+    assert run(capsys, "cuts", "--count-only", str(document)) == (0, "16599\n", "")
+    code, out, err = run(capsys, "check", str(document))
+    assert (code, err, out.splitlines()[1:3]) == (0, "", ["enough-cuts: yes", "fully-compatible: yes"])
+
+
 @pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
 def test_check_circle(capsys):
     code, out, _ = run(capsys, "check", CIRCLE)
@@ -770,6 +785,28 @@ def test_resource_limits_end_in_one_error_line(argv, document, megabytes, second
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), err
     assert elapsed < seconds
+
+
+def test_ci_runs_the_listings_past_the_cut_cap(capsys):
+    # the stdlib-only CI job's lines for E7xE7 give what cuts and graph --json print here, in a child held
+    # to 400 MB: its 166,849,592 cuts are refused from their count, before any mask is built
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert main(["tensor", "--left", "E7", "--right", "E7"]) == 0
+    document = capsys.readouterr().out
+    error = "error: 166849592 cuts are too many to list: more than 4000000"
+    for argv in (["cuts", "-"], ["graph", "--json", "-"]):
+        code, out, err, elapsed = _capped(argv, 400, document)
+        assert (code, out, err) == (1, "", error + "\n")
+        assert elapsed < 5
+    for line in (
+        "python -m quivercuts tensor --left E7 --right E7 > e7e7.json",
+        "for command in cuts 'graph --json'; do",
+        "python -m quivercuts $command e7e7.json > out.txt 2> err.txt || code=$?",
+        'test "$code" = 1',
+        "test ! -s out.txt",
+        f"printf '%s\\n' '{error}' | diff - err.txt",
+    ):
+        assert f"  {line}\n" in workflow
 
 
 # (2,3,7) with 200 more loops of order 2 and 3: rows of 404 cells, about 1.8 kB a coset

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import runpy
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -545,20 +546,35 @@ def test_graph_writers_match_references_on_three_to_five_byte_masks(seed):
         _check_graph_writers(graph, rows)
 
 
-@pytest.mark.parametrize("count", [0, 1, 3, 10])
-def test_write_rows_goes_on_through_a_list(monkeypatch, count):
-    # a list, unlike an iterator, would restart at every chunk: the writer raises where that repeats forever;
-    # a count that is wrong changes only how many rows a write takes
-    monkeypatch.setattr(docio, "_ROWS", 2)
+@pytest.mark.parametrize("rows", [1, 2, 3, 10])
+def test_edge_rows_go_on_where_the_last_chunk_stopped(monkeypatch, rows):
+    # node 0 leaves by both moves and node 1 by the first: each chunk's rows follow the last chunk's,
+    # the first row alone loses its leading comma, and the rows are counted
+    monkeypatch.setattr(docio, "_ROWS", rows)
+    moves = [("x", "+", True, b"\1\1\0", b"\0\1\1"), ("y", "-", True, b"\1\0\0", b"\0\0\1")]
     chunks = []
+    out = SimpleNamespace(write=chunks.append)
+    assert docio._write_edge_rows(out, SimpleNamespace(node_count=3), moves, ",{}>", ["x", "y"]) == 3
+    texts = ["0>1x", ",0>2y", ",1>2x"]
+    expected = ["".join(texts[a : a + rows]) for a in range(0, 3, rows)]
+    assert chunks == expected
+    # no move, no write
+    assert docio._write_edge_rows(out, SimpleNamespace(node_count=0), [], "", []) == 0
+    assert chunks == expected
 
-    def write(text):
-        if len(chunks) == 3:
-            raise AssertionError(f"a fourth write after {chunks}")
-        chunks.append(text)
 
-    docio._write_rows(SimpleNamespace(write=write), [",a", ",b", ",c"], count, ",")
-    assert chunks == (["a", ",b", ",c"] if count < 2 else ["a,b", ",c"])
+def test_graph_json_export_peaks_under_three_megabytes():
+    # E6xF4: 16,599 nodes and 150,598 edges, written into a writer that keeps nothing; a list of an
+    # item per edge would take about 1.2 MB more than the node-by-move grid and the chunk of rows
+    e6, f4 = (dynkin_quiver(parse_dynkin_spec(spec)) for spec in ("E6", "F4"))
+    graph = mutation_graph(tensor_qwc(e6, f4).qwc)
+    tracemalloc.start()
+    try:
+        mutation_graph_to_json(graph, SimpleNamespace(write=len))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_pair_labels_collapse_on_export(a3b2):

@@ -15,9 +15,10 @@ from support import (
 )
 
 from quivercuts.cuts import are_compatible, enumerate_cuts, is_cut
-from quivercuts.docio import _leaving, mutation_graph_to_json
+from quivercuts.docio import mutation_graph_to_json
 from quivercuts.model import Arrow, Cycle, Quiver, QuiverWithCycles
 from quivercuts.mutation import (
+    MutationGraph,
     is_transitive,
     mutate_minus,
     mutate_plus,
@@ -275,12 +276,13 @@ def test_moves_past_a_byte_of_vertices_are_read_exactly():
     assert graph.is_connected
     # d strict vertices of one cut hold d / 2 sources or d / 2 sinks with no arrow between two of them,
     # whose mutations give 2 ** (d / 2) cuts, so no graph that can be listed has a node of out-degree
-    # 256: the per-node reader is fed 300 moves that each leave every node
-    everywhere = [(v, "+", True, b"\1" * 300, b"\1" * 300) for v in q.quiver.vertices]
-    assert all(tuple(out) == tuple(range(300)) for out in _leaving(graph.node_count, everywhere, range(300)))
-    # the export reads its edges through that reader, here over 75 bytes of moves a node
-    exported = json.loads(written(mutation_graph_to_json, graph))["edges"]
-    assert [(e["source"], e["target"], e["vertex"], e["direction"]) for e in exported] == list(graph.edges)
+    # 256: the edge writer is fed 300 moves that each take every node to itself
+    moves = tuple((v, "+", True, b"\1" * 300, b"\1" * 300) for v in q.quiver.vertices)
+    everywhere = MutationGraph(graph.space, graph.table, moves)
+    for g in (everywhere, graph):  # 300 moves a node, then 600 moves of 75 bytes of source bits a node
+        exported = json.loads(written(mutation_graph_to_json, g))["edges"]
+        assert [(e["source"], e["target"], e["vertex"], e["direction"]) for e in exported] == list(g.edges)
+    assert len(everywhere.edges) == 300 * 300
 
 
 @pytest.mark.filterwarnings("ignore::quivercuts.cuts.UncoveredQuiverWarning")
